@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,6 +67,29 @@ class DiffOps:
     Dphi: sp.csr_matrix
     Dphiphi: sp.csr_matrix
     Drphi: sp.csr_matrix
+
+
+@dataclass(frozen=True)
+class FrameOps:
+    """Sparse matrix form of the frame calculus, as the Jacobian uses it.
+
+    Frame gradient (D1, D2) and frame Hessian (H11, H12, H22), the 2D-only
+    ones None for n = 1; the interior-row mask, the Robin d_r rows on the rim
+    and the identity.
+    """
+
+    D1: sp.csr_matrix
+    H11: sp.csr_matrix
+    D2: sp.csr_matrix | None
+    H12: sp.csr_matrix | None
+    H22: sp.csr_matrix | None
+    interior: sp.dia_matrix
+    rim_rows: sp.csr_matrix
+    identity: sp.csr_matrix
+
+
+def _diag(x: np.ndarray) -> sp.dia_matrix:
+    return sp.diags(np.ascontiguousarray(x).ravel())
 
 
 class PolarGrid:
@@ -132,15 +156,15 @@ class PolarGrid:
         return w_r[:, None].copy()
 
     def _radial_rows(self, one_sided_last: bool):
-        """Stencil table for d/dr: list of (ring, perm, coeff) per row ring."""
+        """Stencil table for d/dr: list of (ring, shift, coeff) per row ring."""
         Nr, dr = self.Nr, self.dr
         rows = []
         r_cut = 0.5 * self.spec.theta
         for i in range(Nr):
             if i == Nr - 1 and one_sided_last:
-                rows.append([(i - 2, False, 1.0 / (2 * dr)),
-                             (i - 1, False, -4.0 / (2 * dr)),
-                             (i, False, 3.0 / (2 * dr))])
+                rows.append([(i - 2, 0, 1.0 / (2 * dr)),
+                             (i - 1, 0, -4.0 / (2 * dr)),
+                             (i, 0, 3.0 / (2 * dr))])
             elif self.r[i] <= r_cut and i <= Nr - 3:
                 st = [(i - 2, 1.0), (i - 1, -8.0), (i + 1, 8.0), (i + 2, -1.0)]
                 rows.append([self._ghost(j) + (c / (12 * dr),) for j, c in st])
@@ -150,21 +174,21 @@ class PolarGrid:
         return rows
 
     def _ghost(self, ring: int):
-        """Map a (possibly negative) ring index through the pole closure."""
+        """(ring, angular shift) of a possibly negative ring index under the pole closure."""
         if ring >= 0:
-            return (ring, False)
-        return (-1 - ring, True)
+            return (ring, 0)
+        return (-1 - ring, self.Nphi // 2)
 
     def _rows_to_csr(self, rows) -> sp.csr_matrix:
+        """Assemble per-ring stencil rows: node (i, k) gets coeff at (ring, k + shift)."""
         N = self.Nr * self.Nphi
         k = np.arange(self.Nphi)
         ri, ci, data = [], [], []
         for i, row in enumerate(rows):
             base = i * self.Nphi
-            for ring, perm, coeff in row:
-                cols = ring * self.Nphi + (self.pole_map[k] if perm else k)
+            for ring, shift, coeff in row:
                 ri.append(base + k)
-                ci.append(cols)
+                ci.append(ring * self.Nphi + (k + shift) % self.Nphi)
                 data.append(np.full(self.Nphi, coeff))
         mat = sp.coo_matrix(
             (np.concatenate(data), (np.concatenate(ri), np.concatenate(ci))),
@@ -173,22 +197,8 @@ class PolarGrid:
         return mat.tocsr()
 
     def _angular_csr(self, offsets, coeffs) -> sp.csr_matrix:
-        N = self.Nr * self.Nphi
-        if self.spec.n == 1 or self.Nphi == 1:
-            return sp.csr_matrix((N, N))
-        k = np.arange(self.Nphi)
-        ri, ci, data = [], [], []
-        for i in range(self.Nr):
-            base = i * self.Nphi
-            for off, coeff in zip(offsets, coeffs):
-                ri.append(base + k)
-                ci.append(base + (k + off) % self.Nphi)
-                data.append(np.full(self.Nphi, coeff))
-        mat = sp.coo_matrix(
-            (np.concatenate(data), (np.concatenate(ri), np.concatenate(ci))),
-            shape=(N, N),
-        )
-        return mat.tocsr()
+        return self._rows_to_csr([[(i, off, c) for off, c in zip(offsets, coeffs)]
+                                  for i in range(self.Nr)])
 
     def _build_ops(self) -> DiffOps:
         Dr = self._rows_to_csr(self._radial_rows(one_sided_last=True))
@@ -197,10 +207,10 @@ class PolarGrid:
         Nr, dr = self.Nr, self.dr
         for i in range(Nr):
             if i == Nr - 1:
-                rows.append([(i - 3, False, -1.0 / dr**2),
-                             (i - 2, False, 4.0 / dr**2),
-                             (i - 1, False, -5.0 / dr**2),
-                             (i, False, 2.0 / dr**2)])
+                rows.append([(i - 3, 0, -1.0 / dr**2),
+                             (i - 2, 0, 4.0 / dr**2),
+                             (i - 1, 0, -5.0 / dr**2),
+                             (i, 0, 2.0 / dr**2)])
             else:
                 st = [(i - 1, 1.0), (i, -2.0), (i + 1, 1.0)]
                 rows.append([self._ghost(j) + (c / dr**2,) for j, c in st])
@@ -217,8 +227,8 @@ class PolarGrid:
                 np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12 * dphi**2),
             )
         else:
-            Dphi = self._angular_csr([], [])
-            Dphiphi = self._angular_csr([], [])
+            Dphi = sp.csr_matrix((self.size, self.size))
+            Dphiphi = sp.csr_matrix((self.size, self.size))
         Drphi = (Dr @ Dphi).tocsr()
         ops = DiffOps(Dr=Dr, Drr=Drr, Dphi=Dphi, Dphiphi=Dphiphi, Drphi=Drphi)
         self.stencil_amplification = self._stencil_amplification(ops)
@@ -274,6 +284,31 @@ class PolarGrid:
     def apply(self, op: sp.csr_matrix, f: np.ndarray) -> np.ndarray:
         return (op @ np.ascontiguousarray(f).ravel()).reshape(self.shape)
 
+    @cached_property
+    def frame_ops(self) -> FrameOps:
+        """Matrix form of the chart formulas in ``hessian``, built on first use.
+
+        The products are formed once per grid so that a Jacobian assembly only
+        applies its field-dependent diagonal scalings.  Building them lazily
+        keeps grids that are never linearized (verification, export) cheap.
+        """
+        ops = self.ops
+        interior_mask = np.ones(self.shape)
+        interior_mask[self.boundary_ring] = 0.0
+        D2 = H12 = H22 = None
+        if self.spec.n == 2:
+            inv_sin = np.repeat(1.0 / self.sin_r[:, None], self.Nphi, axis=1)
+            cot = np.repeat(self.cot_r[:, None], self.Nphi, axis=1)
+            D2 = _diag(inv_sin) @ ops.Dphi
+            H12 = _diag(inv_sin) @ (ops.Drphi - _diag(cot) @ ops.Dphi)
+            H22 = _diag(inv_sin**2) @ ops.Dphiphi + _diag(cot) @ ops.Dr
+        return FrameOps(
+            D1=ops.Dr, H11=ops.Drr, D2=D2, H12=H12, H22=H22,
+            interior=_diag(interior_mask),
+            rim_rows=_diag(1.0 - interior_mask) @ ops.Dr,
+            identity=sp.identity(self.size, format="csr"),
+        )
+
 
 @dataclass
 class FrameVector:
@@ -304,11 +339,6 @@ class FrameSymMatrix:
         a, b, c = self.comps[0, 0], self.comps[0, 1], self.comps[1, 1]
         return a * c - b * b
 
-    def trace(self) -> np.ndarray:
-        if self.n == 1:
-            return self.comps[0, 0].copy()
-        return self.comps[0, 0] + self.comps[1, 1]
-
     def eig_bounds(self):
         """(min, max) eigenvalue per node via the closed 2x2 form (branch-free)."""
         if self.n == 1:
@@ -330,17 +360,15 @@ class FrameSymMatrix:
         return FrameSymMatrix(out)
 
 
-def l_field(grid: PolarGrid, spec: CapSpec | None = None) -> np.ndarray:
+def l_field(grid: PolarGrid) -> np.ndarray:
     """Weight l = 1 - cos(theta) cos(r), the chart form of sin^2(theta) + cos(theta)<xi, e>."""
-    spec = spec or grid.spec
-    col = 1.0 - spec.cos_theta * grid.cos_r
+    col = 1.0 - grid.spec.cos_theta * grid.cos_r
     return np.repeat(col[:, None], grid.Nphi, axis=1)
 
 
-def l_gradient_norm_sq(grid: PolarGrid, spec: CapSpec | None = None) -> np.ndarray:
+def l_gradient_norm_sq(grid: PolarGrid) -> np.ndarray:
     """Closed-form |grad l|^2 = cos(theta)^2 sin(r)^2 on the grid."""
-    spec = spec or grid.spec
-    col = (spec.cos_theta * grid.sin_r) ** 2
+    col = (grid.spec.cos_theta * grid.sin_r) ** 2
     return np.repeat(col[:, None], grid.Nphi, axis=1)
 
 
@@ -360,6 +388,10 @@ def hessian(f: np.ndarray, grid: PolarGrid) -> FrameSymMatrix:
       H11 = f_rr
       H12 = (f_rphi - cot r * f_phi) / sin r
       H22 = f_phiphi / sin^2 r + cot r * f_r
+
+    ``PolarGrid.frame_ops`` holds these formulas as sparse matrices for the
+    Jacobian.  The residual keeps this field form: the matrix form rounds about
+    1e-8 differently at 128^2, the size of the ``effective_tolerance`` floor.
     """
     ops = grid.ops
     H11 = grid.apply(ops.Drr, f)

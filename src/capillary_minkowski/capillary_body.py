@@ -235,24 +235,20 @@ class BoundaryIdentityReport:
     h_mixed: np.ndarray
     u_identity: np.ndarray
 
-    def passes(self, tol: float) -> bool:
-        return self.h_mixed_max <= tol and self.u_identity_max <= tol
 
-
-def boundary_identity_check(sf: SupportField, robin_tol: float | None = None) -> BoundaryIdentityReport:
+def boundary_identity_check(sf: SupportField) -> BoundaryIdentityReport:
     """Evaluate the rim identities h_kn = 0 and u_kn = -cot(theta) u_k.
 
     Mixed entries use the same frame-Hessian stencils as the rest of the
     stack (one-sided in r on the rim); no special boundary calculus.  The
-    Robin flag defaults to the discretization threshold 10 * spacing^2, since
-    even exact solutions satisfy the discrete Robin stencil only to truncation.
+    Robin flag uses the discretization threshold 10 * spacing^2, since even
+    exact solutions satisfy the discrete Robin stencil only to truncation.
     """
     grid = sf.grid
     b = grid.boundary_ring
     spec = grid.spec
     h_scale = float(np.max(np.abs(sf.h)))
-    if robin_tol is None:
-        robin_tol = 10.0 * grid.max_spacing**2
+    robin_tol = 10.0 * grid.max_spacing**2
 
     robin = cap_chart.normal_derivative(sf.h, grid) - spec.cot_theta * sf.h[b]
     robin_max = float(np.max(np.abs(robin)))

@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,47 +67,58 @@ def _angle_from(doc: dict) -> float:
 
 
 def density_from_spec(f_spec: dict, grid: PolarGrid, pq: ExponentPair) -> np.ndarray:
-    """Evaluate a density family on the grid; reject non-positive results."""
+    """Evaluate a density family on the grid; reject malformed specs and non-positive results."""
     kind = f_spec.get("type")
     r = grid.r[:, None]
     phi = grid.phi[None, :]
-    if kind == "constant":
-        f = np.full(grid.shape, float(f_spec["value"]))
-    elif kind == "radial":
-        coeffs = [float(c) for c in f_spec["coeffs"]]
-        poly = sum(c * np.cos(r) ** k for k, c in enumerate(coeffs))
-        f = np.broadcast_to(poly, grid.shape).copy()
-        if f_spec.get("times_start_density", False):
-            f = f * start_density(grid, pq)
-    elif kind == "harmonic":
-        base = float(f_spec["base"])
-        amp = float(f_spec["amplitude"])
-        m = int(f_spec["m"])
-        k = int(f_spec.get("radial_mode", 0))
-        if m < 0 or k < 0:
-            raise ConfigError("harmonic modes must be non-negative")
-        shape_fn = (np.sin(r) / grid.spec.sin_theta) ** m * np.cos(m * phi) * np.cos(r) ** k
-        f = base * (1.0 + amp * shape_fn)
-        f = np.broadcast_to(f, grid.shape).copy()
-    elif kind == "homotopy-start":
-        scale = float(f_spec.get("scale", 1.0))
-        if scale <= 0.0:
-            raise ConfigError("homotopy-start scale must be positive")
-        f = scale ** (pq.q - pq.p) * start_density(grid, pq)
-    else:
-        raise ConfigError(f"unknown f-spec type {kind!r}")
+    try:
+        if kind == "constant":
+            f = np.full(grid.shape, float(f_spec["value"]))
+        elif kind == "radial":
+            coeffs = [float(c) for c in f_spec["coeffs"]]
+            poly = sum(c * np.cos(r) ** k for k, c in enumerate(coeffs))
+            f = np.broadcast_to(poly, grid.shape).copy()
+            if f_spec.get("times_start_density", False):
+                f = f * start_density(grid, pq)
+        elif kind == "harmonic":
+            base = float(f_spec["base"])
+            amp = float(f_spec["amplitude"])
+            m = int(f_spec["m"])
+            k = int(f_spec.get("radial_mode", 0))
+            if m < 0 or k < 0:
+                raise ValueError("modes must be non-negative")
+            shape_fn = (np.sin(r) / grid.spec.sin_theta) ** m * np.cos(m * phi) * np.cos(r) ** k
+            f = base * (1.0 + amp * shape_fn)
+            f = np.broadcast_to(f, grid.shape).copy()
+        elif kind == "homotopy-start":
+            scale = float(f_spec.get("scale", 1.0))
+            if scale <= 0.0:
+                raise ValueError("scale must be positive")
+            f = scale ** (pq.q - pq.p) * start_density(grid, pq)
+        else:
+            raise ValueError("unknown type")
+    except KeyError as exc:
+        raise ConfigError(f"f-spec of type {kind!r} is missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed f-spec of type {kind!r}: {exc}") from None
     if not np.all(f > 0.0):
         raise ConfigError("f-spec evaluates non-positive somewhere on the grid")
     return f
 
 
-def load_config(path: str) -> RunConfig:
+def _read_json(path: str, what: str) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(doc)
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} {path} is not a JSON object")
+    return doc
+
+
+def load_config(path: str) -> RunConfig:
+    return parse_config(_read_json(path, "config"))
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -124,6 +135,8 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"exponents must satisfy p > q, got p={p}, q={q}")
     pq = ExponentPair(p=float(p), q=float(q))
     gdoc = doc.get("grid", {})
+    if not isinstance(gdoc, dict):
+        raise ConfigError("'grid' must be an object with keys 'Nr' and 'Nphi'")
     Nr = int(gdoc.get("Nr", 64))
     Nphi = int(gdoc.get("Nphi", Nr))
     f_spec = doc.get("f")
@@ -156,11 +169,7 @@ def solution_document(config: RunConfig, sf: SupportField, final_residual: float
 
 
 def load_solution(path: str):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read solution {path}: {exc}") from exc
+    doc = _read_json(path, "solution")
     if doc.get("format") != "capmink-solution-v1":
         raise ConfigError("not a solution file (missing format marker)")
     try:
@@ -231,32 +240,26 @@ def cmd_verify(args) -> int:
 def cmd_convergence(args) -> int:
     try:
         config = load_config(args.config)
-    except ConfigError as exc:
+        if config.f_spec.get("type") != "homotopy-start":
+            raise ConfigError("convergence study needs a manufactured f-spec "
+                              "(type 'homotopy-start', exact solution scale * l)")
+        sizes = [int(s) for s in args.grids.split(",") if s]
+        probs = [build_problem(replace(config, Nr=N, Nphi=N if config.spec.n == 2 else 1))
+                 for N in sizes]
+    except (CapillaryError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    if config.f_spec.get("type") != "homotopy-start":
-        print("convergence study needs a manufactured f-spec "
-              "(type 'homotopy-start', exact solution scale * l)", file=sys.stderr)
-        return EXIT_BAD_INPUT
     scale = float(config.f_spec.get("scale", 1.0))
-    try:
-        sizes = [int(s) for s in args.grids.split(",") if s]
-    except ValueError:
-        print(f"bad grid list {args.grids!r}", file=sys.stderr)
-        return EXIT_BAD_INPUT
 
     rows = []
-    for N in sizes:
-        grid = PolarGrid(config.spec, N, N if config.spec.n == 2 else 1)
-        f = density_from_spec(config.f_spec, grid, config.pq)
-        prob = ProblemSpec(grid=grid, pq=config.pq, f=f)
+    for N, prob in zip(sizes, probs):
         try:
             sf, _ = continuation_solve(prob, config.solver, config.schedule)
         except SolverError as exc:
             print(f"solver failure on {N}: {exc}", file=sys.stderr)
             return EXIT_STALL
-        err = float(np.max(np.abs(sf.h - scale * l_field(grid))))
-        rows.append((N, grid.max_spacing, err))
+        err = float(np.max(np.abs(sf.h - scale * l_field(prob.grid))))
+        rows.append((N, prob.grid.max_spacing, err))
 
     print(f"{'N':>5} {'spacing':>12} {'max error':>13} {'order':>7}")
     for i, (N, sp_, err) in enumerate(rows):

@@ -244,8 +244,10 @@ def continuation_solve(
 
     Before every stage the residual against the t = 1 density is probed; if it
     is already within tolerance the march jumps to the end (a constant
-    homotopy therefore costs a single Newton stage).  Stage failures halve the
-    t-step down to the schedule minimum, two consecutive easy stages double it.
+    homotopy therefore costs a single Newton stage).  An explicit schedule
+    visits its t values in order and stalls on the first failed stage; an
+    adaptive one halves the t-step on failure down to the schedule minimum
+    and doubles it after two consecutive easy stages.
     """
     cfg = cfg or SolverConfig()
     sched = sched or HomotopySchedule()
@@ -260,57 +262,40 @@ def continuation_solve(
     def target_residual(v_cur):
         return residual(v_cur, prob).max_norm()
 
-    t = 0.0
-    if sched.adaptive:
-        dt = sched.initial_step
-        easy_streak = 0
-        while t < 1.0:
-            if target_residual(v) <= tol:
-                t = 1.0
-                break
+    t, dt, easy_streak = 0.0, sched.initial_step, 0
+    while t < 1.0:
+        if target_residual(v) <= tol:
+            t = 1.0
+            break
+        if sched.adaptive:
             t_try = min(1.0, t + dt)
-            stage_prob = replace(prob, f=homotopy_density(t_try, prob))
-            try:
-                v_new, stage = newton_solve(v, stage_prob, cfg)
-            except SolverError:
-                dt *= 0.5
-                if dt < sched.min_step:
-                    report.total_seconds = time.perf_counter() - t_start
-                    report.final_residual = target_residual(v)
-                    raise ContinuationStallError(
-                        f"homotopy step underflow at t = {t:.6f}",
-                        t=t,
-                        best_v=v,
-                        report=report,
-                    ) from None
-                continue
-            stage.t = t_try
-            report.stages.append(stage)
-            v = v_new
-            t = t_try
+        else:
+            t_try = next(s for s in sched.t_values if s > t)
+        stage_prob = replace(prob, f=homotopy_density(t_try, prob))
+        try:
+            v_new, stage = newton_solve(v, stage_prob, cfg)
+        except SolverError as exc:
+            dt *= 0.5
+            if not sched.adaptive or dt < sched.min_step:
+                report.total_seconds = time.perf_counter() - t_start
+                report.final_residual = target_residual(v)
+                raise ContinuationStallError(
+                    f"homotopy stalled at t = {t:.6f}: stage t = {t_try:.6f} failed: {exc}",
+                    t=t,
+                    best_v=v,
+                    report=report,
+                ) from exc
+            continue
+        stage.t = t_try
+        report.stages.append(stage)
+        v = v_new
+        t = t_try
+        if sched.adaptive:
             easy = stage.iterations <= 4 and all(a == 1.0 for a in stage.step_lengths)
             easy_streak = easy_streak + 1 if easy else 0
             if easy_streak >= 2:
                 dt = min(2.0 * dt, sched.max_step)
                 easy_streak = 0
-    else:
-        for t_try in sched.t_values[1:]:
-            stage_prob = replace(prob, f=homotopy_density(t_try, prob))
-            try:
-                v_new, stage = newton_solve(v, stage_prob, cfg)
-            except SolverError as exc:
-                report.total_seconds = time.perf_counter() - t_start
-                report.final_residual = target_residual(v)
-                raise ContinuationStallError(
-                    f"fixed schedule failed at t = {t_try:.6f}: {exc}",
-                    t=t,
-                    best_v=v,
-                    report=report,
-                ) from exc
-            stage.t = t_try
-            report.stages.append(stage)
-            v = v_new
-            t = t_try
 
     report.final_residual = target_residual(v)
     report.total_seconds = time.perf_counter() - t_start
@@ -332,14 +317,12 @@ class UniquenessReport:
 def uniqueness_probe(
     prob: ProblemSpec,
     cfg: SolverConfig | None = None,
-    sched: HomotopySchedule | None = None,
     starts: list | None = None,
 ) -> UniquenessReport:
     """Solve at t = 1 directly from each start (no continuation) and compare.
 
     A well-posed instance has a unique solution, so all converged limits
-    should agree to roughly 10x the Newton tolerance.  ``sched`` is accepted
-    for signature symmetry with continuation_solve but is not consulted.
+    should agree to roughly 10x the Newton tolerance.
     """
     cfg = cfg or SolverConfig()
     if not starts:

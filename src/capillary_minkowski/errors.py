@@ -51,7 +51,8 @@ class SingularSystemError(SolverError):
 
 
 class ContinuationStallError(SolverError):
-    """Homotopy step size underflowed; carries the last successful (t, v)."""
+    """Homotopy march failed (step underflow, or a failed stage of an explicit
+    schedule); carries the last successful (t, v)."""
 
     def __init__(self, message, t=None, best_v=None, report=None):
         super().__init__(message, best_v=best_v, report=report)

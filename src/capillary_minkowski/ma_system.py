@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .cap_chart import CapSpec, FrameSymMatrix, PolarGrid, grad, hessian
+from .cap_chart import CapSpec, FrameSymMatrix, PolarGrid, _diag, grad, hessian
 from .capillary_body import ExponentPair, SupportField, second_fundamental_form
 from .errors import NonConvexError
 
@@ -139,10 +139,6 @@ def residual_h_form(h: np.ndarray, prob: ProblemSpec) -> ResidualVector:
     return ResidualVector(full=full, bad_nodes=np.flatnonzero(~good.ravel()))
 
 
-def _diag(x: np.ndarray) -> sp.dia_matrix:
-    return sp.diags(np.ascontiguousarray(x).ravel())
-
-
 def jacobian(v: np.ndarray, prob: ProblemSpec) -> sp.csr_matrix:
     """Exact analytic linearization of ``residual`` w.r.t. the nodal values of v.
 
@@ -155,7 +151,7 @@ def jacobian(v: np.ndarray, prob: ProblemSpec) -> sp.csr_matrix:
     n = grid.spec.n
     p, q = prob.pq.p, prob.pq.q
     v = np.asarray(v, dtype=float)
-    ops = grid.ops
+    ops = grid.frame_ops
 
     B = log_gauss_map_matrix(v, grid)
     eig_min = float(B.smallest_eigenvalue().min())
@@ -165,47 +161,29 @@ def jacobian(v: np.ndarray, prob: ProblemSpec) -> sp.csr_matrix:
         )
 
     g = grad(v, grid)
-    gsq = g.norm_sq()
-    N = grid.size
-
-    D1 = ops.Dr
+    w = (n + 1 - q) / (1.0 + g.norm_sq())
+    D1 = ops.D1
     if n == 2:
-        inv_sin = 1.0 / grid.sin_r[:, None]
-        cot = grid.cot_r[:, None]
-        D2 = _diag(np.repeat(inv_sin, grid.Nphi, axis=1)) @ ops.Dphi
-        Hop11 = ops.Drr
-        Hop12 = _diag(np.repeat(inv_sin, grid.Nphi, axis=1)) @ (
-            ops.Drphi - _diag(np.repeat(cot, grid.Nphi, axis=1)) @ ops.Dphi
-        )
-        Hop22 = _diag(np.repeat(inv_sin**2, grid.Nphi, axis=1)) @ ops.Dphiphi \
-            + _diag(np.repeat(cot, grid.Nphi, axis=1)) @ ops.Dr
-
         detB = B.det()
         B11, B12, B22 = B.comps[0, 0], B.comps[0, 1], B.comps[1, 1]
         g1, g2 = g.comps[0], g.comps[1]
+        D2 = ops.D2
 
-        J = (_diag(B22 / detB) @ Hop11
-             - 2.0 * (_diag(B12 / detB) @ Hop12)
-             + _diag(B11 / detB) @ Hop22
+        J = (_diag(B22 / detB) @ ops.H11
+             - 2.0 * (_diag(B12 / detB) @ ops.H12)
+             + _diag(B11 / detB) @ ops.H22
              + 2.0 * (_diag((B22 * g1 - B12 * g2) / detB) @ D1)
              + 2.0 * (_diag((B11 * g2 - B12 * g1) / detB) @ D2))
-        w = (n + 1 - q) / (1.0 + gsq)
         J = J - _diag(w * g1) @ D1 - _diag(w * g2) @ D2
     else:
         B11 = B.comps[0, 0]
         g1 = g.comps[0]
-        J = _diag(1.0 / B11) @ (ops.Drr + 2.0 * (_diag(g1) @ D1))
-        w = (n + 1 - q) / (1.0 + gsq)
+        J = _diag(1.0 / B11) @ (ops.H11 + 2.0 * (_diag(g1) @ D1))
         J = J - _diag(w * g1) @ D1
 
-    J = J - (p - q) * sp.identity(N, format="csr")
-
+    J = J - (p - q) * ops.identity
     # Swap in the Robin rows on the rim: mask out the PDE rows there and add
-    # the d_r stencil rows (Dr already carries the one-sided rim stencil).
-    interior_mask = np.ones(grid.shape)
-    interior_mask[grid.boundary_ring] = 0.0
-    boundary_mask = 1.0 - interior_mask
-    J = _diag(interior_mask) @ J + _diag(boundary_mask) @ ops.Dr
-    J = J.tocsr()
+    # the d_r stencil rows.
+    J = (ops.interior @ J + ops.rim_rows).tocsr()
     J.eliminate_zeros()
     return J

@@ -16,6 +16,8 @@ from scipy.integrate import quad
 import capillary_minkowski as cm
 from capillary_minkowski import CapSpec, PolarGrid
 
+from conftest import smooth_field
+
 
 THETA = np.pi / 3.0
 
@@ -123,6 +125,35 @@ class TestHessian:
         f = np.sin(R) ** 2 * np.cos(2 * PHI) * np.cos(R)
         H = cm.hessian(f, grid32)
         assert np.array_equal(H.comps[0, 1], H.comps[1, 0])
+
+
+class TestFrameOps:
+    def test_matrix_form_matches_field_form(self, grid32):
+        # the two forms of one chart formula may differ only by rounding
+        f = smooth_field(grid32, np.random.default_rng(7))
+        ops = grid32.frame_ops
+        H = cm.hessian(f, grid32)
+        g = cm.grad(f, grid32)
+        for op, ref in [(ops.H11, H.comps[0, 0]), (ops.H12, H.comps[0, 1]),
+                        (ops.H22, H.comps[1, 1]), (ops.D1, g.comps[0]), (ops.D2, g.comps[1])]:
+            assert np.abs(grid32.apply(op, f) - ref).max() < 1e-9
+
+    def test_built_lazily_once(self, spec):
+        grid = PolarGrid(spec, 8, 8)
+        assert "frame_ops" not in vars(grid)
+        assert grid.frame_ops is grid.frame_ops
+
+    def test_rim_rows_and_mask(self, grid32):
+        ops = grid32.frame_ops
+        f = smooth_field(grid32, np.random.default_rng(3))
+        rim = grid32.apply(ops.rim_rows, f)
+        assert np.abs(rim[-1] - cm.normal_derivative(f, grid32)).max() < 1e-12
+        assert not rim[:-1].any()
+        assert np.array_equal(grid32.apply(ops.interior, f)[:-1], f[:-1])
+
+    def test_one_dimensional_has_no_angular_terms(self):
+        ops = PolarGrid(CapSpec(theta=THETA, n=1), 16).frame_ops
+        assert ops.D2 is None and ops.H12 is None and ops.H22 is None
 
 
 class TestNormalDerivative:

@@ -108,6 +108,24 @@ class TestValidation:
         cfg = write_config(tmp_path, theta_unit="gradians")
         assert cli.main(["solve", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("overrides", [
+        {"f": {"type": "constant"}},
+        {"f": {"type": "harmonic", "base": 1}},
+        {"f": {"type": "radial", "coeffs": 5}},
+        {"grid": 5},
+    ])
+    def test_malformed_config_one_line(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path, **overrides)
+        assert cli.main(["solve", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+    def test_non_object_config_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text("[1, 2]")
+        assert cli.main(["solve", "--config", str(cfg)]) == 2
+        assert "not a JSON object" in capsys.readouterr().err
+
 
 class TestConvergence:
     def test_manufactured_study(self, tmp_path, capsys):
@@ -122,6 +140,16 @@ class TestConvergence:
     def test_single_grid_no_order(self, tmp_path, capsys):
         cfg = write_config(tmp_path, f={"type": "homotopy-start"})
         assert cli.main(["convergence", "--config", str(cfg), "--grids", "16"]) == 0
+
+    @pytest.mark.parametrize("f_spec, grids", [
+        ({"type": "homotopy-start"}, "4,16"),
+        ({"type": "homotopy-start", "scale": -1}, "16"),
+    ])
+    def test_bad_grid_or_spec_rejected(self, tmp_path, capsys, f_spec, grids):
+        cfg = write_config(tmp_path, f=f_spec)
+        assert cli.main(["convergence", "--config", str(cfg), "--grids", grids]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
     def test_non_manufactured_refused(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -156,6 +156,21 @@ class TestContinuation:
         assert rep.t_steps == [0.5, 1.0]
         assert rep.final_residual <= 1e-9
 
+    def test_explicit_schedule_stall_raises_with_state(self, grid32, prob_harmonic):
+        sched = cm.HomotopySchedule(adaptive=False, t_values=(0.0, 1.0))
+        cfg = cm.SolverConfig(tol=1e-12, max_iter=1)
+        with pytest.raises(ContinuationStallError) as exc:
+            cm.continuation_solve(prob_harmonic, cfg, sched)
+        assert exc.value.t == 0.0
+        assert exc.value.best_v is not None
+        assert exc.value.report.stages == []
+
+    def test_explicit_schedule_stops_when_target_met(self, grid32, prob_start):
+        # the t = 0.5 stage already solves the constant homotopy's target
+        sched = cm.HomotopySchedule(adaptive=False, t_values=(0.0, 0.5, 1.0))
+        _, rep = cm.continuation_solve(prob_start, sched=sched)
+        assert rep.t_steps == [0.5]
+
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             cm.HomotopySchedule(adaptive=False, t_values=(0.0, 0.6, 0.4, 1.0))
