@@ -219,6 +219,14 @@ def radial_solve(prob: RadialProblem, tol: float = 1e-10) -> np.ndarray:
     return h
 
 
+def require_axisymmetric(f: np.ndarray) -> None:
+    """Raise NotAxisymmetricError unless f is constant on every ring up to 1e-10 max|f|."""
+    ring_var = float(np.max(np.ptp(f, axis=1)))
+    if ring_var > 1e-10 * float(np.max(np.abs(f))):
+        raise NotAxisymmetricError(f"f varies over rings by {ring_var:.3e}; "
+                                   "the 1D oracle needs a radial density")
+
+
 @dataclass
 class OracleCompareReport:
     """Discrepancy between the 2D solution and the independent radial solve."""
@@ -244,9 +252,7 @@ def oracle_compare(
     """
     grid = prob.grid
     f = prob.f
-    ring_var = float(np.max(f.max(axis=1) - f.min(axis=1))) if grid.Nphi > 1 else 0.0
-    if ring_var > 1e-10 * float(np.max(np.abs(f))):
-        raise NotAxisymmetricError(f"f varies over rings by {ring_var:.3e}")
+    require_axisymmetric(f)
 
     num = max(int(np.ceil(resolution_factor * grid.spec.theta / grid.dr)) + 1, 64)
     if f_radial is None:

@@ -155,13 +155,13 @@ class PolarGrid:
         w_r = 2.0 * (edges[1:] - edges[:-1])
         return w_r[:, None].copy()
 
-    def _radial_rows(self, one_sided_last: bool):
-        """Stencil table for d/dr: list of (ring, shift, coeff) per row ring."""
+    def _radial_rows(self):
+        """Stencil table for d/dr (one-sided on the rim ring): (ring, shift, coeff) per row ring."""
         Nr, dr = self.Nr, self.dr
         rows = []
         r_cut = 0.5 * self.spec.theta
         for i in range(Nr):
-            if i == Nr - 1 and one_sided_last:
+            if i == Nr - 1:
                 rows.append([(i - 2, 0, 1.0 / (2 * dr)),
                              (i - 1, 0, -4.0 / (2 * dr)),
                              (i, 0, 3.0 / (2 * dr))])
@@ -201,7 +201,7 @@ class PolarGrid:
                                   for i in range(self.Nr)])
 
     def _build_ops(self) -> DiffOps:
-        Dr = self._rows_to_csr(self._radial_rows(one_sided_last=True))
+        Dr = self._rows_to_csr(self._radial_rows())
 
         rows = []
         Nr, dr = self.Nr, self.dr

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .apriori import verify
-from .axisym import oracle_compare
+from .axisym import oracle_compare, require_axisymmetric
 from .cap_chart import CapSpec, PolarGrid, l_field
 from .capillary_body import ExponentPair, SupportField, embed, export_obj
 from .continuation import (
@@ -36,8 +36,19 @@ EXIT_BAD_INPUT = 2
 EXIT_STALL = 3
 
 
-class ConfigError(ValueError):
-    """Malformed or invalid run configuration."""
+class ConfigError(CapillaryError, ValueError):
+    """Malformed or invalid run configuration or solution file."""
+
+
+_INPUT_ERRORS = (KeyError, TypeError, ValueError)
+
+
+def _input_error(exc: Exception, context: str = "") -> ConfigError:
+    """The one-line ConfigError for an error in _INPUT_ERRORS met while reading outside input."""
+    if isinstance(exc, ConfigError):
+        return exc
+    detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+    return ConfigError(context + detail)
 
 
 @dataclass
@@ -55,15 +66,11 @@ class RunConfig:
 
 
 def _angle_from(doc: dict) -> float:
-    theta = doc.get("theta")
-    if theta is None:
-        raise ConfigError("missing 'theta'")
+    theta = float(doc["theta"])
     unit = doc.get("theta_unit", "rad")
-    if unit == "deg":
-        return math.radians(float(theta))
-    if unit == "rad":
-        return float(theta)
-    raise ConfigError(f"theta_unit must be 'deg' or 'rad', got {unit!r}")
+    if unit not in ("deg", "rad"):
+        raise ValueError(f"theta_unit must be 'deg' or 'rad', got {unit!r}")
+    return math.radians(theta) if unit == "deg" else theta
 
 
 def density_from_spec(f_spec: dict, grid: PolarGrid, pq: ExponentPair) -> np.ndarray:
@@ -97,10 +104,8 @@ def density_from_spec(f_spec: dict, grid: PolarGrid, pq: ExponentPair) -> np.nda
             f = scale ** (pq.q - pq.p) * start_density(grid, pq)
         else:
             raise ValueError("unknown type")
-    except KeyError as exc:
-        raise ConfigError(f"f-spec of type {kind!r} is missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed f-spec of type {kind!r}: {exc}") from None
+    except _INPUT_ERRORS as exc:
+        raise _input_error(exc, f"f-spec of type {kind!r}: ") from None
     if not np.all(f > 0.0):
         raise ConfigError("f-spec evaluates non-positive somewhere on the grid")
     return f
@@ -110,8 +115,8 @@ def _read_json(path: str, what: str) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad encoding
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} {path} is not a JSON object")
     return doc
@@ -122,39 +127,39 @@ def load_config(path: str) -> RunConfig:
 
 
 def parse_config(doc: dict) -> RunConfig:
-    theta = _angle_from(doc)
-    n = int(doc.get("n", 2))
+    """Validate a config document; every malformed entry raises ConfigError."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
     try:
-        spec = CapSpec(theta=theta, n=n)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    p, q = doc.get("p"), doc.get("q")
-    if p is None or q is None:
-        raise ConfigError("missing exponents 'p'/'q'")
-    if not float(p) > float(q):
-        raise ConfigError(f"exponents must satisfy p > q, got p={p}, q={q}")
-    pq = ExponentPair(p=float(p), q=float(q))
-    gdoc = doc.get("grid", {})
-    if not isinstance(gdoc, dict):
-        raise ConfigError("'grid' must be an object with keys 'Nr' and 'Nphi'")
-    Nr = int(gdoc.get("Nr", 64))
-    Nphi = int(gdoc.get("Nphi", Nr))
-    f_spec = doc.get("f")
-    if not isinstance(f_spec, dict):
-        raise ConfigError("missing or malformed 'f' spec")
-    try:
-        solver = SolverConfig(**doc.get("solver", {}))
-        schedule = HomotopySchedule(**doc.get("schedule", {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad solver/schedule options: {exc}") from exc
-    return RunConfig(spec=spec, pq=pq, Nr=Nr, Nphi=Nphi, f_spec=f_spec,
-                     solver=solver, schedule=schedule, raw=doc)
+        spec = CapSpec(theta=_angle_from(doc), n=int(doc.get("n", 2)))
+        p, q = float(doc["p"]), float(doc["q"])
+        if not p > q:
+            raise ValueError(f"exponents must satisfy p > q, got p={p}, q={q}")
+        gdoc = doc.get("grid", {})
+        if not isinstance(gdoc, dict):
+            raise ValueError("'grid' must be an object with keys 'Nr' and 'Nphi'")
+        Nr = int(gdoc.get("Nr", 64))
+        Nphi = int(gdoc.get("Nphi", Nr))
+        f_spec = doc.get("f")
+        if not isinstance(f_spec, dict):
+            raise ValueError("missing or malformed 'f' spec")
+        out = doc.get("output", {})
+        if not (isinstance(out, dict) and all(isinstance(v, str) for v in out.values())):
+            raise ValueError("'output' must map 'solution'/'report' to file paths")
+        return RunConfig(spec=spec, pq=ExponentPair(p=p, q=q), Nr=Nr, Nphi=Nphi,
+                         f_spec=f_spec, solver=SolverConfig(**doc.get("solver", {})),
+                         schedule=HomotopySchedule(**doc.get("schedule", {})), raw=doc)
+    except _INPUT_ERRORS as exc:
+        raise _input_error(exc) from None
 
 
 def build_problem(config: RunConfig) -> ProblemSpec:
-    grid = PolarGrid(config.spec, config.Nr, config.Nphi)
-    f = density_from_spec(config.f_spec, grid, config.pq)
-    return ProblemSpec(grid=grid, pq=config.pq, f=f)
+    try:
+        grid = PolarGrid(config.spec, config.Nr, config.Nphi)
+        f = density_from_spec(config.f_spec, grid, config.pq)
+        return ProblemSpec(grid=grid, pq=config.pq, f=f)
+    except _INPUT_ERRORS as exc:
+        raise _input_error(exc) from None
 
 
 def solution_document(config: RunConfig, sf: SupportField, final_residual: float) -> dict:
@@ -175,12 +180,10 @@ def load_solution(path: str):
     try:
         config = parse_config(doc["config"])
         prob = build_problem(config)
-        h = np.asarray(doc["h"], dtype=float)
-        sf = SupportField(h=h, grid=prob.grid)
-        stored = float(doc["final_residual"])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"corrupt solution file: {exc}") from exc
-    return config, prob, sf, stored
+        sf = SupportField(h=np.asarray(doc["h"], dtype=float), grid=prob.grid)
+        return config, prob, sf, float(doc["final_residual"])
+    except _INPUT_ERRORS as exc:
+        raise _input_error(exc, "corrupt solution file: ") from None
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -190,22 +193,11 @@ def _write_json(path: str, doc: dict) -> None:
 
 
 def cmd_solve(args) -> int:
-    try:
-        config = load_config(args.config)
-        prob = build_problem(config)
-    except (ConfigError, CapillaryError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-
-    try:
-        sf, report = continuation_solve(prob, config.solver, config.schedule)
-    except ContinuationStallError as exc:
-        print(f"continuation stalled: {exc} (last t = {exc.t})", file=sys.stderr)
-        return EXIT_STALL
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_STALL
-
+    config = load_config(args.config)
+    prob = build_problem(config)
+    if args.mesh and config.spec.n != 2:
+        raise ConfigError(f"--mesh needs n = 2, got n = {config.spec.n}")
+    sf, report = continuation_solve(prob, config.solver, config.schedule)
     report.bound_verification = verify(sf, prob, newton_tol=config.solver.tol)
 
     out = config.raw.get("output", {})
@@ -225,11 +217,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        config, prob, sf, stored = load_solution(args.solution)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    config, prob, sf, stored = load_solution(args.solution)
     recomputed = residual(np.log(sf.h), prob).max_norm()
     report = verify(sf, prob, newton_tol=config.solver.tol)
     print(report.format_table())
@@ -237,27 +225,26 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 
+def grid_sizes(text: str) -> list[int]:
+    """Parse --grids: a non-empty comma-separated list of grid sizes."""
+    sizes = [int(s) for s in text.split(",") if s]
+    if not sizes:
+        raise ValueError("no grid sizes")
+    return sizes
+
+
 def cmd_convergence(args) -> int:
-    try:
-        config = load_config(args.config)
-        if config.f_spec.get("type") != "homotopy-start":
-            raise ConfigError("convergence study needs a manufactured f-spec "
-                              "(type 'homotopy-start', exact solution scale * l)")
-        sizes = [int(s) for s in args.grids.split(",") if s]
-        probs = [build_problem(replace(config, Nr=N, Nphi=N if config.spec.n == 2 else 1))
-                 for N in sizes]
-    except (CapillaryError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    config = load_config(args.config)
+    if config.f_spec.get("type") != "homotopy-start":
+        raise ConfigError("convergence study needs a manufactured f-spec "
+                          "(type 'homotopy-start', exact solution scale * l)")
+    probs = [build_problem(replace(config, Nr=N, Nphi=N if config.spec.n == 2 else 1))
+             for N in args.grids]
     scale = float(config.f_spec.get("scale", 1.0))
 
     rows = []
-    for N, prob in zip(sizes, probs):
-        try:
-            sf, _ = continuation_solve(prob, config.solver, config.schedule)
-        except SolverError as exc:
-            print(f"solver failure on {N}: {exc}", file=sys.stderr)
-            return EXIT_STALL
+    for N, prob in zip(args.grids, probs):
+        sf, _ = continuation_solve(prob, config.solver, config.schedule)
         err = float(np.max(np.abs(sf.h - scale * l_field(prob.grid))))
         rows.append((N, prob.grid.max_spacing, err))
 
@@ -272,24 +259,11 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    try:
-        config = load_config(args.config)
-        prob = build_problem(config)
-    except (ConfigError, CapillaryError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    if config.f_spec.get("type") == "harmonic" and int(config.f_spec.get("m", 0)) != 0:
-        print("oracle comparison needs a radial f-spec (no angular modes)", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        sf, _ = continuation_solve(prob, config.solver, config.schedule)
-        rep = oracle_compare(prob, sf)
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_STALL
-    except CapillaryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    config = load_config(args.config)
+    prob = build_problem(config)
+    require_axisymmetric(prob.f)
+    sf, _ = continuation_solve(prob, config.solver, config.schedule)
+    rep = oracle_compare(prob, sf)
     threshold = 10.0 * prob.grid.max_spacing**2 * float(np.max(np.abs(sf.h)))
     print(f"1D/2D max discrepancy {rep.max_abs:.6e} (threshold {threshold:.3e}), "
           f"L2 {rep.l2:.6e}, angular variation {rep.angular_variation:.3e}")
@@ -317,7 +291,8 @@ def main(argv=None) -> int:
 
     p_conv = sub.add_parser("convergence", help="manufactured-solution grid study")
     p_conv.add_argument("--config", required=True)
-    p_conv.add_argument("--grids", required=True, help="comma-separated sizes, e.g. 16,32,64")
+    p_conv.add_argument("--grids", required=True, type=grid_sizes,
+                        help="comma-separated sizes, e.g. 16,32,64")
     p_conv.set_defaults(func=cmd_convergence)
 
     p_oracle = sub.add_parser("oracle", help="compare the 2D solve against the 1D radial solver")
@@ -325,7 +300,20 @@ def main(argv=None) -> int:
     p_oracle.set_defaults(func=cmd_oracle)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ContinuationStallError as exc:
+        print(f"continuation stalled: {exc} (last t = {exc.t})", file=sys.stderr)
+        return EXIT_STALL
+    except SolverError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_STALL
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except CapillaryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

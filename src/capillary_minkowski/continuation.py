@@ -9,6 +9,7 @@ residual; stage failures halve the t-step, easy stages double it.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field, replace
 
@@ -45,31 +46,30 @@ class SolverConfig:
             raise ValueError("backtrack_factor must lie in (0, 1)")
         if not 0.0 < self.min_step <= 1.0:
             raise ValueError("min_step must lie in (0, 1]")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if operator.index(self.max_iter) < 1:
+            raise ValueError("max_iter must be an integer >= 1")
+        if not 0.0 <= self.convexity_floor_rel < 1.0:
+            raise ValueError("convexity_floor_rel must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
 class HomotopySchedule:
-    """Plan for the march in t: adaptive by default, or an explicit t list."""
+    """Plan for the march in t: the explicit list t_values when given, else adaptive steps."""
 
-    adaptive: bool = True
     initial_step: float = 0.25
     min_step: float = 2.0**-10
     max_step: float = 0.5
     t_values: tuple | None = None
 
     def __post_init__(self):
+        if not 0.0 < self.min_step <= self.initial_step <= self.max_step <= 1.0:
+            raise ValueError("need 0 < min_step <= initial_step <= max_step <= 1")
         if self.t_values is not None:
             ts = tuple(float(t) for t in self.t_values)
-            if ts[0] != 0.0 or ts[-1] != 1.0 or any(b <= a for a, b in zip(ts, ts[1:])):
+            if len(ts) < 2 or ts[0] != 0.0 or ts[-1] != 1.0 \
+                    or any(b <= a for a, b in zip(ts, ts[1:])):
                 raise ValueError("explicit t_values must increase strictly from 0 to 1")
             object.__setattr__(self, "t_values", ts)
-            if self.adaptive:
-                raise ValueError("explicit t_values require adaptive=False")
-        else:
-            if not 0.0 < self.min_step <= self.initial_step <= self.max_step <= 1.0:
-                raise ValueError("need 0 < min_step <= initial_step <= max_step <= 1")
 
 
 @dataclass
@@ -180,59 +180,58 @@ def newton_solve(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig) -> tuple[
     stage = NewtonStage(t=float("nan"))
     tol = effective_tolerance(cfg, grid, v)
     t0 = time.perf_counter()
-    R = residual(v, prob)
-    rnorm = R.max_norm()
-    stage.residuals.append(rnorm)
-    stage.margins.append(eig_lo)
+    try:
+        R = residual(v, prob)
+        rnorm = R.max_norm()
+        stage.residuals.append(rnorm)
+        stage.margins.append(eig_lo)
 
-    for _ in range(cfg.max_iter):
+        for _ in range(cfg.max_iter):
+            if rnorm <= tol:
+                stage.converged = True
+                return v, stage
+            J = jacobian(v, prob)
+            try:
+                lu = spla.splu(J.tocsc(), permc_spec="COLAMD")
+            except RuntimeError as exc:  # SuperLU signals exact singularity this way
+                raise SingularSystemError(str(exc), best_v=v, report=stage) from exc
+            delta = lu.solve(-R.full.ravel()).reshape(grid.shape)
+            if not np.all(np.isfinite(delta)):
+                raise SingularSystemError("linear solve produced non-finite step",
+                                          best_v=v, report=stage)
+
+            alpha = 1.0
+            while True:
+                v_new = v + alpha * delta
+                R_new = residual(v_new, prob)
+                rnorm_new = R_new.max_norm()
+                if rnorm_new < rnorm:
+                    lo, hi = _b_eig_range(v_new, grid)
+                    if lo >= cfg.convexity_floor_rel * hi:
+                        break
+                alpha *= cfg.backtrack_factor
+                if alpha < cfg.min_step:
+                    raise LineSearchStallError(
+                        f"line search stalled at step {alpha:.3e} (residual {rnorm:.3e})",
+                        best_v=v,
+                        report=stage,
+                    )
+            v, R, rnorm = v_new, R_new, rnorm_new
+            stage.iterations += 1
+            stage.residuals.append(rnorm)
+            stage.margins.append(lo)
+            stage.step_lengths.append(alpha)
+
         if rnorm <= tol:
             stage.converged = True
-            stage.seconds = time.perf_counter() - t0
             return v, stage
-        J = jacobian(v, prob)
-        try:
-            lu = spla.splu(J.tocsc(), permc_spec="COLAMD")
-        except RuntimeError as exc:  # SuperLU signals exact singularity this way
-            stage.seconds = time.perf_counter() - t0
-            raise SingularSystemError(str(exc), best_v=v, report=stage) from exc
-        delta = lu.solve(-R.full.ravel()).reshape(grid.shape)
-        if not np.all(np.isfinite(delta)):
-            stage.seconds = time.perf_counter() - t0
-            raise SingularSystemError("linear solve produced non-finite step", best_v=v, report=stage)
-
-        alpha = 1.0
-        while True:
-            v_new = v + alpha * delta
-            R_new = residual(v_new, prob)
-            rnorm_new = R_new.max_norm()
-            if rnorm_new < rnorm:
-                lo, hi = _b_eig_range(v_new, grid)
-                if lo >= cfg.convexity_floor_rel * hi:
-                    break
-            alpha *= cfg.backtrack_factor
-            if alpha < cfg.min_step:
-                stage.seconds = time.perf_counter() - t0
-                raise LineSearchStallError(
-                    f"line search stalled at step {alpha:.3e} (residual {rnorm:.3e})",
-                    best_v=v,
-                    report=stage,
-                )
-        v, R, rnorm = v_new, R_new, rnorm_new
-        stage.iterations += 1
-        stage.residuals.append(rnorm)
-        stage.margins.append(lo)
-        stage.step_lengths.append(alpha)
-
-    stage.seconds = time.perf_counter() - t0
-    if rnorm <= tol:
-        stage.converged = True
-        return v, stage
-    raise MaxIterationsError(
-        f"no convergence in {cfg.max_iter} iterations (residual {rnorm:.3e})",
-        best_v=v,
-        report=stage,
-    )
+        raise MaxIterationsError(
+            f"no convergence in {cfg.max_iter} iterations (residual {rnorm:.3e})",
+            best_v=v,
+            report=stage,
+        )
+    finally:
+        stage.seconds = time.perf_counter() - t0
 
 
 def continuation_solve(
@@ -262,12 +261,13 @@ def continuation_solve(
     def target_residual(v_cur):
         return residual(v_cur, prob).max_norm()
 
+    adaptive = sched.t_values is None
     t, dt, easy_streak = 0.0, sched.initial_step, 0
     while t < 1.0:
         if target_residual(v) <= tol:
             t = 1.0
             break
-        if sched.adaptive:
+        if adaptive:
             t_try = min(1.0, t + dt)
         else:
             t_try = next(s for s in sched.t_values if s > t)
@@ -276,7 +276,7 @@ def continuation_solve(
             v_new, stage = newton_solve(v, stage_prob, cfg)
         except SolverError as exc:
             dt *= 0.5
-            if not sched.adaptive or dt < sched.min_step:
+            if not adaptive or dt < sched.min_step:
                 report.total_seconds = time.perf_counter() - t_start
                 report.final_residual = target_residual(v)
                 raise ContinuationStallError(
@@ -290,7 +290,7 @@ def continuation_solve(
         report.stages.append(stage)
         v = v_new
         t = t_try
-        if sched.adaptive:
+        if adaptive:
             easy = stage.iterations <= 4 and all(a == 1.0 for a in stage.step_lengths)
             easy_streak = easy_streak + 1 if easy else 0
             if easy_streak >= 2:

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from capillary_minkowski import cli
 
@@ -18,6 +20,15 @@ BASE = {
     "grid": {"Nr": 16, "Nphi": 16},
     "f": {"type": "harmonic", "base": 1.0, "amplitude": 0.2, "m": 2, "radial_mode": 0},
 }
+
+
+@pytest.fixture
+def no_solve(monkeypatch):
+    """Fail the test if the CLI reaches the solver."""
+    def fail(*args, **kwargs):
+        raise AssertionError("the solver ran on input that should be refused first")
+
+    monkeypatch.setattr(cli, "continuation_solve", fail)
 
 
 def write_config(tmp_path, name="run.json", **overrides):
@@ -113,12 +124,40 @@ class TestValidation:
         {"f": {"type": "harmonic", "base": 1}},
         {"f": {"type": "radial", "coeffs": 5}},
         {"grid": 5},
+        {"grid": {"Nr": None}},
+        {"n": None},
+        {"p": [3]},
+        {"theta": [1]},
+        {"schedule": {"adaptive": False}},
+        {"schedule": {"adaptive": False, "t_values": []}},
+        {"solver": {"max_iter": 30.0}},
+        {"solver": {"convexity_floor_rel": "x"}},
+        {"output": 5},
     ])
     def test_malformed_config_one_line(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path, **overrides)
         assert cli.main(["solve", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [("final_residual", None), ("config", 5)])
+    def test_malformed_solution_one_line(self, tmp_path, capsys, key, value):
+        cli.main(["solve", "--config", str(write_config(tmp_path))])
+        sol = tmp_path / "run.solution.json"
+        doc = json.loads(sol.read_text())
+        doc[key] = value
+        sol.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["verify", "--solution", str(sol)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+    def test_mesh_needs_n2_before_solve(self, tmp_path, capsys, no_solve):
+        cfg = write_config(tmp_path, n=1, grid={"Nr": 16, "Nphi": 1},
+                           f={"type": "constant", "value": 1.0})
+        assert cli.main(["solve", "--config", str(cfg), "--mesh", str(tmp_path / "m.obj")]) == 2
+        assert "--mesh" in capsys.readouterr().err
+        assert not (tmp_path / "run.solution.json").exists()
 
     def test_non_object_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -165,9 +204,16 @@ class TestOracle:
         assert cli.main(["oracle", "--config", str(cfg)]) == 0
         assert "discrepancy" in capsys.readouterr().out
 
-    def test_angular_spec_rejected(self, tmp_path, capsys):
+    def test_angular_spec_rejected(self, tmp_path, capsys, no_solve):
         cfg = write_config(tmp_path)
         assert cli.main(["oracle", "--config", str(cfg)]) == 2
+        assert "varies over rings" in capsys.readouterr().err
+
+    def test_constant_harmonic_accepted(self, tmp_path, capsys):
+        # m = 2 with amplitude 0 is a constant density, hence axisymmetric
+        cfg = write_config(tmp_path, f={"type": "harmonic", "base": 1.0,
+                                        "amplitude": 0.0, "m": 2})
+        assert cli.main(["oracle", "--config", str(cfg)]) == 0
 
 
 class TestDensityFamilies:
@@ -188,3 +234,35 @@ class TestDensityFamilies:
 
         err = np.abs(sf.h - 0.5 * l_field(prob.grid)).max()
         assert err < 10.0 * prob.grid.max_spacing**2
+
+
+# Every leaf of a full config document, as a key path.
+FULL = dict(BASE, solver={"tol": 1e-9, "max_iter": 30},
+            schedule={"initial_step": 0.25, "t_values": [0.0, 0.5, 1.0]},
+            output={"solution": "s.json"})
+PATHS = [(k,) for k in FULL] + [(k, sub) for k, v in FULL.items()
+                                if isinstance(v, dict) for sub in v]
+
+# Strings avoid digits so that no mutation asks for a huge grid (int("99999")).
+BAD_VALUES = st.one_of(
+    st.none(),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.text(alphabet="abxyz ", max_size=4),
+    st.dictionaries(st.text(alphabet="ab", max_size=2), st.integers(-3, 3), max_size=2),
+    st.integers(-100, -1),
+    st.floats(-1e3, -1e-3),
+)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(path=st.sampled_from(PATHS), value=BAD_VALUES)
+def test_mutated_config_returns_or_raises_config_error(path, value):
+    doc = json.loads(json.dumps(FULL))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        cli.build_problem(cli.parse_config(doc))
+    except cli.ConfigError:
+        pass

@@ -151,13 +151,13 @@ class TestContinuation:
         assert exc.value.best_v is not None
 
     def test_explicit_schedule(self, grid32, prob_harmonic):
-        sched = cm.HomotopySchedule(adaptive=False, t_values=(0.0, 0.5, 1.0))
+        sched = cm.HomotopySchedule(t_values=(0.0, 0.5, 1.0))
         sf, rep = cm.continuation_solve(prob_harmonic, sched=sched)
         assert rep.t_steps == [0.5, 1.0]
         assert rep.final_residual <= 1e-9
 
     def test_explicit_schedule_stall_raises_with_state(self, grid32, prob_harmonic):
-        sched = cm.HomotopySchedule(adaptive=False, t_values=(0.0, 1.0))
+        sched = cm.HomotopySchedule(t_values=(0.0, 1.0))
         cfg = cm.SolverConfig(tol=1e-12, max_iter=1)
         with pytest.raises(ContinuationStallError) as exc:
             cm.continuation_solve(prob_harmonic, cfg, sched)
@@ -167,15 +167,15 @@ class TestContinuation:
 
     def test_explicit_schedule_stops_when_target_met(self, grid32, prob_start):
         # the t = 0.5 stage already solves the constant homotopy's target
-        sched = cm.HomotopySchedule(adaptive=False, t_values=(0.0, 0.5, 1.0))
+        sched = cm.HomotopySchedule(t_values=(0.0, 0.5, 1.0))
         _, rep = cm.continuation_solve(prob_start, sched=sched)
         assert rep.t_steps == [0.5]
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
-            cm.HomotopySchedule(adaptive=False, t_values=(0.0, 0.6, 0.4, 1.0))
+            cm.HomotopySchedule(t_values=(0.0, 0.6, 0.4, 1.0))
         with pytest.raises(ValueError):
-            cm.HomotopySchedule(t_values=(0.0, 1.0))  # adaptive with explicit list
+            cm.HomotopySchedule(t_values=())
         with pytest.raises(ValueError):
             cm.HomotopySchedule(initial_step=0.0)
 
