@@ -183,7 +183,7 @@ def verify(sf: SupportField, prob: ProblemSpec, newton_tol: float = 1e-9) -> Ver
     ))
 
     robin_v = float(np.max(np.abs(
-        grid.apply(grid.ops.Dr, np.log(sf.h))[grid.boundary_ring] - grid.spec.cot_theta
+        grid.apply(grid.ops.D1, np.log(sf.h))[grid.boundary_ring] - grid.spec.cot_theta
     )))
     robin_tol = max(10.0 * newton_tol, 1e-12)
     report.checks.append(CheckResult(

@@ -8,11 +8,13 @@ singularity r = 0, rim node exactly at r = theta) and uniform periodic
 angular nodes.  Crossing the pole identifies (r, phi) with (-r, phi + pi),
 which supplies ghost values for radial stencils on the innermost rings.
 
-Frame components refer to the orthonormal frame {d_r, (1/sin r) d_phi}.
-Angular stencils are fourth order everywhere and the radial first derivative
-is fourth order on the inner half of the cap: the Christoffel factors cot(r)
-and 1/sin(r)^2 amplify truncation errors by 1/r near the pole, and the extra
-order is what keeps gradient/Hessian errors O(max spacing^2) in the max norm.
+Frame components refer to the orthonormal frame {d_r, (1/sin r) d_phi}; the
+frame gradient and Hessian are defined once, as the sparse matrices of
+``FrameOps``, built per grid on first use (``PolarGrid.ops``).  Angular
+stencils are fourth order everywhere and the radial first derivative is
+fourth order on the inner half of the cap: the Christoffel factors cot(r) and
+1/sin(r)^2 amplify truncation errors by 1/r near the pole, and the extra order
+is what keeps gradient/Hessian errors O(max spacing^2) in the max norm.
 """
 
 from __future__ import annotations
@@ -59,23 +61,16 @@ class CapSpec:
 
 
 @dataclass(frozen=True)
-class DiffOps:
-    """Sparse partial-derivative matrices on the flattened (Nr*Nphi) grid."""
-
-    Dr: sp.csr_matrix
-    Drr: sp.csr_matrix
-    Dphi: sp.csr_matrix
-    Dphiphi: sp.csr_matrix
-    Drphi: sp.csr_matrix
-
-
-@dataclass(frozen=True)
 class FrameOps:
-    """Sparse matrix form of the frame calculus, as the Jacobian uses it.
+    """Sparse matrix form of the frame calculus on the flattened (Nr*Nphi) grid.
 
-    Frame gradient (D1, D2) and frame Hessian (H11, H12, H22), the 2D-only
-    ones None for n = 1; the interior-row mask, the Robin d_r rows on the rim
-    and the identity.
+    The only definition of the chart formulas (Christoffel symbols of
+    dr^2 + sin^2 r dphi^2, orthonormal frame {d_r, (1/sin r) d_phi}):
+      D1  = d_r                        D2  = (1/sin r) d_phi
+      H11 = d_rr                       H12 = (d_rphi - cot r d_phi) / sin r
+      H22 = d_phiphi / sin^2 r + cot r d_r
+    The 2D-only ones are None for n = 1.  Also the interior-row mask, the
+    Robin d_r rows on the rim and the identity, as the Jacobian uses them.
     """
 
     D1: sp.csr_matrix
@@ -134,7 +129,6 @@ class PolarGrid:
         self.pole_map = (np.arange(Nphi) + Nphi // 2) % Nphi
 
         self.weights = self._quadrature_weights()
-        self.ops = self._build_ops()
 
     # -- construction helpers -------------------------------------------------
 
@@ -155,30 +149,6 @@ class PolarGrid:
         w_r = 2.0 * (edges[1:] - edges[:-1])
         return w_r[:, None].copy()
 
-    def _radial_rows(self):
-        """Stencil table for d/dr (one-sided on the rim ring): (ring, shift, coeff) per row ring."""
-        Nr, dr = self.Nr, self.dr
-        rows = []
-        r_cut = 0.5 * self.spec.theta
-        for i in range(Nr):
-            if i == Nr - 1:
-                rows.append([(i - 2, 0, 1.0 / (2 * dr)),
-                             (i - 1, 0, -4.0 / (2 * dr)),
-                             (i, 0, 3.0 / (2 * dr))])
-            elif self.r[i] <= r_cut and i <= Nr - 3:
-                st = [(i - 2, 1.0), (i - 1, -8.0), (i + 1, 8.0), (i + 2, -1.0)]
-                rows.append([self._ghost(j) + (c / (12 * dr),) for j, c in st])
-            else:
-                st = [(i - 1, -1.0), (i + 1, 1.0)]
-                rows.append([self._ghost(j) + (c / (2 * dr),) for j, c in st])
-        return rows
-
-    def _ghost(self, ring: int):
-        """(ring, angular shift) of a possibly negative ring index under the pole closure."""
-        if ring >= 0:
-            return (ring, 0)
-        return (-1 - ring, self.Nphi // 2)
-
     def _rows_to_csr(self, rows) -> sp.csr_matrix:
         """Assemble per-ring stencil rows: node (i, k) gets coeff at (ring, k + shift)."""
         N = self.Nr * self.Nphi
@@ -196,64 +166,16 @@ class PolarGrid:
         )
         return mat.tocsr()
 
+    def _radial_csr(self, stencil) -> sp.csr_matrix:
+        """Assemble stencil(i) = [(ring offset, coeff), ...] for every ring i; rings
+        below 0 are ghosts across the pole, (-r, phi) ~ (r, phi + pi)."""
+        half = self.Nphi // 2
+        return self._rows_to_csr([[(i + o, 0, c) if i + o >= 0 else (-1 - i - o, half, c)
+                                   for o, c in stencil(i)] for i in range(self.Nr)])
+
     def _angular_csr(self, offsets, coeffs) -> sp.csr_matrix:
         return self._rows_to_csr([[(i, off, c) for off, c in zip(offsets, coeffs)]
                                   for i in range(self.Nr)])
-
-    def _build_ops(self) -> DiffOps:
-        Dr = self._rows_to_csr(self._radial_rows())
-
-        rows = []
-        Nr, dr = self.Nr, self.dr
-        for i in range(Nr):
-            if i == Nr - 1:
-                rows.append([(i - 3, 0, -1.0 / dr**2),
-                             (i - 2, 0, 4.0 / dr**2),
-                             (i - 1, 0, -5.0 / dr**2),
-                             (i, 0, 2.0 / dr**2)])
-            else:
-                st = [(i - 1, 1.0), (i, -2.0), (i + 1, 1.0)]
-                rows.append([self._ghost(j) + (c / dr**2,) for j, c in st])
-        Drr = self._rows_to_csr(rows)
-
-        if self.spec.n == 2:
-            dphi = self.dphi
-            Dphi = self._angular_csr(
-                [-2, -1, 1, 2],
-                np.array([1.0, -8.0, 8.0, -1.0]) / (12 * dphi),
-            )
-            Dphiphi = self._angular_csr(
-                [-2, -1, 0, 1, 2],
-                np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12 * dphi**2),
-            )
-        else:
-            Dphi = sp.csr_matrix((self.size, self.size))
-            Dphiphi = sp.csr_matrix((self.size, self.size))
-        Drphi = (Dr @ Dphi).tocsr()
-        ops = DiffOps(Dr=Dr, Drr=Drr, Dphi=Dphi, Dphiphi=Dphiphi, Drphi=Drphi)
-        self.stencil_amplification = self._stencil_amplification(ops)
-        return ops
-
-    def _stencil_amplification(self, ops: DiffOps) -> float:
-        """Worst row 1-norm of the frame-Hessian operators.
-
-        Bounds how much the Hessian stencils amplify float noise in a field:
-        the residual of a nonlinear system built on them cannot be evaluated
-        below roughly eps * amplification * |field|, which matters near the
-        pole where 1/sin(r)^2 is large.
-        """
-
-        def row_sums(mat):
-            return np.asarray(np.abs(mat).sum(axis=1)).ravel().reshape(self.shape)
-
-        amp = row_sums(ops.Drr).max()
-        if self.spec.n == 2:
-            sin_r = self.sin_r[:, None]
-            cot_r = np.abs(self.cot_r)[:, None]
-            h22 = row_sums(ops.Dphiphi) / sin_r**2 + cot_r * row_sums(ops.Dr)
-            h12 = (row_sums(ops.Drphi) + cot_r * row_sums(ops.Dphi)) / sin_r
-            amp = max(amp, h22.max(), h12.max())
-        return float(amp)
 
     # -- conveniences ----------------------------------------------------------
 
@@ -285,29 +207,66 @@ class PolarGrid:
         return (op @ np.ascontiguousarray(f).ravel()).reshape(self.shape)
 
     @cached_property
-    def frame_ops(self) -> FrameOps:
-        """Matrix form of the chart formulas in ``hessian``, built on first use.
+    def ops(self) -> FrameOps:
+        """The frame operators of this grid, built on first use.
 
-        The products are formed once per grid so that a Jacobian assembly only
-        applies its field-dependent diagonal scalings.  Building them lazily
-        keeps grids that are never linearized (verification, export) cheap.
+        Formed once per grid so that a Jacobian assembly only applies its
+        field-dependent diagonal scalings; building them lazily keeps grid
+        construction cheap.
         """
-        ops = self.ops
+        Nr, dr, r_cut = self.Nr, self.dr, 0.5 * self.spec.theta
+
+        def d_r(i):  # one-sided on the rim, fourth order on the inner half of the cap
+            if i == Nr - 1:
+                return [(-2, 1.0 / (2 * dr)), (-1, -4.0 / (2 * dr)), (0, 3.0 / (2 * dr))]
+            if self.r[i] <= r_cut and i <= Nr - 3:
+                return [(o, c / (12 * dr)) for o, c in [(-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)]]
+            return [(-1, -1.0 / (2 * dr)), (1, 1.0 / (2 * dr))]
+
+        def d_rr(i):  # one-sided on the rim
+            st = [(-3, -1.0), (-2, 4.0), (-1, -5.0), (0, 2.0)] if i == Nr - 1 \
+                else [(-1, 1.0), (0, -2.0), (1, 1.0)]
+            return [(o, c / dr**2) for o, c in st]
+
+        Dr, Drr = self._radial_csr(d_r), self._radial_csr(d_rr)
         interior_mask = np.ones(self.shape)
         interior_mask[self.boundary_ring] = 0.0
         D2 = H12 = H22 = None
         if self.spec.n == 2:
+            dphi = self.dphi
+            Dphi = self._angular_csr([-2, -1, 1, 2],
+                                     np.array([1.0, -8.0, 8.0, -1.0]) / (12 * dphi))
+            Dphiphi = self._angular_csr([-2, -1, 0, 1, 2],
+                                        np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12 * dphi**2))
+            Drphi = (Dr @ Dphi).tocsr()
             inv_sin = np.repeat(1.0 / self.sin_r[:, None], self.Nphi, axis=1)
             cot = np.repeat(self.cot_r[:, None], self.Nphi, axis=1)
-            D2 = _diag(inv_sin) @ ops.Dphi
-            H12 = _diag(inv_sin) @ (ops.Drphi - _diag(cot) @ ops.Dphi)
-            H22 = _diag(inv_sin**2) @ ops.Dphiphi + _diag(cot) @ ops.Dr
+            D2 = _diag(inv_sin) @ Dphi
+            H12 = _diag(inv_sin) @ (Drphi - _diag(cot) @ Dphi)
+            H22 = _diag(inv_sin**2) @ Dphiphi + _diag(cot) @ Dr
+            for mat in (D2, H12, H22):
+                # products leave column indices unsorted, and a later abs() would
+                # sort them in place and change the summation order of products
+                mat.sum_duplicates()
         return FrameOps(
-            D1=ops.Dr, H11=ops.Drr, D2=D2, H12=H12, H22=H22,
+            D1=Dr, H11=Drr, D2=D2, H12=H12, H22=H22,
             interior=_diag(interior_mask),
-            rim_rows=_diag(1.0 - interior_mask) @ ops.Dr,
+            rim_rows=_diag(1.0 - interior_mask) @ Dr,
             identity=sp.identity(self.size, format="csr"),
         )
+
+    @cached_property
+    def stencil_amplification(self) -> float:
+        """Worst row 1-norm of the frame-Hessian operators.
+
+        Bounds how much the Hessian stencils amplify float noise in a field:
+        the residual of a nonlinear system built on them cannot be evaluated
+        below roughly eps * amplification * |field|, which matters near the
+        pole where 1/sin(r)^2 is large.
+        """
+        ops = self.ops
+        hess = [ops.H11] if self.spec.n == 1 else [ops.H11, ops.H12, ops.H22]
+        return float(max(abs(op).sum(axis=1).max() for op in hess))
 
 
 @dataclass
@@ -373,47 +332,31 @@ def l_gradient_norm_sq(grid: PolarGrid) -> np.ndarray:
 
 
 def grad(f: np.ndarray, grid: PolarGrid) -> FrameVector:
-    """Orthonormal-frame gradient (f_r, f_phi / sin r); pole handled by closure."""
-    g1 = grid.apply(grid.ops.Dr, f)
+    """Orthonormal-frame gradient (f_r, f_phi / sin r): ``FrameOps.D1``/``D2``."""
+    ops = grid.ops
+    g1 = grid.apply(ops.D1, f)
     if grid.spec.n == 1:
         return FrameVector(np.stack([g1]))
-    g2 = grid.apply(grid.ops.Dphi, f) / grid.sin_r[:, None]
-    return FrameVector(np.stack([g1, g2]))
+    return FrameVector(np.stack([g1, grid.apply(ops.D2, f)]))
 
 
 def hessian(f: np.ndarray, grid: PolarGrid) -> FrameSymMatrix:
     """Covariant Hessian w.r.t. the round metric, in the orthonormal frame.
 
-    Chart formulas (Christoffel symbols of dr^2 + sin^2 r dphi^2):
-      H11 = f_rr
-      H12 = (f_rphi - cot r * f_phi) / sin r
-      H22 = f_phiphi / sin^2 r + cot r * f_r
-
-    ``PolarGrid.frame_ops`` holds these formulas as sparse matrices for the
-    Jacobian.  The residual keeps this field form: the matrix form rounds about
-    1e-8 differently at 128^2, the size of the ``effective_tolerance`` floor.
+    Applies ``FrameOps.H11``/``H12``/``H22``; the chart formulas are listed in
+    the ``FrameOps`` docstring.
     """
     ops = grid.ops
-    H11 = grid.apply(ops.Drr, f)
+    H11 = grid.apply(ops.H11, f)
     if grid.spec.n == 1:
         return FrameSymMatrix(H11[None, None])
-    sin_r = grid.sin_r[:, None]
-    cot_r = grid.cot_r[:, None]
-    f_r = grid.apply(ops.Dr, f)
-    f_phi = grid.apply(ops.Dphi, f)
-    H12 = (grid.apply(ops.Drphi, f) - cot_r * f_phi) / sin_r
-    H22 = grid.apply(ops.Dphiphi, f) / sin_r**2 + cot_r * f_r
-    comps = np.empty((2, 2) + grid.shape)
-    comps[0, 0] = H11
-    comps[0, 1] = H12
-    comps[1, 0] = H12
-    comps[1, 1] = H22
-    return FrameSymMatrix(comps)
+    H12 = grid.apply(ops.H12, f)
+    return FrameSymMatrix(np.array([[H11, H12], [H12, grid.apply(ops.H22, f)]]))
 
 
 def normal_derivative(f: np.ndarray, grid: PolarGrid) -> np.ndarray:
     """One-sided second-order d/dr at the rim r = theta (outward normal of the cap)."""
-    return grid.apply(grid.ops.Dr, f)[grid.boundary_ring].copy()
+    return grid.apply(grid.ops.D1, f)[grid.boundary_ring].copy()
 
 
 def integrate(f: np.ndarray, grid: PolarGrid) -> float:

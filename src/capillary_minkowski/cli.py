@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -197,13 +198,16 @@ def cmd_solve(args) -> int:
     prob = build_problem(config)
     if args.mesh and config.spec.n != 2:
         raise ConfigError(f"--mesh needs n = 2, got n = {config.spec.n}")
-    sf, report = continuation_solve(prob, config.solver, config.schedule)
-    report.bound_verification = verify(sf, prob, newton_tol=config.solver.tol)
-
     out = config.raw.get("output", {})
     stem = args.config[:-5] if args.config.endswith(".json") else args.config
     sol_path = args.solution or out.get("solution", stem + ".solution.json")
     rep_path = args.report or out.get("report", stem + ".report.json")
+    for path in filter(None, (sol_path, rep_path, args.mesh)):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise CapillaryError(f"cannot write {path}: its directory does not exist")
+
+    sf, report = continuation_solve(prob, config.solver, config.schedule)
+    report.bound_verification = verify(sf, prob, newton_tol=config.solver.tol)
     _write_json(sol_path, solution_document(config, sf, report.final_residual))
     _write_json(rep_path, report.to_json_dict())
     if args.mesh:
@@ -313,6 +317,9 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT
     except CapillaryError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except OSError as exc:  # readers turn their OSErrors into ConfigError; this is a write
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

@@ -107,7 +107,7 @@ def residual(v: np.ndarray, prob: ProblemSpec) -> ResidualVector:
     full[~good] = np.inf
 
     b = grid.boundary_ring
-    full[b] = grid.apply(grid.ops.Dr, v)[b] - grid.spec.cot_theta
+    full[b] = grid.apply(grid.ops.D1, v)[b] - grid.spec.cot_theta
     good[b] = True  # rim rows are Robin rows; det B is irrelevant there
     bad = np.flatnonzero(~good.ravel())
     return ResidualVector(full=full, bad_nodes=bad)
@@ -135,7 +135,7 @@ def residual_h_form(h: np.ndarray, prob: ProblemSpec) -> ResidualVector:
     full[~good] = np.inf
 
     b = grid.boundary_ring
-    full[b] = grid.apply(grid.ops.Dr, sf.h)[b] - grid.spec.cot_theta * sf.h[b]
+    full[b] = grid.apply(grid.ops.D1, sf.h)[b] - grid.spec.cot_theta * sf.h[b]
     return ResidualVector(full=full, bad_nodes=np.flatnonzero(~good.ravel()))
 
 
@@ -151,7 +151,7 @@ def jacobian(v: np.ndarray, prob: ProblemSpec) -> sp.csr_matrix:
     n = grid.spec.n
     p, q = prob.pq.p, prob.pq.q
     v = np.asarray(v, dtype=float)
-    ops = grid.frame_ops
+    ops = grid.ops
 
     B = log_gauss_map_matrix(v, grid)
     eig_min = float(B.smallest_eigenvalue().min())

@@ -122,7 +122,7 @@ def test_criterion_04_boundary_identities(spec, harmonic_solves):
     for N, (prob, sf, rep) in harmonic_solves.items():
         grid = prob.grid
         hkn[N] = boundary_identity_check(sf).h_mixed_max
-        rows = grid.apply(grid.ops.Dr, np.log(sf.h))[grid.boundary_ring] - spec.cot_theta
+        rows = grid.apply(grid.ops.D1, np.log(sf.h))[grid.boundary_ring] - spec.cot_theta
         robin_ok = robin_ok and float(np.abs(rows).max()) <= 1e-9
     r1 = math.log2(hkn[32] / hkn[64])
     r2 = math.log2(hkn[64] / hkn[128])

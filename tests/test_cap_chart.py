@@ -14,12 +14,14 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import capillary_minkowski as cm
-from capillary_minkowski import CapSpec, PolarGrid
+from capillary_minkowski import CapSpec, PolarGrid, cli
 
 from conftest import smooth_field
 
 
 THETA = np.pi / 3.0
+CONFIG = {"theta": 60.0, "theta_unit": "deg", "p": 3.0, "q": 1.0, "grid": {"Nr": 16, "Nphi": 16},
+          "f": {"type": "harmonic", "base": 1.0, "amplitude": 0.2, "m": 2}}
 
 
 def ambient_nodes(grid):
@@ -127,24 +129,47 @@ class TestHessian:
         assert np.array_equal(H.comps[0, 1], H.comps[1, 0])
 
 
-class TestFrameOps:
-    def test_matrix_form_matches_field_form(self, grid32):
-        # the two forms of one chart formula may differ only by rounding
-        f = smooth_field(grid32, np.random.default_rng(7))
-        ops = grid32.frame_ops
-        H = cm.hessian(f, grid32)
-        g = cm.grad(f, grid32)
-        for op, ref in [(ops.H11, H.comps[0, 0]), (ops.H12, H.comps[0, 1]),
-                        (ops.H22, H.comps[1, 1]), (ops.D1, g.comps[0]), (ops.D2, g.comps[1])]:
-            assert np.abs(grid32.apply(op, f) - ref).max() < 1e-9
+def triangle_amplification(grid):
+    """Noise floor as the chart formulas bound it term by term (triangle inequality),
+    from the partial-derivative stencils: max over nodes of the row 1-norm bounds
+    |d_rr|, |d_phiphi|/sin^2 r + |cot r| |d_r| and (|d_rphi| + |cot r| |d_phi|)/sin r."""
 
-    def test_built_lazily_once(self, spec):
-        grid = PolarGrid(spec, 8, 8)
-        assert "frame_ops" not in vars(grid)
-        assert grid.frame_ops is grid.frame_ops
+    def row_sums(mat):
+        return np.asarray(np.abs(mat).sum(axis=1)).ravel().reshape(grid.shape)
+
+    Dr, Drr = grid.ops.D1, grid.ops.H11
+    amp = row_sums(Drr).max()
+    if grid.spec.n == 2:
+        Dphi = grid._angular_csr([-2, -1, 1, 2],
+                                 np.array([1.0, -8.0, 8.0, -1.0]) / (12 * grid.dphi))
+        Dphiphi = grid._angular_csr([-2, -1, 0, 1, 2],
+                                    np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12 * grid.dphi**2))
+        sin_r = grid.sin_r[:, None]
+        cot_r = np.abs(grid.cot_r)[:, None]
+        h22 = row_sums(Dphiphi) / sin_r**2 + cot_r * row_sums(Dr)
+        h12 = (row_sums(Dr @ Dphi) + cot_r * row_sums(Dphi)) / sin_r
+        amp = max(amp, h22.max(), h12.max())
+    return float(amp)
+
+
+class TestFrameOps:
+    @pytest.mark.parametrize("n, N, theta", [(2, 16, 0.3), (2, 16, 1.4), (2, 40, 0.3),
+                                             (2, 40, 1.4), (1, 16, 0.3), (1, 40, 1.4)])
+    def test_noise_floor_matches_triangle_bound(self, n, N, theta):
+        # the largest row 1-norm of H11/H12/H22 is attained where the terms of
+        # the chart formulas do not cancel, so it equals their term-wise bound
+        grid = PolarGrid(CapSpec(theta=theta, n=n), N)
+        assert grid.stencil_amplification == pytest.approx(triangle_amplification(grid),
+                                                           rel=1e-12)
+
+    def test_grid_construction_builds_no_operators(self):
+        prob = cli.build_problem(cli.parse_config(CONFIG))
+        assert "ops" not in vars(prob.grid)
+        assert "stencil_amplification" not in vars(prob.grid)
+        assert prob.grid.ops is prob.grid.ops
 
     def test_rim_rows_and_mask(self, grid32):
-        ops = grid32.frame_ops
+        ops = grid32.ops
         f = smooth_field(grid32, np.random.default_rng(3))
         rim = grid32.apply(ops.rim_rows, f)
         assert np.abs(rim[-1] - cm.normal_derivative(f, grid32)).max() < 1e-12
@@ -152,7 +177,7 @@ class TestFrameOps:
         assert np.array_equal(grid32.apply(ops.interior, f)[:-1], f[:-1])
 
     def test_one_dimensional_has_no_angular_terms(self):
-        ops = PolarGrid(CapSpec(theta=THETA, n=1), 16).frame_ops
+        ops = PolarGrid(CapSpec(theta=THETA, n=1), 16).ops
         assert ops.D2 is None and ops.H12 is None and ops.H22 is None
 
 

@@ -159,6 +159,25 @@ class TestValidation:
         assert "--mesh" in capsys.readouterr().err
         assert not (tmp_path / "run.solution.json").exists()
 
+    @pytest.mark.parametrize("flag", ["--solution", "--report", "--mesh"])
+    def test_missing_output_directory_refused_before_solve(self, tmp_path, capsys, no_solve,
+                                                           flag):
+        cfg = write_config(tmp_path)
+        rc = cli.main(["solve", "--config", str(cfg), flag, str(tmp_path / "nodir" / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "nodir" in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_failed_write_one_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        (tmp_path / "taken").mkdir()  # a directory where the solution file should go
+        assert cli.main(["solve", "--config", str(cfg), "--solution", str(tmp_path / "taken")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json", "taken"]
+        assert not any((tmp_path / "taken").iterdir())
+
     def test_non_object_config_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text("[1, 2]")
