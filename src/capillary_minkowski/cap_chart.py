@@ -69,8 +69,8 @@ class FrameOps:
       D1  = d_r                        D2  = (1/sin r) d_phi
       H11 = d_rr                       H12 = (d_rphi - cot r d_phi) / sin r
       H22 = d_phiphi / sin^2 r + cot r d_r
-    The 2D-only ones are None for n = 1.  Also the interior-row mask, the
-    Robin d_r rows on the rim and the identity, as the Jacobian uses them.
+    The 2D-only ones are None for n = 1.  Rows are grid nodes in C order, so
+    the first ``n_interior`` rows are the interior rings and the rest the rim.
     """
 
     D1: sp.csr_matrix
@@ -78,9 +78,53 @@ class FrameOps:
     D2: sp.csr_matrix | None
     H12: sp.csr_matrix | None
     H22: sp.csr_matrix | None
-    interior: sp.dia_matrix
-    rim_rows: sp.csr_matrix
-    identity: sp.csr_matrix
+    n_interior: int
+
+    @cached_property
+    def _pattern(self):
+        """CSC pattern of ``robin_system`` and the slot in it of each operator
+        entry the system uses: every term's interior-row entries and D1's
+        rim-row entries.  The other terms' rim entries are not part of it.
+        """
+        N, m = self.D1.shape[0], self.n_interior
+        terms = {name: getattr(self, name) for name in ("H11", "H12", "H22", "D1", "D2")
+                 if getattr(self, name) is not None}
+        terms["identity"] = sp.identity(N, format="csr")
+        rows = [np.repeat(np.arange(m), np.diff(op.indptr[:m + 1])) for op in terms.values()]
+        cols = [op.indices[:op.indptr[m]] for op in terms.values()]
+        rows.append(np.repeat(np.arange(m, N), np.diff(self.D1.indptr[m:])))
+        cols.append(self.D1.indices[self.D1.indptr[m]:])
+        keys = np.concatenate(cols).astype(np.int64) * N + np.concatenate(rows)
+        pattern, slots = np.unique(keys, return_inverse=True)
+        # the cache lives as long as the grid: store slots in the smallest
+        # unsigned type that holds them (uint16 on the small grids)
+        slots = slots.astype(np.min_scalar_type(pattern.size - 1))
+        *term_slots, rim_slots = np.split(slots, np.cumsum([c.size for c in cols[:-1]]))
+        indptr = np.searchsorted(pattern, np.arange(N + 1, dtype=np.int64) * N).astype(np.int32)
+        indices = (pattern % N).astype(np.int32)
+        for arr in (indptr, indices):
+            arr.flags.writeable = False  # shared by every matrix robin_system returns
+        return indptr, indices, dict(zip(terms, term_slots)), rim_slots
+
+    def robin_system(self, identity: float, **coeffs: np.ndarray) -> sp.csc_matrix:
+        """sum_k diag(c_k) op_k + identity * I on the interior rows, D1 on the rim rows.
+
+        ``coeffs`` maps operator names (``H11``, ``D1``, ...) to per-node fields
+        c_k; the rim rows are the Robin d_r rows, as the residual has them.  The
+        result is filled into one CSC pattern per grid, so its sparsity does not
+        depend on the coefficients (entries that cancel are stored zeros).
+        """
+        indptr, indices, slots, rim_slots = self._pattern
+        m = self.n_interior
+        data = np.zeros(indices.size)
+        for name, c in coeffs.items():
+            op = getattr(self, name)
+            c_row = np.repeat(np.ravel(c)[:m], np.diff(op.indptr[:m + 1]))
+            data[slots[name]] += c_row * op.data[:op.indptr[m]]
+        data[slots["identity"]] += identity
+        data[rim_slots] = self.D1.data[self.D1.indptr[m]:]
+        N = self.D1.shape[0]
+        return sp.csc_matrix((data, indices, indptr), shape=(N, N))
 
 
 def _diag(x: np.ndarray) -> sp.dia_matrix:
@@ -210,9 +254,9 @@ class PolarGrid:
     def ops(self) -> FrameOps:
         """The frame operators of this grid, built on first use.
 
-        Formed once per grid so that a Jacobian assembly only applies its
-        field-dependent diagonal scalings; building them lazily keeps grid
-        construction cheap.
+        Formed once per grid so that a Jacobian assembly only fills its
+        field-dependent coefficients into ``FrameOps.robin_system``; building
+        them lazily keeps grid construction cheap.
         """
         Nr, dr, r_cut = self.Nr, self.dr, 0.5 * self.spec.theta
 
@@ -229,8 +273,6 @@ class PolarGrid:
             return [(o, c / dr**2) for o, c in st]
 
         Dr, Drr = self._radial_csr(d_r), self._radial_csr(d_rr)
-        interior_mask = np.ones(self.shape)
-        interior_mask[self.boundary_ring] = 0.0
         D2 = H12 = H22 = None
         if self.spec.n == 2:
             dphi = self.dphi
@@ -248,12 +290,8 @@ class PolarGrid:
                 # products leave column indices unsorted, and a later abs() would
                 # sort them in place and change the summation order of products
                 mat.sum_duplicates()
-        return FrameOps(
-            D1=Dr, H11=Drr, D2=D2, H12=H12, H22=H22,
-            interior=_diag(interior_mask),
-            rim_rows=_diag(1.0 - interior_mask) @ Dr,
-            identity=sp.identity(self.size, format="csr"),
-        )
+        return FrameOps(D1=Dr, H11=Drr, D2=D2, H12=H12, H22=H22,
+                        n_interior=self.boundary_ring * self.Nphi)
 
     @cached_property
     def stencil_amplification(self) -> float:

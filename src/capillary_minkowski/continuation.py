@@ -192,7 +192,7 @@ def newton_solve(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig) -> tuple[
                 return v, stage
             J = jacobian(v, prob)
             try:
-                lu = spla.splu(J.tocsc(), permc_spec="COLAMD")
+                lu = spla.splu(J, permc_spec="MMD_AT_PLUS_A")
             except RuntimeError as exc:  # SuperLU signals exact singularity this way
                 raise SingularSystemError(str(exc), best_v=v, report=stage) from exc
             delta = lu.solve(-R.full.ravel()).reshape(grid.shape)

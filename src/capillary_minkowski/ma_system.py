@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .cap_chart import CapSpec, FrameSymMatrix, PolarGrid, _diag, grad, hessian
+from .cap_chart import CapSpec, FrameSymMatrix, PolarGrid, grad, hessian
 from .capillary_body import ExponentPair, SupportField, second_fundamental_form
 from .errors import NonConvexError
 
@@ -139,19 +139,19 @@ def residual_h_form(h: np.ndarray, prob: ProblemSpec) -> ResidualVector:
     return ResidualVector(full=full, bad_nodes=np.flatnonzero(~good.ravel()))
 
 
-def jacobian(v: np.ndarray, prob: ProblemSpec) -> sp.csr_matrix:
+def jacobian(v: np.ndarray, prob: ProblemSpec) -> sp.csc_matrix:
     """Exact analytic linearization of ``residual`` w.r.t. the nodal values of v.
 
     Interior rows:
         tr(B^-1 dB) - (p-q) I - (n+1-q) * (grad v . d grad v) / (1+|grad v|^2)
     with dB = d hess + dgrad x grad + grad x dgrad.  Boundary rows are the
-    (linear) one-sided d_r stencil.  Requires B(v) positive definite.
+    (linear) one-sided d_r stencil.  Requires B(v) positive definite.  The
+    sparsity pattern is the same for every v (``FrameOps.robin_system``).
     """
     grid = prob.grid
     n = grid.spec.n
     p, q = prob.pq.p, prob.pq.q
     v = np.asarray(v, dtype=float)
-    ops = grid.ops
 
     B = log_gauss_map_matrix(v, grid)
     eig_min = float(B.smallest_eigenvalue().min())
@@ -162,28 +162,15 @@ def jacobian(v: np.ndarray, prob: ProblemSpec) -> sp.csr_matrix:
 
     g = grad(v, grid)
     w = (n + 1 - q) / (1.0 + g.norm_sq())
-    D1 = ops.D1
-    if n == 2:
-        detB = B.det()
-        B11, B12, B22 = B.comps[0, 0], B.comps[0, 1], B.comps[1, 1]
-        g1, g2 = g.comps[0], g.comps[1]
-        D2 = ops.D2
-
-        J = (_diag(B22 / detB) @ ops.H11
-             - 2.0 * (_diag(B12 / detB) @ ops.H12)
-             + _diag(B11 / detB) @ ops.H22
-             + 2.0 * (_diag((B22 * g1 - B12 * g2) / detB) @ D1)
-             + 2.0 * (_diag((B11 * g2 - B12 * g1) / detB) @ D2))
-        J = J - _diag(w * g1) @ D1 - _diag(w * g2) @ D2
-    else:
-        B11 = B.comps[0, 0]
-        g1 = g.comps[0]
-        J = _diag(1.0 / B11) @ (ops.H11 + 2.0 * (_diag(g1) @ D1))
-        J = J - _diag(w * g1) @ D1
-
-    J = J - (p - q) * ops.identity
-    # Swap in the Robin rows on the rim: mask out the PDE rows there and add
-    # the d_r stencil rows.
-    J = (ops.interior @ J + ops.rim_rows).tocsr()
-    J.eliminate_zeros()
-    return J
+    if n == 1:
+        B11, g1 = B.comps[0, 0], g.comps[0]
+        return grid.ops.robin_system(H11=1.0 / B11, D1=(2.0 / B11 - w) * g1, identity=-(p - q))
+    detB = B.det()
+    B11, B12, B22 = B.comps[0, 0], B.comps[0, 1], B.comps[1, 1]
+    g1, g2 = g.comps[0], g.comps[1]
+    return grid.ops.robin_system(
+        H11=B22 / detB, H12=-2.0 * B12 / detB, H22=B11 / detB,
+        D1=2.0 * (B22 * g1 - B12 * g2) / detB - w * g1,
+        D2=2.0 * (B11 * g2 - B12 * g1) / detB - w * g2,
+        identity=-(p - q),
+    )

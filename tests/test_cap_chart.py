@@ -9,14 +9,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import capillary_minkowski as cm
-from capillary_minkowski import CapSpec, PolarGrid, cli
-
-from conftest import smooth_field
+from capillary_minkowski import CapSpec, ExponentPair, PolarGrid, cli
+from capillary_minkowski.continuation import start_density
+from capillary_minkowski.ma_system import ProblemSpec, jacobian, log_gauss_map_matrix
 
 
 THETA = np.pi / 3.0
@@ -152,6 +153,36 @@ def triangle_amplification(grid):
     return float(amp)
 
 
+def product_form_jacobian(v, prob):
+    """The Jacobian as sums of products of diagonal scalings and frame operators,
+    with the PDE rows of the rim swapped for the Robin d_r rows."""
+    grid, n = prob.grid, prob.grid.spec.n
+    ops = grid.ops
+
+    def diag(x):
+        return sp.diags(np.ravel(x))
+
+    B = log_gauss_map_matrix(v, grid)
+    g = cm.grad(v, grid)
+    w = (n + 1 - prob.pq.q) / (1.0 + g.norm_sq())
+    if n == 2:
+        det = B.det()
+        B11, B12, B22 = B.comps[0, 0], B.comps[0, 1], B.comps[1, 1]
+        g1, g2 = g.comps
+        J = (diag(B22 / det) @ ops.H11 - 2.0 * (diag(B12 / det) @ ops.H12)
+             + diag(B11 / det) @ ops.H22
+             + 2.0 * (diag((B22 * g1 - B12 * g2) / det) @ ops.D1)
+             + 2.0 * (diag((B11 * g2 - B12 * g1) / det) @ ops.D2)
+             - diag(w * g1) @ ops.D1 - diag(w * g2) @ ops.D2)
+    else:
+        B11, g1 = B.comps[0, 0], g.comps[0]
+        J = diag(1.0 / B11) @ (ops.H11 + 2.0 * (diag(g1) @ ops.D1)) - diag(w * g1) @ ops.D1
+    J = J - (prob.pq.p - prob.pq.q) * sp.identity(grid.size)
+    interior = np.ones(grid.shape)
+    interior[grid.boundary_ring] = 0.0
+    return diag(interior) @ J + diag(1.0 - interior) @ ops.D1
+
+
 class TestFrameOps:
     @pytest.mark.parametrize("n, N, theta", [(2, 16, 0.3), (2, 16, 1.4), (2, 40, 0.3),
                                              (2, 40, 1.4), (1, 16, 0.3), (1, 40, 1.4)])
@@ -168,13 +199,29 @@ class TestFrameOps:
         assert "stencil_amplification" not in vars(prob.grid)
         assert prob.grid.ops is prob.grid.ops
 
-    def test_rim_rows_and_mask(self, grid32):
-        ops = grid32.ops
-        f = smooth_field(grid32, np.random.default_rng(3))
-        rim = grid32.apply(ops.rim_rows, f)
-        assert np.abs(rim[-1] - cm.normal_derivative(f, grid32)).max() < 1e-12
-        assert not rim[:-1].any()
-        assert np.array_equal(grid32.apply(ops.interior, f)[:-1], f[:-1])
+    def test_jacobian_fixed_pattern(self):
+        # v = log l is axisymmetric (B12 = g2 = 0), so there some entries are
+        # zero; the pattern must not follow them
+        for n in (1, 2):
+            grid = PolarGrid(CapSpec(theta=THETA, n=n), 16)
+            pq = ExponentPair(p=3.0, q=1.0)
+            prob = ProblemSpec(grid=grid, pq=pq, f=start_density(grid, pq))
+            R, PHI = grid.mesh()
+            s = np.sin(R) / grid.spec.sin_theta
+            v0 = np.log(cm.l_field(grid))
+            m = grid.ops.n_interior
+            first = None
+            for v in (v0, v0 + 0.05 * s**2 * np.cos(2 * PHI) + 0.01 * s**3 * np.sin(3 * PHI)):
+                J = jacobian(v, prob)
+                assert J.format == "csc"
+                if first is None:
+                    first = J
+                assert np.array_equal(J.indptr, first.indptr)
+                assert np.array_equal(J.indices, first.indices)
+                ref = product_form_jacobian(v, prob).toarray()
+                dense = J.toarray()
+                assert np.abs(dense - ref).max() <= 1e-14 * np.abs(ref).max()
+                assert np.array_equal(dense[m:], grid.ops.D1.toarray()[m:])
 
     def test_one_dimensional_has_no_angular_terms(self):
         ops = PolarGrid(CapSpec(theta=THETA, n=1), 16).ops

@@ -2,6 +2,10 @@
 round-trips, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,10 +70,31 @@ class TestSolveVerify:
         assert abs(recomputed - stored) < 1e-10
 
     def test_solution_determinism(self, tmp_path):
+        # two processes, as two runs of the console script would be
         cfg = write_config(tmp_path)
-        cli.main(["solve", "--config", str(cfg), "--solution", str(tmp_path / "a.json")])
-        cli.main(["solve", "--config", str(cfg), "--solution", str(tmp_path / "b.json")])
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for name in ("a.json", "b.json"):
+            subprocess.run([sys.executable, "-m", "capillary_minkowski.cli", "solve",
+                            "--config", str(cfg), "--solution", str(tmp_path / name)],
+                           check=True, env=env, capture_output=True)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_verify_bounds_recomputed_residual(self, tmp_path, capsys):
+        cli.main(["solve", "--config", str(write_config(tmp_path))])
+        sol = tmp_path / "run.solution.json"
+        capsys.readouterr()
+        assert cli.main(["verify", "--solution", str(sol)]) == 0
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert "bound" in last and last.endswith("pass")
+        doc = json.loads(sol.read_text())
+        doc["h"][5][3] *= 1.0 + 1e-6  # one interior node
+        sol.write_text(json.dumps(doc))
+        assert cli.main(["verify", "--solution", str(sol)]) == 1
+        out = capsys.readouterr().out
+        assert "overall: pass" in out  # the residual alone fails
+        assert out.strip().splitlines()[-1].endswith("FAIL")
 
     def test_hand_scaled_solution_fails_verify(self, tmp_path, capsys):
         # 32^2 keeps the discrete slack 10*spacing^2 well below the factor
@@ -167,6 +192,27 @@ class TestValidation:
         assert rc == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "nodir" in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("flag", ["--solution", "--report", "--mesh"])
+    def test_directory_as_output_refused_before_solve(self, tmp_path, capsys, no_solve, flag):
+        cfg = write_config(tmp_path)
+        (tmp_path / "d").mkdir()
+        assert cli.main(["solve", "--config", str(cfg), flag, str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "directory" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "run.json"]
+        assert not any((tmp_path / "d").iterdir())
+
+    def test_failed_write_leaves_no_output(self, tmp_path, capsys, monkeypatch):
+        def fail(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "export_obj", fail)  # the last of the three outputs
+        cfg = write_config(tmp_path)
+        assert cli.main(["solve", "--config", str(cfg), "--mesh", str(tmp_path / "m.obj")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "disk full" in err
         assert list(tmp_path.iterdir()) == [cfg]
 
     def test_failed_write_one_line(self, tmp_path, capsys):
