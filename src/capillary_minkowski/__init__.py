@@ -11,6 +11,7 @@ from .cap_chart import (
     integrate,
     l_field,
     normal_derivative,
+    resample,
 )
 from .capillary_body import (
     BodyMesh,
@@ -53,6 +54,7 @@ __all__ = [
     "hessian",
     "normal_derivative",
     "integrate",
+    "resample",
     "SupportField",
     "ExponentPair",
     "BodyMesh",

@@ -25,6 +25,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.interpolate import CubicSpline
 
 
 @dataclass(frozen=True)
@@ -395,6 +396,31 @@ def hessian(f: np.ndarray, grid: PolarGrid) -> FrameSymMatrix:
 def normal_derivative(f: np.ndarray, grid: PolarGrid) -> np.ndarray:
     """One-sided second-order d/dr at the rim r = theta (outward normal of the cap)."""
     return grid.apply(grid.ops.D1, f)[grid.boundary_ring].copy()
+
+
+def resample(u: np.ndarray, src: PolarGrid, dst: PolarGrid) -> np.ndarray:
+    """Interpolate a smooth nodal field from grid ``src`` to grid ``dst`` of the same cap.
+
+    In phi: trigonometric interpolation, truncating or zero-padding the FFT
+    (the Nyquist mode is split between +-N/2 when padding and joined when
+    truncating).  In r: a not-a-knot cubic spline along each diameter, whose
+    data continue across the pole by the closure (-r, phi) ~ (r, phi + pi).
+    """
+    if src.spec != dst.spec:
+        raise ValueError("resample needs two grids of the same cap")
+    u = np.asarray(u, dtype=float)
+    if u.shape != src.shape:
+        raise ValueError(f"field has shape {u.shape}, source grid expects {src.shape}")
+    if dst.Nphi != src.Nphi:
+        coeffs = np.fft.rfft(u, axis=1)
+        half = min(src.Nphi, dst.Nphi) // 2
+        out = np.zeros((src.Nr, dst.Nphi // 2 + 1), dtype=complex)
+        out[:, :half + 1] = coeffs[:, :half + 1]
+        out[:, half] *= 0.5 if dst.Nphi > src.Nphi else 2.0
+        u = np.fft.irfft(out, n=dst.Nphi, axis=1) * (dst.Nphi / src.Nphi)
+    across = u[::-1][:, dst.pole_map]  # ring i at -r_i, read half a turn away
+    spline = CubicSpline(np.concatenate([-src.r[::-1], src.r]), np.vstack([across, u]), axis=0)
+    return spline(dst.r)
 
 
 def integrate(f: np.ndarray, grid: PolarGrid) -> float:

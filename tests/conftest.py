@@ -27,8 +27,12 @@ def pq31():
     return ExponentPair(p=3.0, q=1.0)
 
 
-def smooth_field(grid, rng, modes=4, radial_powers=3):
-    """Random smooth-on-the-cap field: trig polynomial in the ambient coordinates."""
+def smooth_field(grid, rng, modes=4, radial_powers=3, normalize=True):
+    """Random smooth-on-the-cap field: trig polynomial in the ambient coordinates.
+
+    Scaled to max-norm 1 on ``grid`` unless ``normalize`` is false, in which
+    case one rng state gives the same function on every grid.
+    """
     R = grid.r[:, None]
     PHI = grid.phi[None, :]
     sin_t = grid.spec.sin_theta
@@ -41,4 +45,4 @@ def smooth_field(grid, rng, modes=4, radial_powers=3):
             if m > 0:
                 term = term + rad * b * np.sin(m * PHI)
             out = out + term
-    return out / np.abs(out).max()
+    return out / np.abs(out).max() if normalize else out

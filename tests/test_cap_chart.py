@@ -19,6 +19,8 @@ from capillary_minkowski import CapSpec, ExponentPair, PolarGrid, cli
 from capillary_minkowski.continuation import start_density
 from capillary_minkowski.ma_system import ProblemSpec, jacobian, log_gauss_map_matrix
 
+from conftest import smooth_field
+
 
 THETA = np.pi / 3.0
 CONFIG = {"theta": 60.0, "theta_unit": "deg", "p": 3.0, "q": 1.0, "grid": {"Nr": 16, "Nphi": 16},
@@ -332,3 +334,57 @@ class TestOneDimensional:
         spec = CapSpec(theta=0.9, n=1)
         grid = PolarGrid(spec, 40)
         assert cm.integrate(np.ones(grid.shape), grid) == pytest.approx(2 * 0.9, rel=1e-12)
+
+
+class TestResample:
+    """Grid-to-grid interpolation: spectral in phi, cubic spline across the pole in r."""
+
+    @staticmethod
+    def _trig(grid):
+        R, PHI = grid.mesh()
+        return np.cos(R) * (1.0 + 0.5 * np.sin(PHI) + 0.3 * np.cos(7 * PHI)
+                            - 0.2 * np.sin(15 * PHI) + 0.1 * np.cos(16 * PHI))
+
+    def test_trig_polynomial_both_directions(self, spec):
+        # same rings, so only the phi transform acts; cos(16 phi) is the 32-node Nyquist mode
+        fine, coarse = PolarGrid(spec, 32, 64), PolarGrid(spec, 32, 32)
+        u_fine, u_coarse = self._trig(fine), self._trig(coarse)
+        assert np.abs(cm.resample(u_fine, fine, coarse) - u_coarse).max() < 1e-13
+        assert np.abs(cm.resample(u_coarse, coarse, fine) - u_fine).max() < 1e-13
+
+    def test_mode_one_crosses_pole_fourth_order(self, spec):
+        # sin r cos phi flips sign across the pole; a wrong closure leaves an O(1) kink
+        dst = PolarGrid(spec, 128, 128)
+        R, PHI = dst.mesh()
+        errs, drs = [], []
+        for N in (16, 32):
+            src = PolarGrid(spec, N, N)
+            Rs, PHIs = src.mesh()
+            out = cm.resample(np.sin(Rs) * np.cos(PHIs), src, dst)
+            errs.append(np.abs(out - np.sin(R) * np.cos(PHI)).max())
+            drs.append(src.dr)
+        assert all(e < 0.1 * dr**4 for e, dr in zip(errs, drs))
+        assert np.log2(errs[0] / errs[1]) >= 3.5
+
+    def test_smooth_field_order(self, spec):
+        dst = PolarGrid(spec, 128, 128)
+        exact = smooth_field(dst, np.random.default_rng(7), normalize=False)
+        errs = []
+        for N in (16, 32, 64):
+            src = PolarGrid(spec, N, N)
+            u = smooth_field(src, np.random.default_rng(7), normalize=False)
+            errs.append(np.abs(cm.resample(u, src, dst) - exact).max())
+        orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert orders.min() >= 3.5
+
+    def test_identical_grid_returns_field(self, spec):
+        grid = PolarGrid(spec, 24, 24)
+        u = smooth_field(grid, np.random.default_rng(3))
+        assert np.abs(cm.resample(u, grid, PolarGrid(spec, 24, 24)) - u).max() < 1e-14
+
+    def test_rejects_other_cap_or_shape(self, spec):
+        grid = PolarGrid(spec, 16, 16)
+        with pytest.raises(ValueError):
+            cm.resample(np.zeros(grid.shape), grid, PolarGrid(CapSpec(theta=0.5), 16, 16))
+        with pytest.raises(ValueError):
+            cm.resample(np.zeros((16, 8)), grid, grid)

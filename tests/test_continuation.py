@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import capillary_minkowski as cm
-from capillary_minkowski.continuation import start_density
+from capillary_minkowski import continuation
+from capillary_minkowski.continuation import SolveReport, start_density
 from capillary_minkowski.errors import (
     ContinuationStallError,
     LineSearchStallError,
@@ -178,6 +179,74 @@ class TestContinuation:
             cm.HomotopySchedule(t_values=())
         with pytest.raises(ValueError):
             cm.HomotopySchedule(initial_step=0.0)
+
+
+class TestNested:
+    """64^2 solves run the homotopy on 32^2 and finish with one Newton solve at t = 1."""
+
+    @pytest.fixture(scope="class")
+    def prob64(self, spec, pq31):
+        grid = cm.PolarGrid(spec, 64, 64)
+        R, PHI = grid.mesh()
+        f = 1.0 + 0.3 * (np.sin(R) / spec.sin_theta) ** 2 * np.cos(2 * PHI) * np.cos(R)
+        return ProblemSpec(grid=grid, pq=pq31, f=f)
+
+    @pytest.fixture(scope="class")
+    def nested(self, prob64):
+        return cm.continuation_solve(prob64)
+
+    @pytest.fixture(scope="class")
+    def direct(self, prob64):
+        report = SolveReport()
+        v = continuation._homotopy(prob64, cm.SolverConfig(), cm.HomotopySchedule(), report)
+        return np.exp(v), report
+
+    def test_matches_direct_homotopy(self, prob64, nested, direct):
+        sf, _ = nested
+        tol = continuation.effective_tolerance(cm.SolverConfig(), prob64.grid, np.log(sf.h))
+        assert np.abs(sf.h - direct[0]).max() <= 10.0 * tol
+
+    def test_report_levels(self, nested):
+        doc = nested[1].to_json_dict()
+        assert len(doc["grids"]) == len(doc["tols"]) == len(doc["t_steps"])
+        assert doc["grids"][:-1] == [[32, 32]] * (len(doc["grids"]) - 1)
+        assert doc["grids"][-1] == [64, 64] and doc["t_steps"][-1] == 1.0
+        assert all(tol >= cm.SolverConfig().tol for tol in doc["tols"])
+        assert doc["final_residual"] <= doc["tols"][-1]
+
+    def test_determinism(self, prob64, nested):
+        sf, rep = cm.continuation_solve(prob64)
+        assert np.array_equal(sf.h, nested[0].h)
+        d1, d2 = rep.to_json_dict(), nested[1].to_json_dict()
+        d1.pop("timings")
+        d2.pop("timings")
+        assert d1 == d2
+
+    def test_fine_failure_falls_back_to_homotopy(self, prob64, direct, monkeypatch):
+        real = continuation.newton_solve
+        calls = []
+
+        def fail_first_fine(v0, prob, cfg):
+            if prob.grid.shape == (64, 64):
+                calls.append(prob.grid.shape)
+                if len(calls) == 1:
+                    raise MaxIterationsError("injected", best_v=v0)
+            return real(v0, prob, cfg)
+
+        monkeypatch.setattr(continuation, "newton_solve", fail_first_fine)
+        sf, rep = cm.continuation_solve(prob64)
+        assert np.array_equal(sf.h, direct[0])
+        grids = rep.to_json_dict()["grids"]
+        first_fine = grids.index([64, 64])
+        assert first_fine > 0 and set(map(tuple, grids[:first_fine])) == {(32, 32)}
+        assert grids[first_fine:] == [[64, 64]] * len(direct[1].stages)
+        assert rep.t_steps[first_fine:] == direct[1].t_steps
+
+    def test_grid_without_coarse_level_runs_homotopy(self, prob_start):
+        # 32^2 halves to 16^2, below the coarsest level allowed
+        assert prob_start.grid.Nphi // 2 < continuation.NESTED_MIN_NPHI
+        _, rep = cm.continuation_solve(prob_start)
+        assert rep.to_json_dict()["grids"] == [[32, 32]]
 
 
 class TestUniqueness:
