@@ -222,7 +222,10 @@ def cmd_solve(args) -> int:
     stem = args.config[:-5] if args.config.endswith(".json") else args.config
     sol_path = args.solution or out.get("solution", stem + ".solution.json")
     rep_path = args.report or out.get("report", stem + ".report.json")
-    for path in filter(None, (sol_path, rep_path, args.mesh)):
+    outs = [p for p in (sol_path, rep_path, args.mesh) if p]
+    for i, path in enumerate(outs):
+        if os.path.realpath(path) in {os.path.realpath(p) for p in [args.config] + outs[:i]}:
+            raise CapillaryError(f"cannot write {path}: the config or another output is that file")
         if os.path.isdir(path):
             raise CapillaryError(f"cannot write {path}: it is a directory")
         if not os.path.isdir(os.path.dirname(path) or "."):

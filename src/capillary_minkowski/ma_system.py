@@ -14,11 +14,12 @@ so the Jacobian assembly is uniform over nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .cap_chart import CapSpec, FrameSymMatrix, PolarGrid, grad, hessian
+from .cap_chart import CapSpec, FrameSymMatrix, FrameVector, PolarGrid, grad, hessian
 from .capillary_body import ExponentPair, SupportField, second_fundamental_form
 from .errors import NonConvexError
 
@@ -51,11 +52,15 @@ class ResidualVector:
 
     ``full`` has one entry per grid node; nodes where det B <= 0 carry a +inf
     sentinel (listed in ``bad_nodes``) so a line search can reject them while
-    keeping a total order on step quality.
+    keeping a total order on step quality.  ``residual`` keeps grad v, B(v)
+    and det B on it for the convexity checks and ``jacobian``.
     """
 
     full: np.ndarray
     bad_nodes: np.ndarray
+    g: FrameVector | None = None
+    B: FrameSymMatrix | None = None
+    detB: np.ndarray | None = None
 
     @property
     def interior(self) -> np.ndarray:
@@ -68,16 +73,16 @@ class ResidualVector:
     def max_norm(self) -> float:
         return float(np.max(np.abs(self.full)))
 
+    @cached_property
+    def eig_range(self) -> tuple[float, float]:  # (min, max) eigenvalue of B over the nodes
+        lo, hi = self.B.eig_bounds()
+        return float(lo.min()), float(hi.max())
 
-def log_gauss_map_matrix(v: np.ndarray, grid: PolarGrid) -> FrameSymMatrix:
-    """B(v) = hess(v) + grad(v) x grad(v) + id in the orthonormal frame."""
-    g = grad(v, grid)
-    H = hessian(v, grid)
-    comps = H.comps.copy()
-    n = comps.shape[0]
-    for i in range(n):
-        for j in range(n):
-            comps[i, j] += g.comps[i] * g.comps[j]
+
+def log_gauss_map_matrix(v: np.ndarray, grid: PolarGrid, g: FrameVector) -> FrameSymMatrix:
+    """B(v) = hess(v) + g x g + id in the orthonormal frame, where g = grad(v)."""
+    comps = hessian(v, grid).comps + g.comps[:, None] * g.comps[None, :]
+    for i in range(g.comps.shape[0]):
         comps[i, i] += 1.0
     return FrameSymMatrix(comps)
 
@@ -94,9 +99,10 @@ def residual(v: np.ndarray, prob: ProblemSpec) -> ResidualVector:
     p, q = prob.pq.p, prob.pq.q
     v = np.asarray(v, dtype=float)
 
-    B = log_gauss_map_matrix(v, grid)
+    g = grad(v, grid)
+    B = log_gauss_map_matrix(v, grid, g)
     detB = B.det()
-    gsq = grad(v, grid).norm_sq()
+    gsq = g.norm_sq()
 
     good = detB > 0.0
     logdet = np.full(grid.shape, np.inf)
@@ -107,10 +113,10 @@ def residual(v: np.ndarray, prob: ProblemSpec) -> ResidualVector:
     full[~good] = np.inf
 
     b = grid.boundary_ring
-    full[b] = grid.apply(grid.ops.D1, v)[b] - grid.spec.cot_theta
+    full[b] = g.comps[0][b] - grid.spec.cot_theta  # g.comps[0] = D1 v
     good[b] = True  # rim rows are Robin rows; det B is irrelevant there
     bad = np.flatnonzero(~good.ravel())
-    return ResidualVector(full=full, bad_nodes=bad)
+    return ResidualVector(full=full, bad_nodes=bad, g=g, B=B, detB=detB)
 
 
 def residual_h_form(h: np.ndarray, prob: ProblemSpec) -> ResidualVector:
@@ -139,8 +145,8 @@ def residual_h_form(h: np.ndarray, prob: ProblemSpec) -> ResidualVector:
     return ResidualVector(full=full, bad_nodes=np.flatnonzero(~good.ravel()))
 
 
-def jacobian(v: np.ndarray, prob: ProblemSpec) -> sp.csc_matrix:
-    """Exact analytic linearization of ``residual`` w.r.t. the nodal values of v.
+def jacobian(R: ResidualVector, prob: ProblemSpec) -> sp.csc_matrix:
+    """Exact analytic linearization of ``residual`` at the v of R = residual(v, prob).
 
     Interior rows:
         tr(B^-1 dB) - (p-q) I - (n+1-q) * (grad v . d grad v) / (1+|grad v|^2)
@@ -151,21 +157,18 @@ def jacobian(v: np.ndarray, prob: ProblemSpec) -> sp.csc_matrix:
     grid = prob.grid
     n = grid.spec.n
     p, q = prob.pq.p, prob.pq.q
-    v = np.asarray(v, dtype=float)
 
-    B = log_gauss_map_matrix(v, grid)
-    eig_min = float(B.smallest_eigenvalue().min())
+    eig_min = R.eig_range[0]
     if eig_min <= 0.0:
         raise NonConvexError(
             f"B(v) is not positive definite (min eigenvalue {eig_min:.3e})", margin=eig_min
         )
 
-    g = grad(v, grid)
+    B, g, detB = R.B, R.g, R.detB
     w = (n + 1 - q) / (1.0 + g.norm_sq())
     if n == 1:
         B11, g1 = B.comps[0, 0], g.comps[0]
         return grid.ops.robin_system(H11=1.0 / B11, D1=(2.0 / B11 - w) * g1, identity=-(p - q))
-    detB = B.det()
     B11, B12, B22 = B.comps[0, 0], B.comps[0, 1], B.comps[1, 1]
     g1, g2 = g.comps[0], g.comps[1]
     return grid.ops.robin_system(

@@ -179,7 +179,7 @@ def test_criterion_08_jacobian_correctness(spec):
     prob = ProblemSpec(grid=grid, pq=PQ, f=start_density(grid, PQ))
     rng = np.random.default_rng(7)
     v = np.log(cm.l_field(grid)) + 0.1 * smooth_field(grid, rng)
-    J = jacobian(v, prob)
+    J = jacobian(residual(v, prob), prob)
     # eps balances central-difference truncation against the float noise of
     # the residual evaluation (amplified ~1/sin(r)^2 at the pole ring)
     eps = 1e-6 * 10.0 * (1.0 + float(np.abs(v).max()))

@@ -17,7 +17,8 @@ from scipy.integrate import quad
 import capillary_minkowski as cm
 from capillary_minkowski import CapSpec, ExponentPair, PolarGrid, cli
 from capillary_minkowski.continuation import start_density
-from capillary_minkowski.ma_system import ProblemSpec, jacobian, log_gauss_map_matrix
+from capillary_minkowski.ma_system import (ProblemSpec, jacobian, log_gauss_map_matrix,
+                                            residual)
 
 from conftest import smooth_field
 
@@ -164,8 +165,8 @@ def product_form_jacobian(v, prob):
     def diag(x):
         return sp.diags(np.ravel(x))
 
-    B = log_gauss_map_matrix(v, grid)
     g = cm.grad(v, grid)
+    B = log_gauss_map_matrix(v, grid, g)
     w = (n + 1 - prob.pq.q) / (1.0 + g.norm_sq())
     if n == 2:
         det = B.det()
@@ -214,7 +215,7 @@ class TestFrameOps:
             m = grid.ops.n_interior
             first = None
             for v in (v0, v0 + 0.05 * s**2 * np.cos(2 * PHI) + 0.01 * s**3 * np.sin(3 * PHI)):
-                J = jacobian(v, prob)
+                J = jacobian(residual(v, prob), prob)
                 assert J.format == "csc"
                 if first is None:
                     first = J

@@ -158,6 +158,7 @@ class TestValidation:
         {"solver": {"max_iter": 30.0}},
         {"solver": {"convexity_floor_rel": "x"}},
         {"output": 5},
+        {"solver": {"backtrack_factor": 0.5}},
     ])
     def test_malformed_config_one_line(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path, **overrides)
@@ -203,6 +204,27 @@ class TestValidation:
         assert len(err.strip().splitlines()) == 1 and "directory" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "run.json"]
         assert not any((tmp_path / "d").iterdir())
+
+    @pytest.mark.parametrize("flags, output", [
+        (["--solution", "out.json", "--report", "out.json"], {}),
+        (["--solution", "run.json"], {}),
+        (["--report", "sub/../run.json"], {}),
+        (["--report", "out.json", "--mesh", "./out.json"], {}),
+        ([], {"solution": "out.json", "report": "out.json"}),
+        (["--mesh", "out.json"], {"report": "out.json"}),
+    ])
+    def test_same_file_outputs_refused_before_solve(self, tmp_path, capsys, no_solve,
+                                                    flags, output):
+        # paths are relative to tmp_path; "sub" exists so "sub/.." resolves
+        (tmp_path / "sub").mkdir()
+        cfg = write_config(tmp_path, output={k: str(tmp_path / v) for k, v in output.items()})
+        text = cfg.read_text()
+        flags = [f if f.startswith("--") else str(tmp_path / f) for f in flags]
+        assert cli.main(["solve", "--config", str(cfg)] + flags) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "is that file" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json", "sub"]
+        assert cfg.read_text() == text
 
     def test_failed_write_leaves_no_output(self, tmp_path, capsys, monkeypatch):
         def fail(*args):

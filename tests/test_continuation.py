@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import capillary_minkowski as cm
-from capillary_minkowski import continuation
+from capillary_minkowski import continuation, ma_system
 from capillary_minkowski.continuation import SolveReport, start_density
 from capillary_minkowski.errors import (
     ContinuationStallError,
@@ -85,6 +85,29 @@ class TestNewton:
         with pytest.raises(LineSearchStallError):
             cm.newton_solve(np.log(cm.l_field(grid32)), prob, cfg)
 
+    def test_one_evaluation_per_trial(self, grid32, prob_harmonic, monkeypatch):
+        # residual takes grad v and forms B(v) once; the convexity checks and
+        # the Jacobian read its ResidualVector instead of evaluating v again
+        calls = {"gauss_map": 0, "grad": 0, "hessian": 0, "residual": 0}
+
+        def counted(module, name, key):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(ma_system, "log_gauss_map_matrix", "gauss_map")
+        counted(ma_system, "grad", "grad")
+        counted(ma_system, "hessian", "hessian")
+        counted(continuation, "residual", "residual")
+        _, stage = cm.newton_solve(np.log(cm.l_field(grid32)), prob_harmonic, cm.SolverConfig())
+        assert stage.converged and stage.iterations >= 2
+        assert calls["residual"] > stage.iterations
+        assert len(set(calls.values())) == 1, calls
+
     def test_convexity_margins_recorded_positive(self, grid32, prob_harmonic):
         _, stage = cm.newton_solve(np.log(cm.l_field(grid32)), prob_harmonic,
                                    cm.SolverConfig(max_iter=60))
@@ -127,6 +150,17 @@ class TestContinuation:
         sf, rep = cm.continuation_solve(prob)
         assert rep.final_residual <= 1e-9
         assert cm.verify(sf, prob).all_passed
+
+    @pytest.mark.parametrize("p, q", [(4.5, 3.5), (1.1, 1.0)])  # q > n + 1; p - q = 0.1
+    def test_exponent_regimes(self, grid32, p, q):
+        pq = cm.ExponentPair(p=p, q=q)
+        R, PHI = grid32.mesh()
+        f = 1.0 + 0.3 * (np.sin(R) / grid32.spec.sin_theta) ** 2 * np.cos(2 * PHI)
+        prob = ProblemSpec(grid=grid32, pq=pq, f=f)
+        sf, rep = cm.continuation_solve(prob)
+        cfg = cm.SolverConfig()
+        assert rep.final_residual <= continuation.effective_tolerance(cfg, grid32, np.log(sf.h))
+        assert cm.verify(sf, prob, newton_tol=cfg.tol).all_passed
 
     def test_scale_equivariance(self, grid32, pq31, prob_harmonic):
         c = 1.7

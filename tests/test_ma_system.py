@@ -64,7 +64,7 @@ class TestJacobian:
         prob = ProblemSpec(grid=grid, pq=pq31, f=start_density(grid, pq31))
         R_, PHI = grid.mesh()
         v = np.log(cm.l_field(grid)) + 0.05 * np.sin(R_) * np.cos(PHI) + 0.03 * np.cos(R_)
-        J = jacobian(v, prob).toarray()
+        J = jacobian(residual(v, prob), prob).toarray()
         eps = 1e-7
         N = grid.size
         Jfd = np.empty((N, N))
@@ -80,7 +80,7 @@ class TestJacobian:
     def test_directional_derivatives(self, grid32, prob32):
         rng = np.random.default_rng(7)
         v = np.log(cm.l_field(grid32)) + 0.1 * smooth_field(grid32, rng)
-        J = jacobian(v, prob32)
+        J = jacobian(residual(v, prob32), prob32)
         scale = 10.0 * (1.0 + np.abs(v).max())
         eps = 1e-6 * scale
         for _ in range(5):
@@ -93,7 +93,7 @@ class TestJacobian:
     def test_constant_direction_gives_minus_p_minus_q(self, grid32, prob32, pq31):
         # stencils annihilate constants, leaving exactly -(p - q) on PDE rows
         v, _ = cm.newton_solve(np.log(cm.l_field(grid32)), prob32, cm.SolverConfig())
-        act = (jacobian(v, prob32) @ np.ones(grid32.size)).reshape(grid32.shape)
+        act = (jacobian(residual(v, prob32), prob32) @ np.ones(grid32.size)).reshape(grid32.shape)
         np.testing.assert_allclose(act[:-1], -(pq31.p - pq31.q), rtol=0, atol=1e-9)
         np.testing.assert_allclose(act[-1], 0.0, rtol=0, atol=1e-9)
 
@@ -101,10 +101,10 @@ class TestJacobian:
         R_, PHI = grid32.mesh()
         v = np.log(cm.l_field(grid32)) + 2.0 * np.sin(4 * R_) * np.cos(5 * PHI)
         with pytest.raises(NonConvexError):
-            jacobian(v, prob32)
+            jacobian(residual(v, prob32), prob32)
 
     def test_boundary_rows_touch_outer_rings_only(self, grid32, prob32):
-        J = jacobian(np.log(cm.l_field(grid32)), prob32).tocsr()
+        J = jacobian(residual(np.log(cm.l_field(grid32)), prob32), prob32).tocsr()
         Nphi = grid32.Nphi
         rows = np.arange(grid32.boundary_ring * Nphi, grid32.size)
         for row in rows:
@@ -133,7 +133,7 @@ class TestOneDimensional:
         prob = ProblemSpec(grid=grid, pq=pq, f=start_density(grid, pq))
         v = np.log(cm.l_field(grid))
         assert residual(v, prob).max_norm() < 10.0 * grid.max_spacing**2
-        J = jacobian(v, prob).toarray()
+        J = jacobian(residual(v, prob), prob).toarray()
         eps = 1e-7
         N = grid.size
         flat = v.ravel()
