@@ -26,6 +26,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 from scipy.interpolate import CubicSpline
+from scipy.linalg import lapack
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,14 @@ class FrameOps:
     H22: sp.csr_matrix | None
     n_interior: int
 
+    @property
+    def _terms(self) -> dict:
+        """The operators a linearization combines, by name, and the identity."""
+        terms = {name: getattr(self, name) for name in ("H11", "H12", "H22", "D1", "D2")
+                 if getattr(self, name) is not None}
+        terms["identity"] = sp.identity(self.D1.shape[0], format="csr")
+        return terms
+
     @cached_property
     def _pattern(self):
         """CSC pattern of ``robin_system`` and the slot in it of each operator
@@ -88,9 +97,7 @@ class FrameOps:
         rim-row entries.  The other terms' rim entries are not part of it.
         """
         N, m = self.D1.shape[0], self.n_interior
-        terms = {name: getattr(self, name) for name in ("H11", "H12", "H22", "D1", "D2")
-                 if getattr(self, name) is not None}
-        terms["identity"] = sp.identity(N, format="csr")
+        terms = self._terms
         rows = [np.repeat(np.arange(m), np.diff(op.indptr[:m + 1])) for op in terms.values()]
         cols = [op.indices[:op.indptr[m]] for op in terms.values()]
         rows.append(np.repeat(np.arange(m, N), np.diff(self.D1.indptr[m:])))
@@ -126,6 +133,86 @@ class FrameOps:
         data[rim_slots] = self.D1.data[self.D1.indptr[m]:]
         N = self.D1.shape[0]
         return sp.csc_matrix((data, indices, indptr), shape=(N, N))
+
+    @cached_property
+    def _modes(self):
+        """Band layout of ``mode_system`` and each term's mode symbols in it.
+
+        Every term is circulant in phi on each ring, so node (i, 0) holds ring
+        i's stencil.  Its entry a at node (i', j) adds a exp(2 pi i j k / Nphi)
+        to entry (i, i') of the radial block of angular mode k.  Ghost nodes
+        across the pole sit half a turn away, so the pole closure multiplies
+        their phase by (-1)^k; an odd angular stencil (d_phi) has an imaginary
+        symbol.  Rows are the ones ``_pattern`` uses: every term's interior
+        rings and D1's rim ring.
+        """
+        N, m = self.D1.shape[0], self.n_interior
+        Nphi = N - m
+        Nr = N // Nphi
+        jk = np.outer(np.arange(Nphi), np.arange(Nphi // 2 + 1)) % Nphi
+        phases = np.exp(2j * np.pi / Nphi * jk)  # (phi offset j, mode k)
+        first = np.arange(0, N, Nphi)  # node (i, 0) of every ring, rim last
+
+        def symbols(op, rings):
+            ent = op[first[rings]].tocoo()
+            pos, inv = np.unique(ent.row * Nr + ent.col // Nphi, return_inverse=True)
+            stencil = sp.csr_matrix((ent.data, (inv, ent.col % Nphi)), shape=(pos.size, Nphi))
+            return pos, (stencil @ phases).T  # (modes, entries)
+
+        interior = np.arange(Nr - 1)
+        parts = {name: symbols(op, interior) for name, op in self._terms.items()}
+        rim_pos, rim_sym = symbols(self.D1, np.array([Nr - 1]))
+        rim_pos += (Nr - 1) * Nr  # symbols() numbers its rows from 0
+        keys = np.unique(np.concatenate([pos for pos, _ in parts.values()] + [rim_pos]))
+        row, col = np.divmod(keys, Nr)
+        kl, ku = int(np.max(row - col)), int(np.max(col - row))
+        terms = {name: (np.searchsorted(keys, pos), pos // Nr, sym)
+                 for name, (pos, sym) in parts.items()}
+        layout = (kl + ku + row - col, col)  # LAPACK gbtrf band storage of entry (row, col)
+        return layout, (kl, ku), terms, (np.searchsorted(keys, rim_pos), rim_sym)
+
+    def mode_system(self, identity: float, **coeffs: np.ndarray) -> ModeFactor:
+        """LU factors of ``robin_system(identity, **coeffs)`` with every c_k
+        replaced by its mean over each ring.
+
+        That operator commutes with rotations in phi, so an FFT in phi splits
+        it into Nphi/2 + 1 banded radial blocks, one per angular mode; each
+        block is factored by LAPACK's banded LU with partial pivoting.  A
+        singular block leaves ``ModeFactor.solve`` non-finite, which a Krylov
+        solve reports as a miss.
+        """
+        (brow, bcol), (kl, ku), terms, (rim_slots, rim_sym) = self._modes
+        N, m = self.D1.shape[0], self.n_interior
+        Nphi = N - m
+        K = Nphi // 2 + 1
+        means = {name: np.ravel(c)[:m].reshape(-1, Nphi).mean(axis=1) for name, c in coeffs.items()}
+        means["identity"] = np.full(m // Nphi, float(identity))
+        data = np.zeros((K, brow.size), dtype=complex)
+        for name, c in means.items():
+            slots, ring, sym = terms[name]
+            data[:, slots] += c[ring] * sym
+        data[:, rim_slots] = rim_sym
+        bands = np.zeros((K, 2 * kl + ku + 1, N // Nphi), dtype=complex)
+        bands[:, brow, bcol] = data
+        factors = [lapack.zgbtrf(band, kl, ku)[:2] for band in bands]
+        return ModeFactor(factors, kl, ku, (N // Nphi, Nphi))
+
+
+@dataclass(frozen=True)
+class ModeFactor:
+    """Banded LU factors (lu, piv) of the angular-mode blocks from ``FrameOps.mode_system``."""
+
+    factors: list
+    kl: int
+    ku: int
+    shape: tuple  # (Nr, Nphi)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Apply the inverse of the ring-mean operator to a flattened real field."""
+        modes = np.fft.rfft(np.reshape(b, self.shape), axis=1)
+        for k, (lu, piv) in enumerate(self.factors):
+            modes[:, k] = lapack.zgbtrs(lu, self.kl, self.ku, modes[:, k], piv)[0]
+        return np.fft.irfft(modes, n=self.shape[1], axis=1).ravel()
 
 
 def _diag(x: np.ndarray) -> sp.dia_matrix:
@@ -213,8 +300,9 @@ class PolarGrid:
 
     def _radial_csr(self, stencil) -> sp.csr_matrix:
         """Assemble stencil(i) = [(ring offset, coeff), ...] for every ring i; rings
-        below 0 are ghosts across the pole, (-r, phi) ~ (r, phi + pi)."""
-        half = self.Nphi // 2
+        below 0 are ghosts across the pole, (-r, phi) ~ (r, phi + pi), read at
+        ``pole_map``."""
+        half = int(self.pole_map[0])
         return self._rows_to_csr([[(i + o, 0, c) if i + o >= 0 else (-1 - i - o, half, c)
                                    for o, c in stencil(i)] for i in range(self.Nr)])
 

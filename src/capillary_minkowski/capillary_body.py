@@ -175,19 +175,13 @@ def embed(sf: SupportField) -> BodyMesh:
     pole = X[0].mean(axis=0)
     vertices = np.concatenate([pole[None, :], X.reshape(-1, 3)], axis=0)
 
-    def vid(i, k):
-        return 1 + i * Nphi + (k % Nphi)
-
-    faces = []
-    for k in range(Nphi):
-        faces.append((0, vid(0, k), vid(0, k + 1)))
-    for i in range(Nr - 1):
-        for k in range(Nphi):
-            faces.append((vid(i, k), vid(i + 1, k), vid(i + 1, k + 1)))
-            faces.append((vid(i, k), vid(i + 1, k + 1), vid(i, k + 1)))
-    loop = np.array([vid(Nr - 1, k) for k in range(Nphi)])
+    vid = 1 + np.arange(Nr)[:, None] * Nphi + np.arange(Nphi + 1) % Nphi  # (i, k), k wrapping
+    fan = np.stack([np.zeros(Nphi, dtype=int), vid[0, :-1], vid[0, 1:]], axis=1)
+    a, b, c, d = vid[:-1, :-1], vid[1:, :-1], vid[1:, 1:], vid[:-1, 1:]  # quad (i, k)
+    quads = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)  # triangles abc, acd
     eps = 10.0 * grid.max_spacing**2 * float(np.max(np.abs(sf.h)))
-    return BodyMesh(vertices=vertices, faces=np.array(faces), boundary_loop=loop, eps=eps)
+    return BodyMesh(vertices=vertices, faces=np.concatenate([fan, quads]),
+                    boundary_loop=vid[-1, :-1], eps=eps)
 
 
 def contact_angle(mesh: BodyMesh) -> np.ndarray:
@@ -283,12 +277,8 @@ def boundary_identity_check(sf: SupportField) -> BoundaryIdentityReport:
 
 def export_obj(mesh: BodyMesh, path) -> None:
     """Write the mesh as ASCII OBJ: v/f records plus an l record for the rim loop."""
-    lines = []
-    for x, y, z in mesh.vertices:
-        lines.append(f"v {x:.17g} {y:.17g} {z:.17g}")
-    for a, b, c in mesh.faces:
-        lines.append(f"f {a + 1} {b + 1} {c + 1}")
-    loop = " ".join(str(int(i) + 1) for i in mesh.boundary_loop)
-    lines.append(f"l {loop}")
+    vertices = map("v {:.17g} {:.17g} {:.17g}\n".format, *mesh.vertices.T.tolist())
+    faces = map("f {} {} {}\n".format, *(mesh.faces.T + 1).tolist())
+    loop = " ".join(map(str, (mesh.boundary_loop + 1).tolist()))
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join([*vertices, *faces, f"l {loop}\n"]))

@@ -7,13 +7,17 @@ The homotopy f_t = (1-t) f0 + t f interpolates from the start density f0
 is solved by Newton with a backtracking line search on the max-norm of the
 residual; stage failures halve the t-step, easy stages double it.  On a grid
 with a coarser level the homotopy runs only on the coarsest level, and each
-finer level starts one Newton solve at t = 1 from the resampled solution.
+finer level starts one Newton solve at t = 1 from the resampled solution,
+whose steps solve by preconditioned GMRES instead of sparse LU.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import operator
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,13 +34,20 @@ from .errors import (
     SolverError,
 )
 # log_gauss_map_matrix is unused here; the benchmark's tracer patches it by this name.
-from .ma_system import ProblemSpec, jacobian, log_gauss_map_matrix, residual  # noqa: F401
+from .ma_system import (ProblemSpec, jacobian, jacobian_coefficients,  # noqa: F401
+                        log_gauss_map_matrix, residual)
 
 # Smallest Nphi of a coarser level.  Measured on one 2-core host: a 24^2
 # level under 48^2 speeds up a 96^2 solve (0.53-0.57 s against 0.62-0.66 s),
 # while a 16^2 level under 32^2 gains nothing at 128^2 (0.96-0.99 s against
 # 0.97-1.01 s) and would change the path of every 32^2-46^2 solve.
 NESTED_MIN_NPHI = 24
+
+# GMRES controls of a Krylov Newton step: relative tolerance on the 2-norm of
+# J delta + R, and the iteration budget of one unrestarted cycle, after which
+# the step is solved with the LU factor instead.
+KRYLOV_RTOL = 1e-6
+KRYLOV_MAX_ITERS = 40
 
 
 @dataclass(frozen=True)
@@ -92,6 +103,8 @@ class NewtonStage:
     seconds: float = 0.0
     grid: list = field(default_factory=list)  # [Nr, Nphi] of the grid it ran on
     tol: float = float("nan")  # the effective tolerance it had to meet
+    krylov_iters: list = field(default_factory=list)  # per linear solve; 0 for an LU solve
+    lu_fallbacks: list = field(default_factory=list)  # solves (krylov_iters index) redone by LU
 
 
 @dataclass
@@ -120,6 +133,8 @@ class SolveReport:
             "newton_iters": self.newton_iters,
             "residuals": [list(s.residuals) for s in self.stages],
             "margins": [list(s.margins) for s in self.stages],
+            "krylov_iters": [list(s.krylov_iters) for s in self.stages],
+            "lu_fallbacks": [list(s.lu_fallbacks) for s in self.stages],
             "timings": {
                 "total_seconds": self.total_seconds,
                 "stage_seconds": [s.seconds for s in self.stages],
@@ -163,14 +178,81 @@ def effective_tolerance(cfg: SolverConfig, grid: PolarGrid, v: np.ndarray) -> fl
     return float(max(cfg.tol, floor))
 
 
-def newton_solve(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig) -> tuple[np.ndarray, NewtonStage]:
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count functions of numpy's OpenBLAS, or None under another BLAS."""
+    try:  # dlsym on numpy's extension module also searches the libraries it links
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix, suffix in (("scipy_openblas_", "64_"), ("scipy_openblas_", ""),
+                           ("openblas_", "64_"), ("openblas_", "")):
+        try:
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}")
+            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextmanager
+def _serial_blas():
+    """Run numpy's OpenBLAS on one thread inside the block.
+
+    GMRES works between its matvecs in level-1 BLAS on grid-length vectors,
+    and OpenBLAS splits a dot product of more than 10000 entries across its
+    threads.  On a 2-vCPU host whose vCPUs shared about one CPU, each split
+    call waited about 8 ms for the second thread, against 4 us on one thread.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+def _gmres_solve(J, rhs: np.ndarray, R, prob: ProblemSpec) -> tuple[np.ndarray | None, int]:
+    """(x, iterations) of GMRES on J x = rhs, right-preconditioned by the
+    ring-mean mode blocks; x is None when GMRES misses KRYLOV_RTOL.
+
+    With the preconditioner on the right, GMRES minimizes the residual of
+    J x = rhs itself, so its tolerance bounds the true linear residual.
+    """
+    M = prob.grid.ops.mode_system(**jacobian_coefficients(R, prob))
+    iters = 0
+
+    def count(_):
+        nonlocal iters
+        iters += 1
+
+    JM = spla.LinearOperator(J.shape, matvec=lambda y: J @ M.solve(y), dtype=float)
+    with _serial_blas():
+        y, info = spla.gmres(JM, rhs, rtol=KRYLOV_RTOL, restart=KRYLOV_MAX_ITERS, maxiter=1,
+                             callback=count, callback_type="pr_norm")
+    return (M.solve(y) if info == 0 else None), iters
+
+
+def newton_solve(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
+                 krylov: bool = False) -> tuple[np.ndarray, NewtonStage]:
     """Damped Newton on the log-variable residual with a convexity safeguard.
 
     Every accepted iterate keeps B positive definite with min eigenvalue at
     least convexity_floor_rel times the max eigenvalue; candidates violating
     the floor or failing strict max-norm decrease are rejected by the
     step-halving line search (the +inf sentinel makes indefinite candidates
-    compare as worst).
+    compare as worst).  Each step solves with the exact Jacobian J: by a
+    SuperLU factor, or with ``krylov`` by GMRES preconditioned by the
+    ring-mean mode blocks (``FrameOps.mode_system``); a step whose GMRES
+    misses KRYLOV_RTOL falls back to the SuperLU factor of the same J.
     """
     grid = prob.grid
     v = np.asarray(v0, dtype=float).copy()
@@ -197,12 +279,20 @@ def newton_solve(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig) -> tuple[
                 stage.converged = True
                 return v, stage
             J = jacobian(R, prob)
-            try:
-                lu = spla.splu(J, permc_spec="MMD_AT_PLUS_A")
-            except RuntimeError as exc:  # SuperLU signals exact singularity this way
-                raise SingularSystemError(str(exc), best_v=v, report=stage) from exc
-            delta = lu.solve(-R.full.ravel()).reshape(grid.shape)
-            del lu, J  # one factor at a time: free it before the next is built
+            rhs = -R.full.ravel()
+            delta, iters = _gmres_solve(J, rhs, R, prob) if krylov else (None, 0)
+            if delta is None:
+                if krylov:
+                    stage.lu_fallbacks.append(len(stage.krylov_iters))
+                try:
+                    lu = spla.splu(J, permc_spec="MMD_AT_PLUS_A")
+                except RuntimeError as exc:  # SuperLU signals exact singularity this way
+                    raise SingularSystemError(str(exc), best_v=v, report=stage) from exc
+                delta = lu.solve(rhs)
+                del lu
+            stage.krylov_iters.append(iters)
+            delta = delta.reshape(grid.shape)
+            del J  # one factor at a time: free it before the next is built
             if not np.all(np.isfinite(delta)):
                 raise SingularSystemError("linear solve produced non-finite step",
                                           best_v=v, report=stage)
@@ -310,16 +400,16 @@ def _solve_level(prob: ProblemSpec, cfg: SolverConfig, sched: HomotopySchedule,
     """v = log h solving prob, by nested iteration where a coarser level exists.
 
     The coarser level halves Nr and Nphi (n = 2 only) and must keep Nphi even
-    and at least NESTED_MIN_NPHI.  Its solution, resampled, starts one Newton
-    solve at t = 1 on this grid; any failure on the way falls back to the
-    homotopy on this grid.
+    and at least NESTED_MIN_NPHI.  Its solution, resampled, starts one
+    Newton-Krylov solve at t = 1 on this grid; any failure on the way falls
+    back to the homotopy on this grid.
     """
     grid = prob.grid
     Nr, Nphi = grid.Nr // 2, grid.Nphi // 2
     if grid.spec.n == 2 and Nphi >= NESTED_MIN_NPHI and Nphi % 2 == 0 and Nr >= 6:
         try:
             dv = _coarse_correction(prob, Nr, Nphi, cfg, sched, report)
-            v, stage = newton_solve(np.log(l_field(grid)) + dv, prob, cfg)
+            v, stage = newton_solve(np.log(l_field(grid)) + dv, prob, cfg, krylov=True)
         except (SolverError, NonConvexError):
             pass  # fall back to the homotopy on this grid
         else:
@@ -357,7 +447,12 @@ def continuation_solve(
         raise
     finally:
         report.total_seconds = time.perf_counter() - t_start
-    report.final_residual = residual(v, prob).max_norm()
+    last = report.stages[-1] if report.stages else None
+    if last is not None and last.t == 1.0 and last.grid == [grid.Nr, grid.Nphi]:
+        # that stage evaluated v against homotopy_density(1.0, prob), which is prob.f exactly
+        report.final_residual = last.residuals[-1]
+    else:
+        report.final_residual = residual(v, prob).max_norm()
     return SupportField(h=np.exp(v), grid=grid), report
 
 

@@ -145,19 +145,17 @@ def residual_h_form(h: np.ndarray, prob: ProblemSpec) -> ResidualVector:
     return ResidualVector(full=full, bad_nodes=np.flatnonzero(~good.ravel()))
 
 
-def jacobian(R: ResidualVector, prob: ProblemSpec) -> sp.csc_matrix:
-    """Exact analytic linearization of ``residual`` at the v of R = residual(v, prob).
+def jacobian_coefficients(R: ResidualVector, prob: ProblemSpec) -> dict:
+    """Per-node coefficients of the exact linearization at the v of R = residual(v, prob).
 
-    Interior rows:
+    Interior rows of the linearization:
         tr(B^-1 dB) - (p-q) I - (n+1-q) * (grad v . d grad v) / (1+|grad v|^2)
-    with dB = d hess + dgrad x grad + grad x dgrad.  Boundary rows are the
-    (linear) one-sided d_r stencil.  Requires B(v) positive definite.  The
-    sparsity pattern is the same for every v (``FrameOps.robin_system``).
+    with dB = d hess + dgrad x grad + grad x dgrad, as the keyword arguments
+    of ``FrameOps.robin_system`` and ``FrameOps.mode_system``.  Requires B(v)
+    positive definite.
     """
-    grid = prob.grid
-    n = grid.spec.n
+    n = prob.grid.spec.n
     p, q = prob.pq.p, prob.pq.q
-
     eig_min = R.eig_range[0]
     if eig_min <= 0.0:
         raise NonConvexError(
@@ -168,12 +166,22 @@ def jacobian(R: ResidualVector, prob: ProblemSpec) -> sp.csc_matrix:
     w = (n + 1 - q) / (1.0 + g.norm_sq())
     if n == 1:
         B11, g1 = B.comps[0, 0], g.comps[0]
-        return grid.ops.robin_system(H11=1.0 / B11, D1=(2.0 / B11 - w) * g1, identity=-(p - q))
+        return dict(H11=1.0 / B11, D1=(2.0 / B11 - w) * g1, identity=-(p - q))
     B11, B12, B22 = B.comps[0, 0], B.comps[0, 1], B.comps[1, 1]
     g1, g2 = g.comps[0], g.comps[1]
-    return grid.ops.robin_system(
+    return dict(
         H11=B22 / detB, H12=-2.0 * B12 / detB, H22=B11 / detB,
         D1=2.0 * (B22 * g1 - B12 * g2) / detB - w * g1,
         D2=2.0 * (B11 * g2 - B12 * g1) / detB - w * g2,
         identity=-(p - q),
     )
+
+
+def jacobian(R: ResidualVector, prob: ProblemSpec) -> sp.csc_matrix:
+    """Exact analytic linearization of ``residual`` at the v of R = residual(v, prob).
+
+    Interior rows combine the frame operators with ``jacobian_coefficients``;
+    boundary rows are the (linear) one-sided d_r stencil.  The sparsity
+    pattern is the same for every v (``FrameOps.robin_system``).
+    """
+    return prob.grid.ops.robin_system(**jacobian_coefficients(R, prob))

@@ -17,8 +17,8 @@ from scipy.integrate import quad
 import capillary_minkowski as cm
 from capillary_minkowski import CapSpec, ExponentPair, PolarGrid, cli
 from capillary_minkowski.continuation import start_density
-from capillary_minkowski.ma_system import (ProblemSpec, jacobian, log_gauss_map_matrix,
-                                            residual)
+from capillary_minkowski.ma_system import (ProblemSpec, jacobian, jacobian_coefficients,
+                                            log_gauss_map_matrix, residual)
 
 from conftest import smooth_field
 
@@ -225,6 +225,32 @@ class TestFrameOps:
                 dense = J.toarray()
                 assert np.abs(dense - ref).max() <= 1e-14 * np.abs(ref).max()
                 assert np.array_equal(dense[m:], grid.ops.D1.toarray()[m:])
+
+    @pytest.mark.parametrize("N", [48, 64])
+    @pytest.mark.parametrize("theta_deg", [10.0, 60.0, 85.0])
+    def test_mode_system_inverts_jacobian_at_axisymmetric_v(self, N, theta_deg):
+        # at an axisymmetric v the Jacobian's coefficients are constant on each
+        # ring, so the ring-mean mode blocks invert it; without the pole factor
+        # (-1)^k, read off ghost nodes half a turn away, they do not.  The
+        # coefficients are replaced by their ring means because the residual's
+        # sums leave B12 and g2 at roundoff, which 1/sin r amplifies near the
+        # pole (to 8e-8 in this check at 64^2, theta = 10 deg)
+        grid = PolarGrid(CapSpec(theta=math.radians(theta_deg)), N)
+        pq = ExponentPair(p=3.0, q=1.0)
+        prob = ProblemSpec(grid=grid, pq=pq, f=start_density(grid, pq))
+        R, _ = grid.mesh()
+        v = np.log(cm.l_field(grid)) + 0.05 * (np.sin(R) / grid.spec.sin_theta) ** 2
+        coeffs = jacobian_coefficients(residual(v, prob), prob)
+        ring = {name: np.repeat(c.mean(axis=1, keepdims=True), N, axis=1) if np.ndim(c) else c
+                for name, c in coeffs.items()}
+        x = np.random.default_rng(N).standard_normal(grid.size)
+        Jx = grid.ops.robin_system(**ring) @ x
+        err = np.linalg.norm(grid.ops.mode_system(**coeffs).solve(Jx) - x)
+        assert err <= 1e-8 * np.linalg.norm(x)
+        no_pole_factor = PolarGrid(grid.spec, N)
+        no_pole_factor.pole_map = np.arange(N)  # ghosts at (r, phi) instead of (r, phi + pi)
+        err = np.linalg.norm(no_pole_factor.ops.mode_system(**coeffs).solve(Jx) - x)
+        assert err > 1e-4 * np.linalg.norm(x)
 
     def test_one_dimensional_has_no_angular_terms(self):
         ops = PolarGrid(CapSpec(theta=THETA, n=1), 16).ops

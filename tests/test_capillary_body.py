@@ -237,3 +237,29 @@ class TestObjExport:
         assert idx.min() >= 1 and idx.max() <= len(v_lines)
         loop = [int(x) for x in l_lines[0].split()[1:]]
         assert loop == [int(i) + 1 for i in mesh.boundary_loop]
+
+    def test_matches_plain_loop_reference(self, spec, tmp_path):
+        # reference: the face list and OBJ records built one at a time
+        grid = cm.PolarGrid(spec, 12, 12)
+        R, PHI = grid.mesh()
+        h = cm.l_field(grid) * (1.0 + 0.02 * (np.sin(R) / spec.sin_theta) ** 2 * np.cos(2 * PHI))
+        mesh = cm.embed(cm.SupportField(h=h, grid=grid))
+        Nr, Nphi = grid.shape
+
+        def vid(i, k):
+            return 1 + i * Nphi + (k % Nphi)
+
+        faces = [(0, vid(0, k), vid(0, k + 1)) for k in range(Nphi)]
+        for i in range(Nr - 1):
+            for k in range(Nphi):
+                faces.append((vid(i, k), vid(i + 1, k), vid(i + 1, k + 1)))
+                faces.append((vid(i, k), vid(i + 1, k + 1), vid(i, k + 1)))
+        assert np.array_equal(mesh.faces, np.array(faces))
+        assert np.array_equal(mesh.boundary_loop, [vid(Nr - 1, k) for k in range(Nphi)])
+
+        lines = [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in mesh.vertices]
+        lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.faces]
+        lines.append("l " + " ".join(str(int(i) + 1) for i in mesh.boundary_loop))
+        path = tmp_path / "cap.obj"
+        cm.export_obj(mesh, path)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()

@@ -260,12 +260,12 @@ class TestNested:
         real = continuation.newton_solve
         calls = []
 
-        def fail_first_fine(v0, prob, cfg):
+        def fail_first_fine(v0, prob, cfg, **kwargs):
             if prob.grid.shape == (64, 64):
                 calls.append(prob.grid.shape)
                 if len(calls) == 1:
                     raise MaxIterationsError("injected", best_v=v0)
-            return real(v0, prob, cfg)
+            return real(v0, prob, cfg, **kwargs)
 
         monkeypatch.setattr(continuation, "newton_solve", fail_first_fine)
         sf, rep = cm.continuation_solve(prob64)
@@ -275,6 +275,68 @@ class TestNested:
         assert first_fine > 0 and set(map(tuple, grids[:first_fine])) == {(32, 32)}
         assert grids[first_fine:] == [[64, 64]] * len(direct[1].stages)
         assert rep.t_steps[first_fine:] == direct[1].t_steps
+
+    def test_fine_level_factors_nothing(self, prob64, monkeypatch):
+        # the 64^2 Newton steps run GMRES with the mode-block preconditioner;
+        # only the 32^2 homotopy factors its Jacobians
+        real = continuation.spla.splu
+        sizes = []
+
+        def splu(J, **kwargs):
+            sizes.append(J.shape[0])
+            return real(J, **kwargs)
+
+        monkeypatch.setattr(continuation.spla, "splu", splu)
+        _, rep = cm.continuation_solve(prob64)
+        doc = rep.to_json_dict()
+        assert sizes and set(sizes) == {32 * 32}
+        fine = doc["grids"].index([64, 64])
+        assert min(doc["krylov_iters"][fine]) > 0 and doc["lu_fallbacks"][fine] == []
+        assert len(doc["krylov_iters"][fine]) == doc["newton_iters"][fine]
+        assert set(sum(doc["krylov_iters"][:fine], [])) == {0}
+
+    def test_gmres_miss_falls_back_to_lu(self, prob64, monkeypatch):
+        # a step whose GMRES misses its tolerance is solved by the LU factor of
+        # the same Jacobian, so the result is the all-LU one bit for bit
+        real = continuation.newton_solve
+        with monkeypatch.context() as m:
+            m.setattr(continuation, "newton_solve",
+                      lambda v0, prob, cfg, **kwargs: real(v0, prob, cfg))
+            sf_lu, rep_lu = cm.continuation_solve(prob64)
+        monkeypatch.setattr(continuation.spla, "gmres", lambda A, b, **kwargs: (0.0 * b, 1))
+        sf, rep = cm.continuation_solve(prob64)
+        assert np.array_equal(sf.h, sf_lu.h)
+        doc, doc_lu = rep.to_json_dict(), rep_lu.to_json_dict()
+        fine = doc["grids"].index([64, 64])
+        assert doc["lu_fallbacks"][fine] == list(range(len(doc["krylov_iters"][fine]))) != []
+        for d in (doc, doc_lu):
+            for key in ("timings", "krylov_iters", "lu_fallbacks"):
+                d.pop(key)
+        assert doc == doc_lu
+
+    def test_final_residual_is_the_last_stage_residual(self, prob64, monkeypatch):
+        # the t = 1 stage on the 64^2 grid already evaluated the returned v
+        real_residual, real_newton = continuation.residual, continuation.newton_solve
+        outside = []
+        depth = [0]
+
+        def counted_residual(v, prob):
+            if depth[0] == 0:
+                outside.append(prob.grid.shape)
+            return real_residual(v, prob)
+
+        def newton(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return real_newton(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(continuation, "residual", counted_residual)
+        monkeypatch.setattr(continuation, "newton_solve", newton)
+        _, rep = cm.continuation_solve(prob64)
+        assert outside.count((64, 64)) == 1  # start_residual only
+        assert rep.final_residual == rep.stages[-1].residuals[-1]
 
     def test_grid_without_coarse_level_runs_homotopy(self, prob_start):
         # 32^2 halves to 16^2, below the coarsest level allowed
