@@ -5,7 +5,9 @@ across grids.
 The homotopy f_t = (1-t) f0 + t f interpolates from the start density f0
 (for which h = l solves the problem exactly) to the target f.  Each t-stage
 is solved by Newton with a backtracking line search on the max-norm of the
-residual; stage failures halve the t-step, easy stages double it.  On a grid
+residual; stage failures halve the t-step, easy stages double it.  The
+stages of one march share a SuperLU factor: a step is a chord step with the
+factor of an earlier iterate while that contracts fast enough.  On a grid
 with a coarser level the homotopy runs only on the coarsest level, and each
 finer level starts one Newton solve at t = 1 from the resampled solution,
 whose steps solve by preconditioned GMRES instead of sparse LU.
@@ -34,8 +36,8 @@ from .errors import (
     SolverError,
 )
 # log_gauss_map_matrix is unused here; the benchmark's tracer patches it by this name.
-from .ma_system import (ProblemSpec, jacobian, jacobian_coefficients,  # noqa: F401
-                        log_gauss_map_matrix, residual)
+from .ma_system import (ProblemSpec, ResidualVector, jacobian,  # noqa: F401
+                        jacobian_coefficients, log_gauss_map_matrix, residual)
 
 # Smallest Nphi of a coarser level.  Measured on one 2-core host: a 24^2
 # level under 48^2 speeds up a 96^2 solve (0.53-0.57 s against 0.62-0.66 s),
@@ -48,6 +50,14 @@ NESTED_MIN_NPHI = 24
 # the step is solved with the LU factor instead.
 KRYLOV_RTOL = 1e-6
 KRYLOV_MAX_ITERS = 40
+
+# A chord step (the carried factor of an earlier Jacobian) is accepted when
+# its full step cuts the residual max-norm by this factor; otherwise the
+# factor is dropped and the step is redone exactly.  On the sweep-small
+# benchmark (seed 1) 0.1 cut the factorizations from 179 to 50.  0.25 made
+# 40 in about the same time, but up to 13 Newton steps in a stage against 10
+# with 0.1, nearer the default max_iter of 30.
+CHORD_CONTRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -105,6 +115,21 @@ class NewtonStage:
     tol: float = float("nan")  # the effective tolerance it had to meet
     krylov_iters: list = field(default_factory=list)  # per linear solve; 0 for an LU solve
     lu_fallbacks: list = field(default_factory=list)  # solves (krylov_iters index) redone by LU
+    factorizations: int = 0  # SuperLU factorizations it made
+
+
+@dataclass
+class _Carry:
+    """What one Newton solve of a homotopy march hands to the next.
+
+    ``lu`` is the SuperLU factor of the last Jacobian the march assembled,
+    or None once a chord step with it was refused or a stage failed; ``R`` is
+    the residual of the last accepted stage's solution against that stage's
+    density.
+    """
+
+    lu: object = None
+    R: ResidualVector | None = None
 
 
 @dataclass
@@ -135,6 +160,7 @@ class SolveReport:
             "margins": [list(s.margins) for s in self.stages],
             "krylov_iters": [list(s.krylov_iters) for s in self.stages],
             "lu_fallbacks": [list(s.lu_fallbacks) for s in self.stages],
+            "factorizations": [s.factorizations for s in self.stages],
             "timings": {
                 "total_seconds": self.total_seconds,
                 "stage_seconds": [s.seconds for s in self.stages],
@@ -241,8 +267,30 @@ def _gmres_solve(J, rhs: np.ndarray, R, prob: ProblemSpec) -> tuple[np.ndarray |
     return (M.solve(y) if info == 0 else None), iters
 
 
+def _above_floor(R: ResidualVector, cfg: SolverConfig) -> bool:
+    lo, hi = R.eig_range
+    return lo >= cfg.convexity_floor_rel * hi
+
+
+def _chord_step(lu, v: np.ndarray, rhs: np.ndarray, rnorm: float, prob: ProblemSpec,
+                cfg: SolverConfig) -> tuple[np.ndarray, ResidualVector, float] | None:
+    """(v, R, max-norm of R) after the full step ``lu.solve(rhs)``, or None
+    unless that step cuts the max-norm by CHORD_CONTRACTION and keeps the
+    convexity floor."""
+    delta = lu.solve(rhs).reshape(v.shape)
+    if not np.all(np.isfinite(delta)):
+        return None
+    v_new = v + delta
+    R_new = residual(v_new, prob)
+    rnorm_new = R_new.max_norm()
+    if rnorm_new <= CHORD_CONTRACTION * rnorm and _above_floor(R_new, cfg):
+        return v_new, R_new, rnorm_new
+    return None
+
+
 def newton_solve(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
-                 krylov: bool = False) -> tuple[np.ndarray, NewtonStage]:
+                 krylov: bool = False, carry: _Carry | None = None,
+                 ) -> tuple[np.ndarray, NewtonStage]:
     """Damped Newton on the log-variable residual with a convexity safeguard.
 
     Every accepted iterate keeps B positive definite with min eigenvalue at
@@ -253,6 +301,13 @@ def newton_solve(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
     SuperLU factor, or with ``krylov`` by GMRES preconditioned by the
     ring-mean mode blocks (``FrameOps.mode_system``); a step whose GMRES
     misses KRYLOV_RTOL falls back to the SuperLU factor of the same J.
+
+    With a ``carry`` (the homotopy's), a step is first the chord step with
+    ``carry.lu``, the factor of an earlier iterate's J, taken in full when it
+    cuts the residual by CHORD_CONTRACTION and keeps the convexity floor;
+    otherwise the factor is dropped and the exact step is taken at the same
+    v, whose factor becomes ``carry.lu``.  On success ``carry.R`` holds the
+    residual of the returned iterate.
     """
     grid = prob.grid
     v = np.asarray(v0, dtype=float).copy()
@@ -276,59 +331,78 @@ def newton_solve(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
 
         for _ in range(cfg.max_iter):
             if rnorm <= tol:
-                stage.converged = True
-                return v, stage
-            J = jacobian(R, prob)
+                break
             rhs = -R.full.ravel()
-            delta, iters = _gmres_solve(J, rhs, R, prob) if krylov else (None, 0)
-            if delta is None:
-                if krylov:
-                    stage.lu_fallbacks.append(len(stage.krylov_iters))
-                try:
-                    lu = spla.splu(J, permc_spec="MMD_AT_PLUS_A")
-                except RuntimeError as exc:  # SuperLU signals exact singularity this way
-                    raise SingularSystemError(str(exc), best_v=v, report=stage) from exc
-                delta = lu.solve(rhs)
-                del lu
-            stage.krylov_iters.append(iters)
-            delta = delta.reshape(grid.shape)
-            del J  # one factor at a time: free it before the next is built
-            if not np.all(np.isfinite(delta)):
-                raise SingularSystemError("linear solve produced non-finite step",
-                                          best_v=v, report=stage)
-
-            alpha = 1.0
-            while True:
-                v_new = v + alpha * delta
-                R_new = residual(v_new, prob)
-                rnorm_new = R_new.max_norm()
-                if rnorm_new < rnorm:
-                    lo, hi = R_new.eig_range
-                    if lo >= cfg.convexity_floor_rel * hi:
-                        break
-                alpha *= 0.5
-                if alpha < cfg.min_step:
-                    raise LineSearchStallError(
-                        f"line search stalled at step {alpha:.3e} (residual {rnorm:.3e})",
-                        best_v=v,
-                        report=stage,
-                    )
-            v, R, rnorm = v_new, R_new, rnorm_new
+            chord = None
+            if carry is not None and carry.lu is not None:
+                chord = _chord_step(carry.lu, v, rhs, rnorm, prob, cfg)
+                if chord is None:
+                    carry.lu = None  # one factor at a time: free it before the next is built
+            if chord is not None:
+                (v, R, rnorm), alpha = chord, 1.0
+                stage.krylov_iters.append(0)
+            else:
+                v, R, rnorm, alpha = _exact_step(v, R, rnorm, rhs, prob, cfg, krylov, carry, stage)
             stage.iterations += 1
             stage.residuals.append(rnorm)
-            stage.margins.append(lo)
+            stage.margins.append(R.eig_range[0])
             stage.step_lengths.append(alpha)
 
-        if rnorm <= tol:
-            stage.converged = True
-            return v, stage
-        raise MaxIterationsError(
-            f"no convergence in {cfg.max_iter} iterations (residual {rnorm:.3e})",
-            best_v=v,
-            report=stage,
-        )
+        if rnorm > tol:
+            raise MaxIterationsError(
+                f"no convergence in {cfg.max_iter} iterations (residual {rnorm:.3e})",
+                best_v=v,
+                report=stage,
+            )
+        stage.converged = True
+        if carry is not None:
+            carry.R = R
+        return v, stage
     finally:
         stage.seconds = time.perf_counter() - t0
+
+
+def _exact_step(v: np.ndarray, R: ResidualVector, rnorm: float, rhs: np.ndarray,
+                prob: ProblemSpec, cfg: SolverConfig, krylov: bool, carry: _Carry | None,
+                stage: NewtonStage) -> tuple[np.ndarray, ResidualVector, float, float]:
+    """(v, R, max-norm of R, step length) after one Newton step with the exact
+    J at v and the line search; the SuperLU factor it makes, if any, is kept
+    in ``carry``."""
+    J = jacobian(R, prob)
+    delta, iters = _gmres_solve(J, rhs, R, prob) if krylov else (None, 0)
+    if delta is None:
+        if krylov:
+            stage.lu_fallbacks.append(len(stage.krylov_iters))
+        try:
+            lu = spla.splu(J, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:  # SuperLU signals exact singularity this way
+            raise SingularSystemError(str(exc), best_v=v, report=stage) from exc
+        stage.factorizations += 1
+        delta = lu.solve(rhs)
+        if carry is not None:
+            carry.lu = lu
+        del lu
+    stage.krylov_iters.append(iters)
+    delta = delta.reshape(v.shape)
+    del J  # one factor at a time: free it before the next is built
+    if not np.all(np.isfinite(delta)):
+        raise SingularSystemError("linear solve produced non-finite step",
+                                  best_v=v, report=stage)
+
+    alpha = 1.0
+    while True:
+        v_new = v + alpha * delta
+        R_new = residual(v_new, prob)
+        rnorm_new = R_new.max_norm()
+        if rnorm_new < rnorm and _above_floor(R_new, cfg):
+            return v_new, R_new, rnorm_new, alpha
+        alpha *= 0.5
+        if alpha < cfg.min_step:
+            raise LineSearchStallError(
+                f"line search stalled at step {alpha:.3e} (residual {rnorm:.3e})",
+                best_v=v,
+                report=stage,
+            )
 
 
 def _homotopy(prob: ProblemSpec, cfg: SolverConfig, sched: HomotopySchedule,
@@ -337,19 +411,24 @@ def _homotopy(prob: ProblemSpec, cfg: SolverConfig, sched: HomotopySchedule,
 
     Before every stage the residual against the t = 1 density is probed; if it
     is already within tolerance the march jumps to the end (a constant
-    homotopy therefore costs a single Newton stage).  An explicit schedule
-    visits its t values in order and stalls on the first failed stage; an
-    adaptive one halves the t-step on failure down to the schedule minimum
-    and doubles it after two consecutive easy stages.  Accepted stages are
-    appended to ``report``.
+    homotopy therefore costs a single Newton stage).  The probe reuses the
+    previous stage's last residual, whose density alone differs.  An explicit
+    schedule visits its t values in order and stalls on the first failed
+    stage; an adaptive one halves the t-step on failure down to the schedule
+    minimum and doubles it after two consecutive easy stages: stages with
+    full steps only and at most two factorizations.  The Newton solves share
+    one SuperLU factor through a ``_Carry``, which a failed stage empties and
+    which dies with the march.  Accepted stages are appended to ``report``.
     """
     grid = prob.grid
     v = np.log(l_field(grid))
     tol = effective_tolerance(cfg, grid, v)
     adaptive = sched.t_values is None
     t, dt, easy_streak = 0.0, sched.initial_step, 0
+    carry = _Carry(R=residual(v, prob))
+    f_v = prob.f  # the density carry.R was evaluated against
     while t < 1.0:
-        if residual(v, prob).max_norm() <= tol:
+        if carry.R.with_density(f_v, prob.f).max_norm() <= tol:
             break
         if adaptive:
             t_try = min(1.0, t + dt)
@@ -357,8 +436,9 @@ def _homotopy(prob: ProblemSpec, cfg: SolverConfig, sched: HomotopySchedule,
             t_try = next(s for s in sched.t_values if s > t)
         stage_prob = replace(prob, f=homotopy_density(t_try, prob))
         try:
-            v_new, stage = newton_solve(v, stage_prob, cfg)
+            v_new, stage = newton_solve(v, stage_prob, cfg, carry=carry)
         except SolverError as exc:
+            carry.lu = None
             dt *= 0.5
             if not adaptive or dt < sched.min_step:
                 raise ContinuationStallError(
@@ -370,10 +450,9 @@ def _homotopy(prob: ProblemSpec, cfg: SolverConfig, sched: HomotopySchedule,
             continue
         stage.t = t_try
         report.stages.append(stage)
-        v = v_new
-        t = t_try
+        v, t, f_v = v_new, t_try, stage_prob.f
         if adaptive:
-            easy = stage.iterations <= 4 and all(a == 1.0 for a in stage.step_lengths)
+            easy = stage.factorizations <= 2 and all(a == 1.0 for a in stage.step_lengths)
             easy_streak = easy_streak + 1 if easy else 0
             if easy_streak >= 2:
                 dt = min(2.0 * dt, sched.max_step)

@@ -73,6 +73,16 @@ class ResidualVector:
     def max_norm(self) -> float:
         return float(np.max(np.abs(self.full)))
 
+    def with_density(self, f_from: np.ndarray, f_to: np.ndarray) -> ResidualVector:
+        """This residual, evaluated against density ``f_from``, at the same v against ``f_to``.
+
+        log f enters the interior rows additively, so g, B and det B carry over.
+        """
+        full = self.full.copy()
+        full[:-1] += np.log(f_from[:-1] / f_to[:-1])
+        return ResidualVector(full=full, bad_nodes=self.bad_nodes, g=self.g, B=self.B,
+                              detB=self.detB)
+
     @cached_property
     def eig_range(self) -> tuple[float, float]:  # (min, max) eigenvalue of B over the nodes
         lo, hi = self.B.eig_bounds()

@@ -53,7 +53,7 @@ class TestSolveVerify:
         assert sol.exists() and rep.exists()
         assert (tmp_path / "m.obj").exists()
         report = json.loads(rep.read_text())
-        for key in ("t_steps", "newton_iters", "residuals", "margins",
+        for key in ("t_steps", "newton_iters", "factorizations", "residuals", "margins",
                     "timings", "final_residual", "bound_verification"):
             assert key in report
         assert report["bound_verification"]["all_passed"] is True

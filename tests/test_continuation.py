@@ -215,6 +215,103 @@ class TestContinuation:
             cm.HomotopySchedule(initial_step=0.0)
 
 
+class TestChord:
+    """The homotopy's Newton solves share one SuperLU factor across steps and stages."""
+
+    def test_fewer_factorizations_than_steps(self, prob_harmonic, monkeypatch):
+        calls = {"splu": 0, "jacobian": 0}
+        real_splu, real_jacobian = continuation.spla.splu, continuation.jacobian
+
+        def splu(J, **kwargs):
+            calls["splu"] += 1
+            return real_splu(J, **kwargs)
+
+        def jac(R, prob):
+            calls["jacobian"] += 1
+            return real_jacobian(R, prob)
+
+        monkeypatch.setattr(continuation.spla, "splu", splu)
+        monkeypatch.setattr(continuation, "jacobian", jac)
+        _, rep = cm.continuation_solve(prob_harmonic)
+        doc = rep.to_json_dict()
+        assert calls["splu"] == calls["jacobian"] == sum(doc["factorizations"])
+        assert calls["splu"] < sum(doc["newton_iters"])
+        assert len(doc["factorizations"]) == len(doc["newton_iters"])
+        # the stages of the exact-Newton march (3, 3 and 4 steps); an easy-stage
+        # test counting chord steps instead of factorizations adds t = 0.75
+        assert rep.t_steps == [0.25, 0.5, 1.0]
+
+    def test_refused_chord_steps_give_exact_newton(self, prob_harmonic, monkeypatch):
+        # with contraction 0 every chord step is refused and redone exactly at
+        # the same v, so the march is the exact-Newton one bit for bit
+        real = continuation.newton_solve
+
+        def exact(v0, prob, cfg, carry=None, **kwargs):
+            v, stage = real(v0, prob, cfg, **kwargs)
+            carry.R = ma_system.residual(v, prob)  # what the probe reads
+            return v, stage
+
+        with monkeypatch.context() as m:
+            m.setattr(continuation, "newton_solve", exact)
+            sf_exact, rep_exact = cm.continuation_solve(prob_harmonic)
+        monkeypatch.setattr(continuation, "CHORD_CONTRACTION", 0.0)
+        sf, rep = cm.continuation_solve(prob_harmonic)
+        assert np.array_equal(sf.h, sf_exact.h)
+        assert rep.t_steps == rep_exact.t_steps
+        assert rep.newton_iters == rep_exact.newton_iters
+        assert [s.factorizations for s in rep.stages] == rep.newton_iters
+
+    def test_failed_stage_leaves_no_factor(self, prob_harmonic, monkeypatch):
+        real = continuation.newton_solve
+        factor_at_entry = []
+
+        def fail_second(v0, prob, cfg, carry=None, **kwargs):
+            factor_at_entry.append(carry.lu is not None)
+            out = real(v0, prob, cfg, carry=carry, **kwargs)
+            if len(factor_at_entry) == 2:
+                assert carry.lu is not None
+                raise MaxIterationsError("injected", best_v=v0)
+            return out
+
+        monkeypatch.setattr(continuation, "newton_solve", fail_second)
+        _, rep = cm.continuation_solve(prob_harmonic)
+        assert factor_at_entry[:3] == [False, True, False]
+        assert rep.final_residual <= cm.SolverConfig().tol
+
+    def test_probe_reuses_the_last_stage_residual(self, prob_harmonic, monkeypatch):
+        # between stages the t = 1 probe shifts the last stage's residual to
+        # the target density instead of evaluating B at that v again
+        real_residual, real_newton = continuation.residual, continuation.newton_solve
+        stages, between = [], []
+
+        def counted_residual(v, prob):
+            if stages and stages[-1] == "done":
+                between.append(len(stages))
+            return real_residual(v, prob)
+
+        def newton(*args, **kwargs):
+            stages.append("running")
+            try:
+                return real_newton(*args, **kwargs)
+            finally:
+                stages[-1] = "done"
+
+        monkeypatch.setattr(continuation, "residual", counted_residual)
+        monkeypatch.setattr(continuation, "newton_solve", newton)
+        _, rep = cm.continuation_solve(prob_harmonic)
+        assert len(rep.stages) >= 3 and rep.t_steps[-1] == 1.0
+        assert between == []
+
+    def test_shifted_residual_matches_evaluation(self, grid32, prob_harmonic):
+        v = np.log(1.1 * cm.l_field(grid32))
+        f_t = cm.homotopy_density(0.5, prob_harmonic)
+        R_t = ma_system.residual(v, ProblemSpec(grid=grid32, pq=prob_harmonic.pq, f=f_t))
+        shifted = R_t.with_density(f_t, prob_harmonic.f)
+        np.testing.assert_allclose(shifted.full, ma_system.residual(v, prob_harmonic).full,
+                                   rtol=0.0, atol=1e-13)
+        assert shifted.B is R_t.B
+
+
 class TestNested:
     """64^2 solves run the homotopy on 32^2 and finish with one Newton solve at t = 1."""
 
@@ -301,7 +398,7 @@ class TestNested:
         real = continuation.newton_solve
         with monkeypatch.context() as m:
             m.setattr(continuation, "newton_solve",
-                      lambda v0, prob, cfg, **kwargs: real(v0, prob, cfg))
+                      lambda v0, prob, cfg, krylov=False, **kwargs: real(v0, prob, cfg, **kwargs))
             sf_lu, rep_lu = cm.continuation_solve(prob64)
         monkeypatch.setattr(continuation.spla, "gmres", lambda A, b, **kwargs: (0.0 * b, 1))
         sf, rep = cm.continuation_solve(prob64)
