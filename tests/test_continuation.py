@@ -1,5 +1,7 @@
 """Newton + homotopy continuation driver tests."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from capillary_minkowski.errors import (
     LineSearchStallError,
     MaxIterationsError,
     NonConvexError,
+    SingularSystemError,
 )
 from capillary_minkowski.ma_system import ProblemSpec
 
@@ -27,6 +30,13 @@ def prob_harmonic(grid32, pq31):
     R, PHI = grid32.mesh()
     f = 1.0 + 0.3 * (np.sin(R) / grid32.spec.sin_theta) ** 2 * np.cos(2 * PHI) * np.cos(R)
     return ProblemSpec(grid=grid32, pq=pq31, f=f)
+
+
+class _NanFactor:
+    """A stand-in SuperLU factor whose solves are all NaN."""
+
+    def solve(self, rhs):
+        return np.full_like(rhs, np.nan)
 
 
 class TestHomotopyDensity:
@@ -107,6 +117,27 @@ class TestNewton:
         assert stage.converged and stage.iterations >= 2
         assert calls["residual"] > stage.iterations
         assert len(set(calls.values())) == 1, calls
+
+    def test_singular_factorization_reports_the_start(self, grid32, prob_harmonic, monkeypatch):
+        def splu(J, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(continuation.spla, "splu", splu)
+        v0 = np.log(cm.l_field(grid32))
+        with pytest.raises(SingularSystemError, match="exactly singular") as exc:
+            cm.newton_solve(v0, prob_harmonic, cm.SolverConfig())
+        assert np.array_equal(exc.value.best_v, v0)
+        stage = exc.value.report
+        assert isinstance(stage, continuation.NewtonStage)
+        assert stage.iterations == 0 and len(stage.residuals) == 1
+
+    def test_non_finite_step_raises_singular(self, grid32, prob_harmonic, monkeypatch):
+        monkeypatch.setattr(continuation.spla, "splu", lambda J, **kwargs: _NanFactor())
+        v0 = np.log(cm.l_field(grid32))
+        with pytest.raises(SingularSystemError, match="non-finite step") as exc:
+            cm.newton_solve(v0, prob_harmonic, cm.SolverConfig())
+        assert np.array_equal(exc.value.best_v, v0)
+        assert exc.value.report.iterations == 0
 
     def test_convexity_margins_recorded_positive(self, grid32, prob_harmonic):
         _, stage = cm.newton_solve(np.log(cm.l_field(grid32)), prob_harmonic,
@@ -260,6 +291,47 @@ class TestChord:
         assert rep.t_steps == rep_exact.t_steps
         assert rep.newton_iters == rep_exact.newton_iters
         assert [s.factorizations for s in rep.stages] == rep.newton_iters
+
+    def test_non_finite_chord_step_is_refused(self, grid32, prob_harmonic):
+        # a carried factor whose step is not finite is dropped, and the solve
+        # is the one that starts without a factor
+        v0, cfg = np.log(cm.l_field(grid32)), cm.SolverConfig()
+        v_ref, stage_ref = cm.newton_solve(v0, prob_harmonic, cfg, carry=continuation._Carry())
+        carry = continuation._Carry(lu=_NanFactor())
+        v, stage = cm.newton_solve(v0, prob_harmonic, cfg, carry=carry)
+        assert np.array_equal(v, v_ref)
+        assert stage.iterations == stage_ref.iterations
+        assert stage.factorizations == stage_ref.factorizations
+        assert not isinstance(carry.lu, _NanFactor)
+
+    def test_one_factor_at_a_time(self, prob_harmonic, monkeypatch):
+        # a refused chord step frees the carried factor before the next one is
+        # built, so a march never holds two factors at once
+        real_splu, real_newton = continuation.spla.splu, continuation.newton_solve
+        carries, live, held = [], weakref.WeakSet(), []
+
+        class Factor:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, rhs):
+                return self.lu.solve(rhs)
+
+        def splu(J, **kwargs):
+            held.append((carries[-1].lu is not None, len(live)))
+            factor = Factor(real_splu(J, **kwargs))
+            live.add(factor)
+            return factor
+
+        def newton(v0, prob, cfg, carry=None, **kwargs):
+            carries.append(carry)
+            return real_newton(v0, prob, cfg, carry=carry, **kwargs)
+
+        monkeypatch.setattr(continuation.spla, "splu", splu)
+        monkeypatch.setattr(continuation, "newton_solve", newton)
+        _, rep = cm.continuation_solve(prob_harmonic)
+        assert len(held) == sum(s.factorizations for s in rep.stages) >= 2
+        assert held == [(False, 0)] * len(held)
 
     def test_failed_stage_leaves_no_factor(self, prob_harmonic, monkeypatch):
         real = continuation.newton_solve
