@@ -137,6 +137,7 @@ class SolveReport:
     """Aggregated continuation history plus verification hooks."""
 
     stages: list = field(default_factory=list)
+    requested_tol: float = float("nan")  # SolverConfig.tol; each stage's tol is the effective one
     start_residual: float = float("nan")
     final_residual: float = float("nan")
     total_seconds: float = 0.0
@@ -154,6 +155,7 @@ class SolveReport:
         out = {
             "t_steps": self.t_steps,
             "grids": [list(s.grid) for s in self.stages],
+            "requested_tol": self.requested_tol,
             "tols": [s.tol for s in self.stages],
             "newton_iters": self.newton_iters,
             "residuals": [list(s.residuals) for s in self.stages],
@@ -267,25 +269,39 @@ def _gmres_solve(J, rhs: np.ndarray, R, prob: ProblemSpec) -> tuple[np.ndarray |
     return (M.solve(y) if info == 0 else None), iters
 
 
-def _above_floor(R: ResidualVector, cfg: SolverConfig) -> bool:
-    lo, hi = R.eig_range
-    return lo >= cfg.convexity_floor_rel * hi
-
-
-def _chord_step(lu, v: np.ndarray, rhs: np.ndarray, rnorm: float, prob: ProblemSpec,
-                cfg: SolverConfig) -> tuple[np.ndarray, ResidualVector, float] | None:
-    """(v, R, max-norm of R) after the full step ``lu.solve(rhs)``, or None
-    unless that step cuts the max-norm by CHORD_CONTRACTION and keeps the
-    convexity floor."""
-    delta = lu.solve(rhs).reshape(v.shape)
-    if not np.all(np.isfinite(delta)):
-        return None
+def _trial(v: np.ndarray, delta: np.ndarray, prob: ProblemSpec,
+           cfg: SolverConfig) -> tuple[np.ndarray, ResidualVector, float]:
+    """(v + delta, its residual, its merit): the residual max-norm, or +inf
+    when B(v + delta) breaks the convexity floor."""
     v_new = v + delta
     R_new = residual(v_new, prob)
-    rnorm_new = R_new.max_norm()
-    if rnorm_new <= CHORD_CONTRACTION * rnorm and _above_floor(R_new, cfg):
-        return v_new, R_new, rnorm_new
-    return None
+    lo, hi = R_new.eig_range
+    return v_new, R_new, R_new.max_norm() if lo >= cfg.convexity_floor_rel * hi else np.inf
+
+
+def _newton_direction(v: np.ndarray, R: ResidualVector, prob: ProblemSpec, krylov: bool,
+                      carry: _Carry | None, stage: NewtonStage) -> np.ndarray:
+    """The solution delta of J delta = -R with the exact J at v; the SuperLU
+    factor it makes, if any, is kept in ``carry``."""
+    rhs = -R.full.ravel()
+    J = jacobian(R, prob)
+    delta, iters = _gmres_solve(J, rhs, R, prob) if krylov else (None, 0)
+    if delta is None:
+        if krylov:
+            stage.lu_fallbacks.append(len(stage.krylov_iters))
+        try:
+            lu = spla.splu(J, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:  # SuperLU signals exact singularity this way
+            raise SingularSystemError(str(exc), best_v=v, report=stage) from exc
+        stage.factorizations += 1
+        delta = lu.solve(rhs)
+        if carry is not None:
+            carry.lu = lu
+    stage.krylov_iters.append(iters)
+    if not np.all(np.isfinite(delta)):
+        raise SingularSystemError("linear solve produced non-finite step",
+                                  best_v=v, report=stage)
+    return delta.reshape(v.shape)
 
 
 def newton_solve(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
@@ -293,21 +309,18 @@ def newton_solve(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
                  ) -> tuple[np.ndarray, NewtonStage]:
     """Damped Newton on the log-variable residual with a convexity safeguard.
 
-    Every accepted iterate keeps B positive definite with min eigenvalue at
-    least convexity_floor_rel times the max eigenvalue; candidates violating
-    the floor or failing strict max-norm decrease are rejected by the
-    step-halving line search (the +inf sentinel makes indefinite candidates
-    compare as worst).  Each step solves with the exact Jacobian J: by a
-    SuperLU factor, or with ``krylov`` by GMRES preconditioned by the
-    ring-mean mode blocks (``FrameOps.mode_system``); a step whose GMRES
-    misses KRYLOV_RTOL falls back to the SuperLU factor of the same J.
-
-    With a ``carry`` (the homotopy's), a step is first the chord step with
-    ``carry.lu``, the factor of an earlier iterate's J, taken in full when it
-    cuts the residual by CHORD_CONTRACTION and keeps the convexity floor;
-    otherwise the factor is dropped and the exact step is taken at the same
-    v, whose factor becomes ``carry.lu``.  On success ``carry.R`` holds the
-    residual of the returned iterate.
+    While ``carry`` (the homotopy's) holds ``carry.lu``, the factor of an
+    earlier iterate's J, a step is first the full chord step with it, kept
+    when its merit is at most CHORD_CONTRACTION times the residual max-norm;
+    a refused one drops the factor before any other is built.  Otherwise the
+    exact direction at v is line-searched by step halving until the merit
+    falls strictly below the residual max-norm.  A trial's merit is its
+    residual max-norm, or +inf when B breaks the floor of convexity_floor_rel
+    times its max eigenvalue, which every accepted iterate therefore keeps.
+    The exact J is solved by a SuperLU factor, which becomes ``carry.lu``, or
+    with ``krylov`` by GMRES preconditioned by the ring-mean mode blocks
+    (``FrameOps.mode_system``), which falls back to that factor when it misses
+    KRYLOV_RTOL.  On success ``carry.R`` holds the returned iterate's residual.
     """
     grid = prob.grid
     v = np.asarray(v0, dtype=float).copy()
@@ -329,80 +342,42 @@ def newton_solve(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
         stage.residuals.append(rnorm)
         stage.margins.append(eig_lo)
 
-        for _ in range(cfg.max_iter):
-            if rnorm <= tol:
-                break
-            rhs = -R.full.ravel()
-            chord = None
+        while rnorm > tol:
+            if stage.iterations == cfg.max_iter:
+                raise MaxIterationsError(
+                    f"no convergence in {cfg.max_iter} iterations (residual {rnorm:.3e})",
+                    best_v=v,
+                    report=stage,
+                )
+            alpha, trial = 1.0, None
             if carry is not None and carry.lu is not None:
-                chord = _chord_step(carry.lu, v, rhs, rnorm, prob, cfg)
-                if chord is None:
-                    carry.lu = None  # one factor at a time: free it before the next is built
-            if chord is not None:
-                (v, R, rnorm), alpha = chord, 1.0
-                stage.krylov_iters.append(0)
-            else:
-                v, R, rnorm, alpha = _exact_step(v, R, rnorm, rhs, prob, cfg, krylov, carry, stage)
+                trial = _trial(v, carry.lu.solve(-R.full.ravel()).reshape(v.shape), prob, cfg)
+                if trial[2] <= CHORD_CONTRACTION * rnorm:
+                    stage.krylov_iters.append(0)
+                else:  # one factor at a time: free it before the next is built
+                    trial = carry.lu = None
+            if trial is None:
+                delta = _newton_direction(v, R, prob, krylov, carry, stage)
+                while not (trial := _trial(v, alpha * delta, prob, cfg))[2] < rnorm:
+                    alpha *= 0.5
+                    if alpha < cfg.min_step:
+                        raise LineSearchStallError(
+                            f"line search stalled at step {alpha:.3e} (residual {rnorm:.3e})",
+                            best_v=v,
+                            report=stage,
+                        )
+            v, R, rnorm = trial
             stage.iterations += 1
             stage.residuals.append(rnorm)
             stage.margins.append(R.eig_range[0])
             stage.step_lengths.append(alpha)
 
-        if rnorm > tol:
-            raise MaxIterationsError(
-                f"no convergence in {cfg.max_iter} iterations (residual {rnorm:.3e})",
-                best_v=v,
-                report=stage,
-            )
         stage.converged = True
         if carry is not None:
             carry.R = R
         return v, stage
     finally:
         stage.seconds = time.perf_counter() - t0
-
-
-def _exact_step(v: np.ndarray, R: ResidualVector, rnorm: float, rhs: np.ndarray,
-                prob: ProblemSpec, cfg: SolverConfig, krylov: bool, carry: _Carry | None,
-                stage: NewtonStage) -> tuple[np.ndarray, ResidualVector, float, float]:
-    """(v, R, max-norm of R, step length) after one Newton step with the exact
-    J at v and the line search; the SuperLU factor it makes, if any, is kept
-    in ``carry``."""
-    J = jacobian(R, prob)
-    delta, iters = _gmres_solve(J, rhs, R, prob) if krylov else (None, 0)
-    if delta is None:
-        if krylov:
-            stage.lu_fallbacks.append(len(stage.krylov_iters))
-        try:
-            lu = spla.splu(J, permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:  # SuperLU signals exact singularity this way
-            raise SingularSystemError(str(exc), best_v=v, report=stage) from exc
-        stage.factorizations += 1
-        delta = lu.solve(rhs)
-        if carry is not None:
-            carry.lu = lu
-        del lu
-    stage.krylov_iters.append(iters)
-    delta = delta.reshape(v.shape)
-    del J  # one factor at a time: free it before the next is built
-    if not np.all(np.isfinite(delta)):
-        raise SingularSystemError("linear solve produced non-finite step",
-                                  best_v=v, report=stage)
-
-    alpha = 1.0
-    while True:
-        v_new = v + alpha * delta
-        R_new = residual(v_new, prob)
-        rnorm_new = R_new.max_norm()
-        if rnorm_new < rnorm and _above_floor(R_new, cfg):
-            return v_new, R_new, rnorm_new, alpha
-        alpha *= 0.5
-        if alpha < cfg.min_step:
-            raise LineSearchStallError(
-                f"line search stalled at step {alpha:.3e} (residual {rnorm:.3e})",
-                best_v=v,
-                report=stage,
-            )
 
 
 def _homotopy(prob: ProblemSpec, cfg: SolverConfig, sched: HomotopySchedule,
@@ -515,7 +490,7 @@ def continuation_solve(
     sched = sched or HomotopySchedule()
     grid = prob.grid
 
-    report = SolveReport()
+    report = SolveReport(requested_tol=cfg.tol)
     t_start = time.perf_counter()
     report.start_residual = residual(np.log(l_field(grid)),
                                      replace(prob, f=homotopy_density(0.0, prob))).max_norm()

@@ -414,6 +414,7 @@ class TestNested:
         assert len(doc["grids"]) == len(doc["tols"]) == len(doc["t_steps"])
         assert doc["grids"][:-1] == [[32, 32]] * (len(doc["grids"]) - 1)
         assert doc["grids"][-1] == [64, 64] and doc["t_steps"][-1] == 1.0
+        assert doc["requested_tol"] == cm.SolverConfig().tol
         assert all(tol >= cm.SolverConfig().tol for tol in doc["tols"])
         assert doc["final_residual"] <= doc["tols"][-1]
 
