@@ -19,7 +19,7 @@ from .capillary_body import (
     capillary_support,
     measure_density,
 )
-from .cap_chart import grad, l_field
+from .cap_chart import grad, l_field, normal_derivative
 from .errors import InvalidExponentsError
 from .ma_system import ProblemSpec
 
@@ -182,9 +182,7 @@ def verify(sf: SupportField, prob: ProblemSpec, newton_tol: float = 1e-9) -> Ver
         ident.u_identity_max <= id_tol_u, id_tol_u - ident.u_identity_max,
     ))
 
-    robin_v = float(np.max(np.abs(
-        grid.apply(grid.ops.D1, np.log(sf.h))[grid.boundary_ring] - grid.spec.cot_theta
-    )))
+    robin_v = float(np.max(np.abs(normal_derivative(np.log(sf.h), grid) - grid.spec.cot_theta)))
     robin_tol = max(10.0 * newton_tol, 1e-12)
     report.checks.append(CheckResult(
         "robin", robin_v, robin_tol, robin_v <= robin_tol, robin_tol - robin_v,

@@ -9,12 +9,12 @@ angular nodes.  Crossing the pole identifies (r, phi) with (-r, phi + pi),
 which supplies ghost values for radial stencils on the innermost rings.
 
 Frame components refer to the orthonormal frame {d_r, (1/sin r) d_phi}; the
-frame gradient and Hessian are defined once, as the sparse matrices of
-``FrameOps``, built per grid on first use (``PolarGrid.ops``).  Angular
-stencils are fourth order everywhere and the radial first derivative is
-fourth order on the inner half of the cap: the Christoffel factors cot(r) and
-1/sin(r)^2 amplify truncation errors by 1/r near the pole, and the extra order
-is what keeps gradient/Hessian errors O(max spacing^2) in the max norm.
+frame gradient and Hessian are defined once, as per-ring ``Stencil`` tables
+that ``PolarGrid.ops`` expands into the sparse matrices of ``FrameOps``.
+Angular stencils are fourth order everywhere and the radial first derivative
+is fourth order on the inner half of the cap: the Christoffel factors cot(r)
+and 1/sin(r)^2 amplify truncation errors by 1/r near the pole, and the extra
+order is what keeps gradient/Hessian errors O(max spacing^2) in the max norm.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,8 +67,9 @@ class CapSpec:
 class FrameOps:
     """Sparse matrix form of the frame calculus on the flattened (Nr*Nphi) grid.
 
-    The only definition of the chart formulas (Christoffel symbols of
-    dr^2 + sin^2 r dphi^2, orthonormal frame {d_r, (1/sin r) d_phi}):
+    Each matrix expands over phi the per-ring table of the same name in
+    ``stencils``, the one definition of the chart formulas (Christoffel symbols
+    of dr^2 + sin^2 r dphi^2, orthonormal frame {d_r, (1/sin r) d_phi}):
       D1  = d_r                        D2  = (1/sin r) d_phi
       H11 = d_rr                       H12 = (d_rphi - cot r d_phi) / sin r
       H22 = d_phiphi / sin^2 r + cot r d_r
@@ -77,10 +79,11 @@ class FrameOps:
 
     D1: sp.csr_matrix
     H11: sp.csr_matrix
-    D2: sp.csr_matrix | None
-    H12: sp.csr_matrix | None
-    H22: sp.csr_matrix | None
     n_interior: int
+    stencils: dict
+    D2: sp.csr_matrix | None = None
+    H12: sp.csr_matrix | None = None
+    H22: sp.csr_matrix | None = None
 
     @property
     def _terms(self) -> dict:
@@ -138,31 +141,26 @@ class FrameOps:
     def _modes(self):
         """Band layout of ``mode_system`` and each term's mode symbols in it.
 
-        Every term is circulant in phi on each ring, so node (i, 0) holds ring
-        i's stencil.  Its entry a at node (i', j) adds a exp(2 pi i j k / Nphi)
-        to entry (i, i') of the radial block of angular mode k.  Ghost nodes
-        across the pole sit half a turn away, so the pole closure multiplies
-        their phase by (-1)^k; an odd angular stencil (d_phi) has an imaginary
-        symbol.  Rows are the ones ``_pattern`` uses: every term's interior
-        rings and D1's rim ring.
+        Table entry (i, j, s, w) of a term adds w exp(2 pi i s k / Nphi) to
+        entry (i, j) of the radial block of angular mode k.  A ghost's shift
+        Nphi/2 makes its phase (-1)^k.  Rows are the ones ``_pattern`` uses:
+        every term's interior rings and D1's rim ring.
         """
-        N, m = self.D1.shape[0], self.n_interior
-        Nphi = N - m
-        Nr = N // Nphi
+        Nphi = self.D1.shape[0] - self.n_interior
+        Nr = self.D1.shape[0] // Nphi
         jk = np.outer(np.arange(Nphi), np.arange(Nphi // 2 + 1)) % Nphi
-        phases = np.exp(2j * np.pi / Nphi * jk)  # (phi offset j, mode k)
-        first = np.arange(0, N, Nphi)  # node (i, 0) of every ring, rim last
+        phases = np.exp(2j * np.pi / Nphi * jk)  # (shift s, mode k)
 
-        def symbols(op, rings):
-            ent = op[first[rings]].tocoo()
-            pos, inv = np.unique(ent.row * Nr + ent.col // Nphi, return_inverse=True)
-            stencil = sp.csr_matrix((ent.data, (inv, ent.col % Nphi)), shape=(pos.size, Nphi))
-            return pos, (stencil @ phases).T  # (modes, entries)
+        def symbols(t, keep):
+            pos, inv = np.unique((t.ring * Nr + t.src)[keep], return_inverse=True)
+            sym = np.zeros((pos.size, phases.shape[1]), dtype=complex)
+            np.add.at(sym, inv, t.weight[keep, None] * phases[t.shift[keep]])
+            return pos, sym.T  # (modes, entries)
 
-        interior = np.arange(Nr - 1)
-        parts = {name: symbols(op, interior) for name, op in self._terms.items()}
-        rim_pos, rim_sym = symbols(self.D1, np.array([Nr - 1]))
-        rim_pos += (Nr - 1) * Nr  # symbols() numbers its rows from 0
+        rings, D1 = np.arange(Nr), self.stencils["D1"]
+        tables = dict(self.stencils, identity=Stencil(rings, rings, 0 * rings, np.ones(Nr)))
+        parts = {name: symbols(t, t.ring < Nr - 1) for name, t in tables.items()}
+        rim_pos, rim_sym = symbols(D1, D1.ring == Nr - 1)
         keys = np.unique(np.concatenate([pos for pos, _ in parts.values()] + [rim_pos]))
         row, col = np.divmod(keys, Nr)
         kl, ku = int(np.max(row - col)), int(np.max(col - row))
@@ -215,8 +213,18 @@ class ModeFactor:
         return np.fft.irfft(modes, n=self.shape[1], axis=1).ravel()
 
 
-def _diag(x: np.ndarray) -> sp.dia_matrix:
-    return sp.diags(np.ascontiguousarray(x).ravel())
+class Stencil(NamedTuple):
+    """Per-ring table of a frame operator: entry (i, j, s, w) gives every node
+    (i, k) the weight w at node (j, k + s mod Nphi)."""
+
+    ring: np.ndarray
+    src: np.ndarray
+    shift: np.ndarray
+    weight: np.ndarray
+
+    def scaled(self, x: np.ndarray) -> Stencil:
+        """Row (i, k) multiplied by x[i]."""
+        return self._replace(weight=self.weight * x[self.ring])
 
 
 class PolarGrid:
@@ -281,34 +289,42 @@ class PolarGrid:
         w_r = 2.0 * (edges[1:] - edges[:-1])
         return w_r[:, None].copy()
 
-    def _rows_to_csr(self, rows) -> sp.csr_matrix:
-        """Assemble per-ring stencil rows: node (i, k) gets coeff at (ring, k + shift)."""
-        N = self.Nr * self.Nphi
-        k = np.arange(self.Nphi)
-        ri, ci, data = [], [], []
-        for i, row in enumerate(rows):
-            base = i * self.Nphi
-            for ring, shift, coeff in row:
-                ri.append(base + k)
-                ci.append(ring * self.Nphi + (k + shift) % self.Nphi)
-                data.append(np.full(self.Nphi, coeff))
-        mat = sp.coo_matrix(
-            (np.concatenate(data), (np.concatenate(ri), np.concatenate(ci))),
-            shape=(N, N),
-        )
-        return mat.tocsr()
+    def _merge(self, *parts: Stencil) -> Stencil:
+        """``parts`` as one table sorted by (ring, source ring, shift mod Nphi).  A
+        source ring j < 0 is the ghost across the pole: ring -1 - j at ``pole_map``.
+        Entries of one key are summed in order; sums of exactly 0.0 go, as in sparse products."""
+        ring, src, shift, weight = (np.concatenate(a) for a in zip(*parts))
+        ghost = src < 0
+        key, inv = np.unique((ring * self.Nr + np.where(ghost, -1 - src, src)) * self.Nphi
+                             + (shift + ghost * int(self.pole_map[0])) % self.Nphi,
+                             return_inverse=True)
+        weight = np.bincount(inv, weights=weight)
+        keep = weight != 0.0
+        ring_src, shift = np.divmod(key[keep], self.Nphi)
+        return Stencil(*np.divmod(ring_src, self.Nr), shift, weight[keep])
 
-    def _radial_csr(self, stencil) -> sp.csr_matrix:
-        """Assemble stencil(i) = [(ring offset, coeff), ...] for every ring i; rings
-        below 0 are ghosts across the pole, (-r, phi) ~ (r, phi + pi), read at
-        ``pole_map``."""
-        half = int(self.pole_map[0])
-        return self._rows_to_csr([[(i + o, 0, c) if i + o >= 0 else (-1 - i - o, half, c)
-                                   for o, c in stencil(i)] for i in range(self.Nr)])
+    def _stencil(self, offsets, w_r, shifts=(0,), w_phi=(1.0,)) -> Stencil:
+        """Merged table of a radial stencil (offsets, weights w_r[ring, m] or w_r[m])
+        times an angular one (shifts, w_phi); zero weights pad rows and add nothing."""
+        ring = np.arange(self.Nr)
+        w = np.broadcast_to(w_r, (self.Nr, len(offsets)))[:, :, None] * np.asarray(w_phi)
+        return self._merge(Stencil(np.repeat(ring, w[0].size),
+                                   np.repeat(ring[:, None] + offsets, len(shifts)),
+                                   np.resize(shifts, w.size), w.ravel()))
 
-    def _angular_csr(self, offsets, coeffs) -> sp.csr_matrix:
-        return self._rows_to_csr([[(i, off, c) for off, c in zip(offsets, coeffs)]
-                                  for i in range(self.Nr)])
+    def _csr(self, t: Stencil) -> sp.csr_matrix:
+        """A merged table expanded over phi, as a CSR matrix with sorted rows."""
+        Nphi, k = self.Nphi, np.arange(self.Nphi)
+        count = np.bincount(t.ring, minlength=self.Nr)
+        first = (np.cumsum(count) - count)[t.ring]  # row (i, k): data[first * Nphi + k * count:]
+        dest = (first * (Nphi - 1) + np.arange(t.ring.size))[:, None] + count[t.ring][:, None] * k
+        indices, data = np.empty(dest.size, dtype=np.int32), np.empty(dest.size)
+        indices[dest] = (t.src * Nphi)[:, None] + (t.shift[:, None] + k) % Nphi
+        data[dest] = t.weight[:, None]
+        mat = sp.csr_matrix((data, indices, np.append(0, np.cumsum(np.repeat(count, Nphi)))),
+                            shape=(self.size, self.size))
+        mat.sort_indices()  # a merged table has one entry per column, so this only orders them
+        return mat
 
     # -- conveniences ----------------------------------------------------------
 
@@ -341,46 +357,30 @@ class PolarGrid:
 
     @cached_property
     def ops(self) -> FrameOps:
-        """The frame operators of this grid, built on first use.
-
-        Formed once per grid so that a Jacobian assembly only fills its
-        field-dependent coefficients into ``FrameOps.robin_system``; building
-        them lazily keeps grid construction cheap.
-        """
-        Nr, dr, r_cut = self.Nr, self.dr, 0.5 * self.spec.theta
-
-        def d_r(i):  # one-sided on the rim, fourth order on the inner half of the cap
-            if i == Nr - 1:
-                return [(-2, 1.0 / (2 * dr)), (-1, -4.0 / (2 * dr)), (0, 3.0 / (2 * dr))]
-            if self.r[i] <= r_cut and i <= Nr - 3:
-                return [(o, c / (12 * dr)) for o, c in [(-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)]]
-            return [(-1, -1.0 / (2 * dr)), (1, 1.0 / (2 * dr))]
-
-        def d_rr(i):  # one-sided on the rim
-            st = [(-3, -1.0), (-2, 4.0), (-1, -5.0), (0, 2.0)] if i == Nr - 1 \
-                else [(-1, 1.0), (0, -2.0), (1, 1.0)]
-            return [(o, c / dr**2) for o, c in st]
-
-        Dr, Drr = self._radial_csr(d_r), self._radial_csr(d_rr)
-        D2 = H12 = H22 = None
+        """The frame operators of this grid, built on first use: a Jacobian
+        assembly only fills its coefficients into ``FrameOps.robin_system``,
+        and building them lazily keeps grid construction cheap."""
+        Nr, dr = self.Nr, self.dr
+        # fourth-order, second-order and one-sided rim rows; zero weights pad them
+        kind = np.where((self.r <= 0.5 * self.spec.theta) & (np.arange(Nr) <= Nr - 3), 0, 1)
+        kind[-1] = 2
+        d_r = [-2, -1, 0, 1, 2], np.stack([np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12 * dr),
+                                           np.array([0.0, -1.0, 0.0, 1.0, 0.0]) / (2 * dr),
+                                           np.array([1.0, -4.0, 3.0, 0.0, 0.0]) / (2 * dr)])[kind]
+        d_rr = [-3, -2, -1, 0, 1], \
+            np.array([[0.0, 0.0, 1.0, -2.0, 1.0], [-1.0, 4.0, -5.0, 2.0, 0.0]])[kind // 2] / dr**2
+        stencils = {"D1": self._stencil(*d_r), "H11": self._stencil(*d_rr)}
         if self.spec.n == 2:
-            dphi = self.dphi
-            Dphi = self._angular_csr([-2, -1, 1, 2],
-                                     np.array([1.0, -8.0, 8.0, -1.0]) / (12 * dphi))
-            Dphiphi = self._angular_csr([-2, -1, 0, 1, 2],
-                                        np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12 * dphi**2))
-            Drphi = (Dr @ Dphi).tocsr()
-            inv_sin = np.repeat(1.0 / self.sin_r[:, None], self.Nphi, axis=1)
-            cot = np.repeat(self.cot_r[:, None], self.Nphi, axis=1)
-            D2 = _diag(inv_sin) @ Dphi
-            H12 = _diag(inv_sin) @ (Drphi - _diag(cot) @ Dphi)
-            H22 = _diag(inv_sin**2) @ Dphiphi + _diag(cot) @ Dr
-            for mat in (D2, H12, H22):
-                # products leave column indices unsorted, and a later abs() would
-                # sort them in place and change the summation order of products
-                mat.sum_duplicates()
-        return FrameOps(D1=Dr, H11=Drr, D2=D2, H12=H12, H22=H22,
-                        n_interior=self.boundary_ring * self.Nphi)
+            d_phi = [-2, -1, 1, 2], np.array([1.0, -8.0, 8.0, -1.0]) / (12 * self.dphi)
+            d_phiphi = [-2, -1, 0, 1, 2], \
+                np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12 * self.dphi**2)
+            Dphi, inv_sin, cot = self._stencil([0], [1.0], *d_phi), 1.0 / self.sin_r, self.cot_r
+            stencils["D2"] = Dphi.scaled(inv_sin)
+            stencils["H12"] = self._merge(self._stencil(*d_r, *d_phi), Dphi.scaled(-cot)).scaled(inv_sin)
+            stencils["H22"] = self._merge(self._stencil([0], [1.0], *d_phiphi).scaled(inv_sin**2),
+                                          stencils["D1"].scaled(cot))
+        return FrameOps(**{name: self._csr(t) for name, t in stencils.items()},
+                        n_interior=self.boundary_ring * self.Nphi, stencils=stencils)
 
     @cached_property
     def stencil_amplification(self) -> float:
@@ -391,9 +391,8 @@ class PolarGrid:
         below roughly eps * amplification * |field|, which matters near the
         pole where 1/sin(r)^2 is large.
         """
-        ops = self.ops
-        hess = [ops.H11] if self.spec.n == 1 else [ops.H11, ops.H12, ops.H22]
-        return float(max(abs(op).sum(axis=1).max() for op in hess))
+        hess = [t for name, t in self.ops.stencils.items() if name in ("H11", "H12", "H22")]
+        return float(max(np.bincount(t.ring, weights=np.abs(t.weight)).max() for t in hess))
 
 
 @dataclass

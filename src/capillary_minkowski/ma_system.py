@@ -19,7 +19,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .cap_chart import CapSpec, FrameSymMatrix, FrameVector, PolarGrid, grad, hessian
+from .cap_chart import (CapSpec, FrameSymMatrix, FrameVector, PolarGrid, grad, hessian,
+                        normal_derivative)
 from .capillary_body import ExponentPair, SupportField, second_fundamental_form
 from .errors import NonConvexError
 
@@ -151,7 +152,7 @@ def residual_h_form(h: np.ndarray, prob: ProblemSpec) -> ResidualVector:
     full[~good] = np.inf
 
     b = grid.boundary_ring
-    full[b] = grid.apply(grid.ops.D1, sf.h)[b] - grid.spec.cot_theta * sf.h[b]
+    full[b] = normal_derivative(sf.h, grid) - grid.spec.cot_theta * sf.h[b]
     return ResidualVector(full=full, bad_nodes=np.flatnonzero(~good.ravel()))
 
 

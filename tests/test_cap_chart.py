@@ -133,24 +133,109 @@ class TestHessian:
         assert np.array_equal(H.comps[0, 1], H.comps[1, 0])
 
 
+def product_form_ops(grid):
+    """Reference frame operators, assembled without the stencil tables: per-ring
+    COO rows for d_r, d_rr, d_phi and d_phiphi, then the chart formulas as sparse
+    products of diagonal scalings with them, sums and the product d_r d_phi.
+    Also returns the two angular stencils, as "Dphi" and "Dphiphi"."""
+    Nr, Nphi, dr, N = grid.Nr, grid.Nphi, grid.dr, grid.size
+    k = np.arange(Nphi)
+
+    def rows_to_csr(rows):  # node (i, k) gets coeff at (ring, k + shift)
+        ri, ci, data = [], [], []
+        for i, row in enumerate(rows):
+            for ring, shift, coeff in row:
+                ri.append(i * Nphi + k)
+                ci.append(ring * Nphi + (k + shift) % Nphi)
+                data.append(np.full(Nphi, coeff))
+        return sp.coo_matrix((np.concatenate(data), (np.concatenate(ri), np.concatenate(ci))),
+                             shape=(N, N)).tocsr()
+
+    def radial_csr(stencil):  # rings below 0 are ghosts across the pole
+        half = int(grid.pole_map[0])
+        return rows_to_csr([[(i + o, 0, c) if i + o >= 0 else (-1 - i - o, half, c)
+                             for o, c in stencil(i)] for i in range(Nr)])
+
+    def angular_csr(offsets, coeffs):
+        return rows_to_csr([[(i, off, c) for off, c in zip(offsets, coeffs)] for i in range(Nr)])
+
+    def d_r(i):
+        if i == Nr - 1:
+            return [(-2, 1.0 / (2 * dr)), (-1, -4.0 / (2 * dr)), (0, 3.0 / (2 * dr))]
+        if grid.r[i] <= 0.5 * grid.spec.theta and i <= Nr - 3:
+            return [(o, c / (12 * dr)) for o, c in [(-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)]]
+        return [(-1, -1.0 / (2 * dr)), (1, 1.0 / (2 * dr))]
+
+    def d_rr(i):
+        st = [(-3, -1.0), (-2, 4.0), (-1, -5.0), (0, 2.0)] if i == Nr - 1 \
+            else [(-1, 1.0), (0, -2.0), (1, 1.0)]
+        return [(o, c / dr**2) for o, c in st]
+
+    def diag(x):
+        return sp.diags(np.repeat(x, Nphi))
+
+    ops = {"D1": radial_csr(d_r), "H11": radial_csr(d_rr)}
+    if grid.spec.n == 2:
+        Dr = ops["D1"]
+        Dphi = angular_csr([-2, -1, 1, 2], np.array([1.0, -8.0, 8.0, -1.0]) / (12 * grid.dphi))
+        Dphiphi = angular_csr([-2, -1, 0, 1, 2],
+                              np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12 * grid.dphi**2))
+        inv_sin, cot = 1.0 / grid.sin_r, grid.cot_r
+        ops.update(Dphi=Dphi, Dphiphi=Dphiphi, D2=diag(inv_sin) @ Dphi,
+                   H12=diag(inv_sin) @ ((Dr @ Dphi).tocsr() - diag(cot) @ Dphi),
+                   H22=diag(inv_sin**2) @ Dphiphi + diag(cot) @ Dr)
+        for name in ("D2", "H12", "H22"):
+            # products leave column indices unsorted; sort them (no duplicates)
+            ops[name].sum_duplicates()
+    return ops
+
+
+def product_form_symbols(ref, grid):
+    """Mode symbols of each term read off row (i, 0) of the reference operators:
+    {name: (row ring * Nr + column ring, symbols (modes, entries))}; "rim" holds
+    D1's rim row, the others their interior rings."""
+    Nr, Nphi = grid.shape
+    jk = np.outer(np.arange(Nphi), np.arange(Nphi // 2 + 1)) % Nphi
+    phases = np.exp(2j * np.pi / Nphi * jk)
+
+    def symbols(op, rings):
+        ent = op[rings * Nphi].tocoo()
+        pos, inv = np.unique(rings[ent.row] * Nr + ent.col // Nphi, return_inverse=True)
+        stencil = sp.csr_matrix((ent.data, (inv, ent.col % Nphi)), shape=(pos.size, Nphi))
+        return pos, (stencil @ phases).T
+
+    interior = np.arange(Nr - 1)
+    out = {name: symbols(op, interior) for name, op in ref.items() if not name.startswith("Dphi")}
+    out["identity"] = symbols(sp.identity(grid.size, format="csr"), interior)
+    out["rim"] = symbols(ref["D1"], np.array([Nr - 1]))
+    return out
+
+
+def mode_symbols(grid):
+    """``FrameOps._modes`` in the layout of ``product_form_symbols``."""
+    (brow, bcol), (kl, ku), terms, (rim_slots, rim_sym) = grid.ops._modes
+    key = (brow - kl - ku + bcol) * grid.Nr + bcol  # band storage back to (row, col)
+    out = {name: (key[slots], sym) for name, (slots, _, sym) in terms.items()}
+    out["rim"] = (key[rim_slots], rim_sym)
+    return out
+
+
 def triangle_amplification(grid):
     """Noise floor as the chart formulas bound it term by term (triangle inequality),
-    from the partial-derivative stencils: max over nodes of the row 1-norm bounds
-    |d_rr|, |d_phiphi|/sin^2 r + |cot r| |d_r| and (|d_rphi| + |cot r| |d_phi|)/sin r."""
+    from the partial-derivative stencils of the product form: max over nodes of the
+    row 1-norm bounds |d_rr|, |d_phiphi|/sin^2 r + |cot r| |d_r| and
+    (|d_rphi| + |cot r| |d_phi|)/sin r."""
 
     def row_sums(mat):
         return np.asarray(np.abs(mat).sum(axis=1)).ravel().reshape(grid.shape)
 
-    Dr, Drr = grid.ops.D1, grid.ops.H11
-    amp = row_sums(Drr).max()
+    ref = product_form_ops(grid)
+    amp = row_sums(ref["H11"]).max()
     if grid.spec.n == 2:
-        Dphi = grid._angular_csr([-2, -1, 1, 2],
-                                 np.array([1.0, -8.0, 8.0, -1.0]) / (12 * grid.dphi))
-        Dphiphi = grid._angular_csr([-2, -1, 0, 1, 2],
-                                    np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12 * grid.dphi**2))
+        Dr, Dphi = ref["D1"], ref["Dphi"]
         sin_r = grid.sin_r[:, None]
         cot_r = np.abs(grid.cot_r)[:, None]
-        h22 = row_sums(Dphiphi) / sin_r**2 + cot_r * row_sums(Dr)
+        h22 = row_sums(ref["Dphiphi"]) / sin_r**2 + cot_r * row_sums(Dr)
         h12 = (row_sums(Dr @ Dphi) + cot_r * row_sums(Dphi)) / sin_r
         amp = max(amp, h22.max(), h12.max())
     return float(amp)
@@ -195,6 +280,33 @@ class TestFrameOps:
         grid = PolarGrid(CapSpec(theta=theta, n=n), N)
         assert grid.stencil_amplification == pytest.approx(triangle_amplification(grid),
                                                            rel=1e-12)
+
+    @pytest.mark.parametrize("theta", [0.3, 1.047, 1.4])
+    @pytest.mark.parametrize("n, N", [(2, 6), (2, 8), (2, 16), (2, 48), (2, 128),
+                                      (1, 16), (1, 40)])
+    def test_tables_match_product_form(self, n, N, theta):
+        # the tables sum entries in the order the sparse products do and drop
+        # the same exact zeros, so every stored entry is equal bit for bit
+        grid = PolarGrid(CapSpec(theta=theta, n=n), N)
+        ref = product_form_ops(grid)
+        for name in ("D1", "H11", "D2", "H12", "H22"):
+            op = getattr(grid.ops, name)
+            if name not in ref:
+                assert op is None
+                continue
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(op, attr), getattr(ref[name], attr)), (name, attr)
+        got, want = mode_symbols(grid), product_form_symbols(ref, grid)
+        assert got.keys() == want.keys()
+        for name, (pos, sym) in want.items():
+            assert np.array_equal(got[name][0], pos), name
+            assert np.array_equal(got[name][1], sym), name
+
+    def test_ghost_columns_cancel_exactly_at_six_angles(self):
+        # at Nphi = 6 the ghosts half a turn away meet the regular columns of ring
+        # 1's d_r d_phi entries, and two such pairs per node sum to exactly 0.0:
+        # 12 of the 504 entries are not stored
+        assert PolarGrid(CapSpec(theta=THETA), 6).ops.H12.nnz == 492
 
     def test_grid_construction_builds_no_operators(self):
         prob = cli.build_problem(cli.parse_config(CONFIG))
