@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.interpolate import CubicSpline
+from scipy.linalg import LinAlgError, solve_banded
 
 from .cap_chart import CapSpec
 from .capillary_body import ExponentPair, SupportField
@@ -77,13 +76,6 @@ def radial_start_density(prob: RadialProblem) -> np.ndarray:
     return l ** (1.0 - prob.pq.p) * (l * l + grad_sq) ** (0.5 * (prob.pq.q - n - 1))
 
 
-def _derivative_ops(M: int, dr: float):
-    """Centered D1/D2 on interior rows; boundary rows are written separately."""
-    D1 = sp.diags([-1.0, 1.0], [-1, 1], shape=(M + 1, M + 1)).tolil() / (2 * dr)
-    D2 = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(M + 1, M + 1)).tolil() / dr**2
-    return D1.tocsr(), D2.tocsr()
-
-
 def _factors(h: np.ndarray, prob: RadialProblem, f: np.ndarray):
     """(a, b, c, h1) with a = h''+h, b = cot(r) h'+h, c = RHS, on interior nodes."""
     M = prob.r.size - 1
@@ -120,40 +112,42 @@ def radial_residual(h: np.ndarray, prob: RadialProblem, f: np.ndarray | None = N
     return out
 
 
-def _radial_jacobian(h: np.ndarray, prob: RadialProblem, f: np.ndarray) -> sp.csr_matrix:
+def _radial_jacobian(h: np.ndarray, prob: RadialProblem, f: np.ndarray) -> np.ndarray:
+    """Jacobian of ``radial_residual`` at h in (2, 2) band storage: entry (i, j)
+    at [2 + i - j, j], as ``scipy.linalg.solve_banded`` reads it.
+
+    Interior rows are tridiagonal; the pole and rim rows are their three-node
+    one-sided stencils, two nodes off the diagonal.
+    """
     M = prob.r.size - 1
     dr = prob.dr
     n = prob.cap.n
     p, q = prob.pq.p, prob.pq.q
-    D1, D2 = _derivative_ops(M, dr)
     a, b, c, h1 = _factors(h, prob, f)
     idx = slice(1, M)
     cot = np.cos(prob.r[idx]) / np.sin(prob.r[idx])
 
-    def rowdiag(vals):
-        d = np.zeros(M + 1)
-        d[idx] = vals
-        return sp.diags(d)
-
-    I = sp.identity(M + 1, format="csr")
-    da = D2 + I
-    db = sp.diags(np.concatenate([[0.0], cot, [0.0]])) @ D1 + I
+    # interior row: k2 h'' + k1 h' + k0 h with centered h', h''
     hs = h[idx] ** 2 + h1[idx] ** 2
     dc_dh = f[idx] * ((p - 1) * h[idx] ** (p - 2) * hs ** (0.5 * (n + 1 - q))
                       + h[idx] ** (p - 1) * (n + 1 - q) * hs ** (0.5 * (n + 1 - q) - 1) * h[idx])
     dc_dh1 = f[idx] * h[idx] ** (p - 1) * (n + 1 - q) * hs ** (0.5 * (n + 1 - q) - 1) * h1[idx]
-
-    J = rowdiag(b ** (n - 1)) @ da - rowdiag(dc_dh) - rowdiag(dc_dh1) @ D1
+    k2 = b ** (n - 1)
+    k1 = -dc_dh1
+    k0 = k2 - dc_dh
     if n >= 2:
-        J = J + rowdiag((n - 1) * a * b ** (n - 2)) @ db
+        kb = (n - 1) * a * b ** (n - 2)  # times the linearization cot(r) h' + h of b
+        k1 = k1 + kb * cot
+        k0 = k0 + kb
 
-    J = J.tolil()
-    J[0, :] = 0.0
-    J[0, [0, 1, 2]] = np.array([-3.0, 4.0, -1.0]) / (2 * dr)
-    J[M, :] = 0.0
-    J[M, [M - 2, M - 1, M]] = np.array([1.0, -4.0, 3.0]) / (2 * dr)
-    J[M, M] -= prob.cap.cot_theta
-    return J.tocsr()
+    ab = np.zeros((5, M + 1))
+    ab[3, :M - 1] = k2 / dr**2 - k1 / (2 * dr)  # (i, i - 1)
+    ab[2, 1:M] = -2.0 * k2 / dr**2 + k0  # (i, i)
+    ab[1, 2:] = k2 / dr**2 + k1 / (2 * dr)  # (i, i + 1)
+    ab[[2, 1, 0], [0, 1, 2]] = np.array([-3.0, 4.0, -1.0]) / (2 * dr)  # pole row 0
+    ab[[4, 3, 2], [M - 2, M - 1, M]] = np.array([1.0, -4.0, 3.0]) / (2 * dr)  # rim row M
+    ab[2, M] -= prob.cap.cot_theta
+    return ab
 
 
 def _noise_floor(h: np.ndarray, dr: float) -> float:
@@ -170,10 +164,10 @@ def _radial_newton(h0, prob, f, tol, max_iter=40, min_step=1e-8):
     for _ in range(max_iter):
         if rnorm <= tol:
             return h
-        J = _radial_jacobian(h, prob, f)
         try:
-            delta = spla.spsolve(J.tocsc(), -res)
-        except RuntimeError as exc:
+            delta = solve_banded((2, 2), _radial_jacobian(h, prob, f), -res,
+                                 overwrite_ab=True, check_finite=False)
+        except LinAlgError as exc:  # an exactly singular Jacobian
             raise SingularSystemError(str(exc), best_v=h) from exc
         alpha = 1.0
         while True:

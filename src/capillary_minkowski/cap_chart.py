@@ -98,6 +98,8 @@ class FrameOps:
         """CSC pattern of ``robin_system`` and the slot in it of each operator
         entry the system uses: every term's interior-row entries and D1's
         rim-row entries.  The other terms' rim entries are not part of it.
+        Built on the first assembly, so a grid whose linear solves all go
+        through ``robin_product`` never builds it.
         """
         N, m = self.D1.shape[0], self.n_interior
         terms = self._terms
@@ -123,7 +125,9 @@ class FrameOps:
         ``coeffs`` maps operator names (``H11``, ``D1``, ...) to per-node fields
         c_k; the rim rows are the Robin d_r rows, as the residual has them.  The
         result is filled into one CSC pattern per grid, so its sparsity does not
-        depend on the coefficients (entries that cancel are stored zeros).
+        depend on the coefficients (entries that cancel are stored zeros).  It
+        is what a sparse factorization needs; a Krylov solve only applies the
+        operator, which ``robin_product`` does without assembling it.
         """
         indptr, indices, slots, rim_slots = self._pattern
         m = self.n_interior
@@ -136,6 +140,27 @@ class FrameOps:
         data[rim_slots] = self.D1.data[self.D1.indptr[m]:]
         N = self.D1.shape[0]
         return sp.csc_matrix((data, indices, indptr), shape=(N, N))
+
+    def robin_product(self, identity: float, **coeffs: np.ndarray):
+        """x -> robin_system(identity, **coeffs) @ x, applied without assembly.
+
+        Interior rows are identity * x + sum_k c_k (op_k x), rim rows D1 x; D1 x
+        is computed once for both.  Equal to the assembled product up to the
+        order of the sums.
+        """
+        m = self.n_interior
+        terms = [(getattr(self, name), np.ravel(c)[:m]) for name, c in coeffs.items()]
+
+        def apply(x: np.ndarray) -> np.ndarray:
+            x = np.ravel(x)
+            out = self.D1 @ x
+            acc = identity * x[:m]
+            for op, c in terms:
+                acc += c * (out if op is self.D1 else op @ x)[:m]
+            out[:m] = acc
+            return out
+
+        return apply
 
     @cached_property
     def _modes(self):

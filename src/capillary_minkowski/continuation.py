@@ -248,21 +248,26 @@ def _serial_blas():
         set_(before)
 
 
-def _gmres_solve(J, rhs: np.ndarray, R, prob: ProblemSpec) -> tuple[np.ndarray | None, int]:
-    """(x, iterations) of GMRES on J x = rhs, right-preconditioned by the
-    ring-mean mode blocks; x is None when GMRES misses KRYLOV_RTOL.
+def _gmres_solve(rhs: np.ndarray, R, prob: ProblemSpec) -> tuple[np.ndarray | None, int]:
+    """(x, iterations) of GMRES on J x = rhs for the exact J at the v of R,
+    right-preconditioned by the ring-mean mode blocks; x is None when GMRES
+    misses KRYLOV_RTOL.
 
-    With the preconditioner on the right, GMRES minimizes the residual of
-    J x = rhs itself, so its tolerance bounds the true linear residual.
+    J is never assembled: GMRES applies it as ``FrameOps.robin_product`` of
+    the same ``jacobian_coefficients`` that build the preconditioner.  With
+    the preconditioner on the right, GMRES minimizes the residual of J x = rhs
+    itself, so its tolerance bounds the true linear residual.
     """
-    M = prob.grid.ops.mode_system(**jacobian_coefficients(R, prob))
+    ops = prob.grid.ops
+    coeffs = jacobian_coefficients(R, prob)
+    M, J = ops.mode_system(**coeffs), ops.robin_product(**coeffs)
     iters = 0
 
     def count(_):
         nonlocal iters
         iters += 1
 
-    JM = spla.LinearOperator(J.shape, matvec=lambda y: J @ M.solve(y), dtype=float)
+    JM = spla.LinearOperator((rhs.size, rhs.size), matvec=lambda y: J(M.solve(y)), dtype=float)
     with _serial_blas():
         y, info = spla.gmres(JM, rhs, rtol=KRYLOV_RTOL, restart=KRYLOV_MAX_ITERS, maxiter=1,
                              callback=count, callback_type="pr_norm")
@@ -282,15 +287,18 @@ def _trial(v: np.ndarray, delta: np.ndarray, prob: ProblemSpec,
 def _newton_direction(v: np.ndarray, R: ResidualVector, prob: ProblemSpec, krylov: bool,
                       carry: _Carry | None, stage: NewtonStage) -> np.ndarray:
     """The solution delta of J delta = -R with the exact J at v; the SuperLU
-    factor it makes, if any, is kept in ``carry``."""
+    factor it makes, if any, is kept in ``carry``.
+
+    Only a SuperLU solve assembles J (``jacobian``): without ``krylov``, or
+    after GMRES, which applies J matrix-free, missed its tolerance.
+    """
     rhs = -R.full.ravel()
-    J = jacobian(R, prob)
-    delta, iters = _gmres_solve(J, rhs, R, prob) if krylov else (None, 0)
+    delta, iters = _gmres_solve(rhs, R, prob) if krylov else (None, 0)
     if delta is None:
         if krylov:
             stage.lu_fallbacks.append(len(stage.krylov_iters))
         try:
-            lu = spla.splu(J, permc_spec="MMD_AT_PLUS_A")
+            lu = spla.splu(jacobian(R, prob), permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:  # SuperLU signals exact singularity this way
             raise SingularSystemError(str(exc), best_v=v, report=stage) from exc
         stage.factorizations += 1
@@ -318,9 +326,10 @@ def newton_solve(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
     residual max-norm, or +inf when B breaks the floor of convexity_floor_rel
     times its max eigenvalue, which every accepted iterate therefore keeps.
     The exact J is solved by a SuperLU factor, which becomes ``carry.lu``, or
-    with ``krylov`` by GMRES preconditioned by the ring-mean mode blocks
-    (``FrameOps.mode_system``), which falls back to that factor when it misses
-    KRYLOV_RTOL.  On success ``carry.R`` holds the returned iterate's residual.
+    with ``krylov`` by GMRES, which applies J matrix-free and is preconditioned
+    by the ring-mean mode blocks (``FrameOps.mode_system``), and falls back to
+    that factor when it misses KRYLOV_RTOL.  On success ``carry.R`` holds the
+    returned iterate's residual.
     """
     grid = prob.grid
     v = np.asarray(v0, dtype=float).copy()

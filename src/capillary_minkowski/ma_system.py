@@ -193,6 +193,8 @@ def jacobian(R: ResidualVector, prob: ProblemSpec) -> sp.csc_matrix:
 
     Interior rows combine the frame operators with ``jacobian_coefficients``;
     boundary rows are the (linear) one-sided d_r stencil.  The sparsity
-    pattern is the same for every v (``FrameOps.robin_system``).
+    pattern is the same for every v (``FrameOps.robin_system``).  Assembled
+    for sparse LU only; a Krylov solve applies the same operator through
+    ``FrameOps.robin_product``.
     """
     return prob.grid.ops.robin_system(**jacobian_coefficients(R, prob))

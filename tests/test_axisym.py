@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import capillary_minkowski as cm
+from capillary_minkowski import axisym
 from capillary_minkowski.axisym import RadialProblem, radial_start_density
 from capillary_minkowski.continuation import start_density
-from capillary_minkowski.errors import NotAxisymmetricError
+from capillary_minkowski.errors import NotAxisymmetricError, SingularSystemError
 from capillary_minkowski.ma_system import ProblemSpec
 
 
@@ -118,6 +119,65 @@ class TestRadialSolve:
         wide = cm.c0_bounds(ProblemSpec(grid=grid, pq=pq31, f=f0 * shrink2d))
         base = cm.c0_bounds(ProblemSpec(grid=grid, pq=pq31, f=f0))
         assert wide.h_upper > base.h_upper
+
+
+# (theta, n, p, q, nodes, f / f0 as a function of (r, theta)) and h at five
+# evenly spaced nodes, as the solver with a sparse LU Newton step returned it
+BANDED_CASES = [
+    ((np.pi / 3, 2, 3.0, 1.0, 257, lambda r, th: 1.0 + 0.2 * np.cos(r)),
+     [0.4629570163293046, 0.4791902724711195, 0.5268252980192409, 0.6024580637116272,
+      0.7000181311404232]),
+    ((0.8, 1, 3.0, 1.0, 129, lambda r, th: 1.0 + 0.1 * np.sin(r)),
+     [0.2991871846748644, 0.31245200594930495, 0.35194819260989396, 0.41641032704345177,
+      0.5037210636667614]),
+    ((np.radians(20.0), 2, 5.0, 3.5, 201, lambda r, th: 1.0 + 0.3 * (r / th) ** 2),
+     [0.05504026700658096, 0.058089427898296284, 0.06728734497926016, 0.08269674543738971,
+      0.10447208722600475]),
+]
+
+
+def banded_case(theta, n, p, q, nodes, shape):
+    cap, pq = cm.CapSpec(theta=theta, n=n), cm.ExponentPair(p=p, q=q)
+    r = np.linspace(0.0, theta, nodes)
+    f0 = radial_start_density(RadialProblem(cap=cap, pq=pq, r=r, f=np.ones_like(r)))
+    return RadialProblem(cap=cap, pq=pq, r=r, f=f0 * shape(r, theta))
+
+
+class TestBandedNewton:
+    @pytest.mark.parametrize("case", [c for c, _ in BANDED_CASES])
+    def test_jacobian_matches_central_differences(self, case):
+        prob = banded_case(*case[:4], 33, case[5])
+        h = (1.0 - prob.cap.cos_theta * np.cos(prob.r)) * (1.0 + 0.1 * np.sin(2.0 * prob.r))
+        ab = axisym._radial_jacobian(h, prob, prob.f)
+        M = prob.r.size - 1
+        dense = np.zeros((M + 1, M + 1))
+        for i in range(M + 1):
+            for j in range(max(0, i - 2), min(M, i + 2) + 1):
+                dense[i, j] = ab[2 + i - j, j]
+        eps = 1e-6
+        fd = np.empty_like(dense)
+        for j in range(M + 1):
+            e = np.zeros(M + 1)
+            e[j] = eps
+            fd[:, j] = (cm.radial_residual(h + e, prob) - cm.radial_residual(h - e, prob)) / (2 * eps)
+        assert np.abs(dense - fd).max() <= 1e-7 * np.abs(fd).max()
+
+    @pytest.mark.parametrize("case, want", BANDED_CASES)
+    def test_solution_unchanged(self, case, want):
+        h = cm.radial_solve(banded_case(*case))
+        idx = np.linspace(0, h.size - 1, 5).astype(int)
+        np.testing.assert_allclose(h[idx], want, rtol=1e-12, atol=0.0)
+
+    def test_singular_jacobian_raises_singular(self, spec, pq31, rp_start, monkeypatch):
+        # an exactly singular step is reported as such, with the iterate it failed at
+        monkeypatch.setattr(axisym, "_radial_jacobian",
+                            lambda h, prob, f: np.zeros((5, prob.r.size)))
+        prob = RadialProblem(cap=spec, pq=pq31, r=rp_start.r,
+                             f=rp_start.f * (1.0 + 0.2 * np.cos(rp_start.r)))
+        with pytest.raises(SingularSystemError) as info:
+            cm.radial_solve(prob)
+        l = 1.0 - spec.cos_theta * np.cos(prob.r)
+        assert np.array_equal(info.value.best_v, l)
 
 
 class TestOracleCompare:

@@ -338,6 +338,26 @@ class TestFrameOps:
                 assert np.abs(dense - ref).max() <= 1e-14 * np.abs(ref).max()
                 assert np.array_equal(dense[m:], grid.ops.D1.toarray()[m:])
 
+    @pytest.mark.parametrize("n, N, theta_deg", [(2, N, t) for N in (12, 48, 96)
+                                                 for t in (10.0, 60.0, 85.0)] + [(1, 40, 60.0)])
+    def test_robin_product_matches_robin_system(self, n, N, theta_deg):
+        # the matrix-free product sums the same terms as the assembled system,
+        # in another order
+        grid = PolarGrid(CapSpec(theta=math.radians(theta_deg), n=n), N)
+        pq = ExponentPair(p=3.0, q=1.0)
+        prob = ProblemSpec(grid=grid, pq=pq, f=start_density(grid, pq))
+        R, PHI = grid.mesh()
+        s = np.sin(R) / grid.spec.sin_theta
+        v0 = np.log(cm.l_field(grid))
+        rng = np.random.default_rng(N)
+        for v in (v0, v0 + 0.05 * s**2 * np.cos(2 * PHI) + 0.01 * s**3 * np.sin(3 * PHI)):
+            coeffs = jacobian_coefficients(residual(v, prob), prob)
+            apply = grid.ops.robin_product(**coeffs)
+            J = grid.ops.robin_system(**coeffs)
+            for x in rng.standard_normal((3, grid.size)):
+                want = J @ x
+                assert np.abs(apply(x) - want).max() <= 1e-13 * np.abs(want).max()
+
     @pytest.mark.parametrize("N", [48, 64])
     @pytest.mark.parametrize("theta_deg", [10.0, 60.0, 85.0])
     def test_mode_system_inverts_jacobian_at_axisymmetric_v(self, N, theta_deg):

@@ -39,6 +39,11 @@ class _NanFactor:
         return np.full_like(rhs, np.nan)
 
 
+def _on_fresh_grid(prob):
+    """prob on a new grid of the same cap and shape, which has built no operators yet."""
+    return ProblemSpec(grid=cm.PolarGrid(prob.grid.spec, *prob.grid.shape), pq=prob.pq, f=prob.f)
+
+
 class TestHomotopyDensity:
     def test_endpoints(self, grid32, prob_harmonic, pq31):
         f0 = start_density(grid32, pq31)
@@ -447,19 +452,28 @@ class TestNested:
         assert rep.t_steps[first_fine:] == direct[1].t_steps
 
     def test_fine_level_factors_nothing(self, prob64, monkeypatch):
-        # the 64^2 Newton steps run GMRES with the mode-block preconditioner;
-        # only the 32^2 homotopy factors its Jacobians
-        real = continuation.spla.splu
-        sizes = []
+        # the 64^2 Newton steps run GMRES with the mode-block preconditioner and
+        # apply J matrix-free; only the 32^2 homotopy assembles and factors its
+        # Jacobians.  A fresh grid: other tests build prob64's pattern
+        prob = _on_fresh_grid(prob64)
+        real, real_jacobian = continuation.spla.splu, continuation.jacobian
+        sizes, assembled = [], []
 
         def splu(J, **kwargs):
             sizes.append(J.shape[0])
             return real(J, **kwargs)
 
+        def jacobian(R, p):
+            assembled.append(p.grid.shape)
+            return real_jacobian(R, p)
+
         monkeypatch.setattr(continuation.spla, "splu", splu)
-        _, rep = cm.continuation_solve(prob64)
+        monkeypatch.setattr(continuation, "jacobian", jacobian)
+        _, rep = cm.continuation_solve(prob)
         doc = rep.to_json_dict()
         assert sizes and set(sizes) == {32 * 32}
+        assert assembled and set(assembled) == {(32, 32)}
+        assert "_pattern" not in vars(prob.grid.ops)
         fine = doc["grids"].index([64, 64])
         assert min(doc["krylov_iters"][fine]) > 0 and doc["lu_fallbacks"][fine] == []
         assert len(doc["krylov_iters"][fine]) == doc["newton_iters"][fine]
@@ -474,7 +488,9 @@ class TestNested:
                       lambda v0, prob, cfg, krylov=False, **kwargs: real(v0, prob, cfg, **kwargs))
             sf_lu, rep_lu = cm.continuation_solve(prob64)
         monkeypatch.setattr(continuation.spla, "gmres", lambda A, b, **kwargs: (0.0 * b, 1))
-        sf, rep = cm.continuation_solve(prob64)
+        prob = _on_fresh_grid(prob64)
+        sf, rep = cm.continuation_solve(prob)
+        assert "_pattern" in vars(prob.grid.ops)  # the fallback assembles J
         assert np.array_equal(sf.h, sf_lu.h)
         doc, doc_lu = rep.to_json_dict(), rep_lu.to_json_dict()
         fine = doc["grids"].index([64, 64])
