@@ -73,73 +73,55 @@ class FrameOps:
       D1  = d_r                        D2  = (1/sin r) d_phi
       H11 = d_rr                       H12 = (d_rphi - cot r d_phi) / sin r
       H22 = d_phiphi / sin^2 r + cot r d_r
-    The 2D-only ones are None for n = 1.  Rows are grid nodes in C order, so
-    the first ``n_interior`` rows are the interior rings and the rest the rim.
+    The 2D-only ones are None for n = 1.  Rows are grid nodes in C order on a
+    grid of ``shape`` (Nr, Nphi); ring Nr - 1 is the rim.
     """
 
     D1: sp.csr_matrix
     H11: sp.csr_matrix
-    n_interior: int
+    shape: tuple
     stencils: dict
     D2: sp.csr_matrix | None = None
     H12: sp.csr_matrix | None = None
     H22: sp.csr_matrix | None = None
 
-    @property
-    def _terms(self) -> dict:
-        """The operators a linearization combines, by name, and the identity."""
-        terms = {name: getattr(self, name) for name in ("H11", "H12", "H22", "D1", "D2")
-                 if getattr(self, name) is not None}
-        terms["identity"] = sp.identity(self.D1.shape[0], format="csr")
-        return terms
-
     @cached_property
-    def _pattern(self):
-        """CSC pattern of ``robin_system`` and the slot in it of each operator
-        entry the system uses: every term's interior-row entries and D1's
-        rim-row entries.  The other terms' rim entries are not part of it.
-        Built on the first assembly, so a grid whose linear solves all go
-        through ``robin_product`` never builds it.
+    def _robin(self) -> dict:
+        """The entries of ``robin_system`` as per-ring tables, by coefficient name:
+        each operator's and the identity's interior rings, and as "rim" D1's rim
+        ring, whose coefficient is 1 (the Robin d_r rows, as the residual has them).
         """
-        N, m = self.D1.shape[0], self.n_interior
-        terms = self._terms
-        rows = [np.repeat(np.arange(m), np.diff(op.indptr[:m + 1])) for op in terms.values()]
-        cols = [op.indices[:op.indptr[m]] for op in terms.values()]
-        rows.append(np.repeat(np.arange(m, N), np.diff(self.D1.indptr[m:])))
-        cols.append(self.D1.indices[self.D1.indptr[m]:])
-        keys = np.concatenate(cols).astype(np.int64) * N + np.concatenate(rows)
-        pattern, slots = np.unique(keys, return_inverse=True)
-        # the cache lives as long as the grid: store slots in the smallest
-        # unsigned type that holds them (uint16 on the small grids)
-        slots = slots.astype(np.min_scalar_type(pattern.size - 1))
-        *term_slots, rim_slots = np.split(slots, np.cumsum([c.size for c in cols[:-1]]))
-        indptr = np.searchsorted(pattern, np.arange(N + 1, dtype=np.int64) * N).astype(np.int32)
-        indices = (pattern % N).astype(np.int32)
-        for arr in (indptr, indices):
-            arr.flags.writeable = False  # shared by every matrix robin_system returns
-        return indptr, indices, dict(zip(terms, term_slots)), rim_slots
+        Nr = self.shape[0]
+        rings = np.arange(Nr - 1)
+        tables = dict(self.stencils, identity=Stencil(rings, rings, 0 * rings, np.ones(Nr - 1)))
+        robin = {name: Stencil(*(a[t.ring < Nr - 1] for a in t)) for name, t in tables.items()}
+        D1 = self.stencils["D1"]
+        robin["rim"] = Stencil(*(a[D1.ring == Nr - 1] for a in D1))
+        return robin
 
     def robin_system(self, identity: float, **coeffs: np.ndarray) -> sp.csc_matrix:
         """sum_k diag(c_k) op_k + identity * I on the interior rows, D1 on the rim rows.
 
         ``coeffs`` maps operator names (``H11``, ``D1``, ...) to per-node fields
-        c_k; the rim rows are the Robin d_r rows, as the residual has them.  The
-        result is filled into one CSC pattern per grid, so its sparsity does not
-        depend on the coefficients (entries that cancel are stored zeros).  It
-        is what a sparse factorization needs; a Krylov solve only applies the
-        operator, which ``robin_product`` does without assembling it.
+        c_k.  Each ``_robin`` table adds c_k times its weights to the union of
+        the tables' entries, in the order coeffs, identity, rim, and reads c_k
+        on its own rows only; the union expanded over phi is the pattern, so it
+        does not depend on the coefficients (entries that cancel are stored
+        zeros).  It is what a sparse factorization needs; a Krylov solve only
+        applies the operator, which ``robin_product`` does without assembling it.
         """
-        indptr, indices, slots, rim_slots = self._pattern
-        m = self.n_interior
-        data = np.zeros(indices.size)
+        Nr, Nphi = self.shape
+        tables = self._robin
+        key = {name: (t.ring * Nr + t.src) * Nphi + t.shift for name, t in tables.items()}
+        union = np.unique(np.concatenate(list(key.values())))
+        values = np.zeros((union.size, Nphi))
+        coeffs = dict(coeffs, identity=np.full(self.shape, float(identity)), rim=np.ones(self.shape))
         for name, c in coeffs.items():
-            op = getattr(self, name)
-            c_row = np.repeat(np.ravel(c)[:m], np.diff(op.indptr[:m + 1]))
-            data[slots[name]] += c_row * op.data[:op.indptr[m]]
-        data[slots["identity"]] += identity
-        data[rim_slots] = self.D1.data[self.D1.indptr[m]:]
-        N = self.D1.shape[0]
-        return sp.csc_matrix((data, indices, indptr), shape=(N, N))
+            t = tables[name]
+            c = np.reshape(c, self.shape)[t.ring]
+            values[np.searchsorted(union, key[name])] += c * t.weight[:, None]
+        ring_src, shift = np.divmod(union, Nphi)
+        return _expand(Stencil(*np.divmod(ring_src, Nr), shift, None), Nr, Nphi, values).tocsc()
 
     def robin_product(self, identity: float, **coeffs: np.ndarray):
         """x -> robin_system(identity, **coeffs) @ x, applied without assembly.
@@ -148,7 +130,7 @@ class FrameOps:
         is computed once for both.  Equal to the assembled product up to the
         order of the sums.
         """
-        m = self.n_interior
+        m = (self.shape[0] - 1) * self.shape[1]
         terms = [(getattr(self, name), np.ravel(c)[:m]) for name, c in coeffs.items()]
 
         def apply(x: np.ndarray) -> np.ndarray:
@@ -164,35 +146,28 @@ class FrameOps:
 
     @cached_property
     def _modes(self):
-        """Band layout of ``mode_system`` and each term's mode symbols in it.
+        """Band layout of ``mode_system`` and each ``_robin`` table's mode symbols in it.
 
-        Table entry (i, j, s, w) of a term adds w exp(2 pi i s k / Nphi) to
-        entry (i, j) of the radial block of angular mode k.  A ghost's shift
-        Nphi/2 makes its phase (-1)^k.  Rows are the ones ``_pattern`` uses:
-        every term's interior rings and D1's rim ring.
+        Table entry (i, j, s, w) adds w exp(2 pi i s k / Nphi) to entry (i, j) of
+        the radial block of angular mode k.  A ghost's shift Nphi/2 makes its
+        phase (-1)^k.
         """
-        Nphi = self.D1.shape[0] - self.n_interior
-        Nr = self.D1.shape[0] // Nphi
+        Nr, Nphi = self.shape
         jk = np.outer(np.arange(Nphi), np.arange(Nphi // 2 + 1)) % Nphi
         phases = np.exp(2j * np.pi / Nphi * jk)  # (shift s, mode k)
-
-        def symbols(t, keep):
-            pos, inv = np.unique((t.ring * Nr + t.src)[keep], return_inverse=True)
+        parts = {}
+        for name, t in self._robin.items():
+            pos, inv = np.unique(t.ring * Nr + t.src, return_inverse=True)
             sym = np.zeros((pos.size, phases.shape[1]), dtype=complex)
-            np.add.at(sym, inv, t.weight[keep, None] * phases[t.shift[keep]])
-            return pos, sym.T  # (modes, entries)
-
-        rings, D1 = np.arange(Nr), self.stencils["D1"]
-        tables = dict(self.stencils, identity=Stencil(rings, rings, 0 * rings, np.ones(Nr)))
-        parts = {name: symbols(t, t.ring < Nr - 1) for name, t in tables.items()}
-        rim_pos, rim_sym = symbols(D1, D1.ring == Nr - 1)
-        keys = np.unique(np.concatenate([pos for pos, _ in parts.values()] + [rim_pos]))
+            np.add.at(sym, inv, t.weight[:, None] * phases[t.shift])
+            parts[name] = pos, sym.T  # (modes, entries)
+        keys = np.unique(np.concatenate([pos for pos, _ in parts.values()]))
         row, col = np.divmod(keys, Nr)
         kl, ku = int(np.max(row - col)), int(np.max(col - row))
         terms = {name: (np.searchsorted(keys, pos), pos // Nr, sym)
                  for name, (pos, sym) in parts.items()}
         layout = (kl + ku + row - col, col)  # LAPACK gbtrf band storage of entry (row, col)
-        return layout, (kl, ku), terms, (np.searchsorted(keys, rim_pos), rim_sym)
+        return layout, (kl, ku), terms
 
     def mode_system(self, identity: float, **coeffs: np.ndarray) -> ModeFactor:
         """LU factors of ``robin_system(identity, **coeffs)`` with every c_k
@@ -200,25 +175,23 @@ class FrameOps:
 
         That operator commutes with rotations in phi, so an FFT in phi splits
         it into Nphi/2 + 1 banded radial blocks, one per angular mode; each
-        block is factored by LAPACK's banded LU with partial pivoting.  A
-        singular block leaves ``ModeFactor.solve`` non-finite, which a Krylov
-        solve reports as a miss.
+        block is factored by LAPACK's banded LU with partial pivoting.  The
+        blocks read the ``_robin`` tables, the rim's with mean 1.  A singular
+        block leaves ``ModeFactor.solve`` non-finite, which a Krylov solve
+        reports as a miss.
         """
-        (brow, bcol), (kl, ku), terms, (rim_slots, rim_sym) = self._modes
-        N, m = self.D1.shape[0], self.n_interior
-        Nphi = N - m
-        K = Nphi // 2 + 1
-        means = {name: np.ravel(c)[:m].reshape(-1, Nphi).mean(axis=1) for name, c in coeffs.items()}
-        means["identity"] = np.full(m // Nphi, float(identity))
-        data = np.zeros((K, brow.size), dtype=complex)
+        (brow, bcol), (kl, ku), terms = self._modes
+        Nr, Nphi = self.shape
+        means = {name: np.reshape(c, self.shape)[:-1].mean(axis=1) for name, c in coeffs.items()}
+        means.update(identity=np.full(Nr - 1, float(identity)), rim=np.ones(Nr))
+        data = np.zeros((Nphi // 2 + 1, brow.size), dtype=complex)
         for name, c in means.items():
             slots, ring, sym = terms[name]
             data[:, slots] += c[ring] * sym
-        data[:, rim_slots] = rim_sym
-        bands = np.zeros((K, 2 * kl + ku + 1, N // Nphi), dtype=complex)
+        bands = np.zeros((data.shape[0], 2 * kl + ku + 1, Nr), dtype=complex)
         bands[:, brow, bcol] = data
         factors = [lapack.zgbtrf(band, kl, ku)[:2] for band in bands]
-        return ModeFactor(factors, kl, ku, (N // Nphi, Nphi))
+        return ModeFactor(factors, kl, ku, self.shape)
 
 
 @dataclass(frozen=True)
@@ -337,20 +310,6 @@ class PolarGrid:
                                    np.repeat(ring[:, None] + offsets, len(shifts)),
                                    np.resize(shifts, w.size), w.ravel()))
 
-    def _csr(self, t: Stencil) -> sp.csr_matrix:
-        """A merged table expanded over phi, as a CSR matrix with sorted rows."""
-        Nphi, k = self.Nphi, np.arange(self.Nphi)
-        count = np.bincount(t.ring, minlength=self.Nr)
-        first = (np.cumsum(count) - count)[t.ring]  # row (i, k): data[first * Nphi + k * count:]
-        dest = (first * (Nphi - 1) + np.arange(t.ring.size))[:, None] + count[t.ring][:, None] * k
-        indices, data = np.empty(dest.size, dtype=np.int32), np.empty(dest.size)
-        indices[dest] = (t.src * Nphi)[:, None] + (t.shift[:, None] + k) % Nphi
-        data[dest] = t.weight[:, None]
-        mat = sp.csr_matrix((data, indices, np.append(0, np.cumsum(np.repeat(count, Nphi)))),
-                            shape=(self.size, self.size))
-        mat.sort_indices()  # a merged table has one entry per column, so this only orders them
-        return mat
-
     # -- conveniences ----------------------------------------------------------
 
     @property
@@ -404,8 +363,9 @@ class PolarGrid:
             stencils["H12"] = self._merge(self._stencil(*d_r, *d_phi), Dphi.scaled(-cot)).scaled(inv_sin)
             stencils["H22"] = self._merge(self._stencil([0], [1.0], *d_phiphi).scaled(inv_sin**2),
                                           stencils["D1"].scaled(cot))
-        return FrameOps(**{name: self._csr(t) for name, t in stencils.items()},
-                        n_interior=self.boundary_ring * self.Nphi, stencils=stencils)
+        return FrameOps(**{name: _expand(t, Nr, self.Nphi, t.weight[:, None])
+                           for name, t in stencils.items()},
+                        shape=self.shape, stencils=stencils)
 
     @cached_property
     def stencil_amplification(self) -> float:
@@ -418,6 +378,23 @@ class PolarGrid:
         """
         hess = [t for name, t in self.ops.stencils.items() if name in ("H11", "H12", "H22")]
         return float(max(np.bincount(t.ring, weights=np.abs(t.weight)).max() for t in hess))
+
+
+def _expand(t: Stencil, Nr: int, Nphi: int, values: np.ndarray) -> sp.csr_matrix:
+    """A table sorted by ring expanded over phi, as a CSR matrix with sorted rows:
+    entry e = (i, j, s, w) puts values[e, k] (``values`` broadcast to (entries,
+    Nphi)) in row (i, k), column (j, k + s mod Nphi)."""
+    k, N = np.arange(Nphi), Nr * Nphi
+    count = np.bincount(t.ring, minlength=Nr)
+    first = (np.cumsum(count) - count)[t.ring]  # row (i, k): data[first * Nphi + k * count:]
+    dest = (first * (Nphi - 1) + np.arange(t.ring.size))[:, None] + count[t.ring][:, None] * k
+    indices, data = np.empty(dest.size, dtype=np.int32), np.empty(dest.size)
+    indices[dest] = (t.src * Nphi)[:, None] + (t.shift[:, None] + k) % Nphi
+    data[dest] = values
+    mat = sp.csr_matrix((data, indices, np.append(0, np.cumsum(np.repeat(count, Nphi)))),
+                        shape=(N, N))
+    mat.sort_indices()  # one entry per column in a row, so this only orders them
+    return mat
 
 
 @dataclass

@@ -67,6 +67,16 @@ class RunConfig:
     raw: dict
 
 
+def _integer(value, name: str) -> int:
+    """A config entry that counts something: a JSON number with an integral value
+    (16 or 16.0), never truncated; booleans and strings are refused."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _angle_from(doc: dict) -> float:
     theta = float(doc["theta"])
     unit = doc.get("theta_unit", "rad")
@@ -92,8 +102,8 @@ def density_from_spec(f_spec: dict, grid: PolarGrid, pq: ExponentPair) -> np.nda
         elif kind == "harmonic":
             base = float(f_spec["base"])
             amp = float(f_spec["amplitude"])
-            m = int(f_spec["m"])
-            k = int(f_spec.get("radial_mode", 0))
+            m = _integer(f_spec["m"], "m")
+            k = _integer(f_spec.get("radial_mode", 0), "radial_mode")
             if m < 0 or k < 0:
                 raise ValueError("modes must be non-negative")
             shape_fn = (np.sin(r) / grid.spec.sin_theta) ** m * np.cos(m * phi) * np.cos(r) ** k
@@ -133,15 +143,15 @@ def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
     try:
-        spec = CapSpec(theta=_angle_from(doc), n=int(doc.get("n", 2)))
+        spec = CapSpec(theta=_angle_from(doc), n=_integer(doc.get("n", 2), "n"))
         p, q = float(doc["p"]), float(doc["q"])
         if not p > q:
             raise ValueError(f"exponents must satisfy p > q, got p={p}, q={q}")
         gdoc = doc.get("grid", {})
         if not isinstance(gdoc, dict):
             raise ValueError("'grid' must be an object with keys 'Nr' and 'Nphi'")
-        Nr = int(gdoc.get("Nr", 64))
-        Nphi = int(gdoc.get("Nphi", Nr))
+        Nr = _integer(gdoc.get("Nr", 64), "Nr")
+        Nphi = _integer(gdoc.get("Nphi", Nr), "Nphi")
         f_spec = doc.get("f")
         if not isinstance(f_spec, dict):
             raise ValueError("missing or malformed 'f' spec")

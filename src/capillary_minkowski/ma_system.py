@@ -192,9 +192,9 @@ def jacobian(R: ResidualVector, prob: ProblemSpec) -> sp.csc_matrix:
     """Exact analytic linearization of ``residual`` at the v of R = residual(v, prob).
 
     Interior rows combine the frame operators with ``jacobian_coefficients``;
-    boundary rows are the (linear) one-sided d_r stencil.  The sparsity
-    pattern is the same for every v (``FrameOps.robin_system``).  Assembled
-    for sparse LU only; a Krylov solve applies the same operator through
-    ``FrameOps.robin_product``.
+    boundary rows are the (linear) one-sided d_r stencil.  Both come from the
+    per-ring tables ``FrameOps.robin_system`` reads, so the sparsity pattern
+    is the same for every v.  Assembled for sparse LU only; a Krylov solve
+    applies the same operator through ``FrameOps.robin_product``.
     """
     return prob.grid.ops.robin_system(**jacobian_coefficients(R, prob))

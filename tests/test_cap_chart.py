@@ -213,11 +213,9 @@ def product_form_symbols(ref, grid):
 
 def mode_symbols(grid):
     """``FrameOps._modes`` in the layout of ``product_form_symbols``."""
-    (brow, bcol), (kl, ku), terms, (rim_slots, rim_sym) = grid.ops._modes
+    (brow, bcol), (kl, ku), terms = grid.ops._modes
     key = (brow - kl - ku + bcol) * grid.Nr + bcol  # band storage back to (row, col)
-    out = {name: (key[slots], sym) for name, (slots, _, sym) in terms.items()}
-    out["rim"] = (key[rim_slots], rim_sym)
-    return out
+    return {name: (key[slots], sym) for name, (slots, _, sym) in terms.items()}
 
 
 def triangle_amplification(grid):
@@ -316,27 +314,30 @@ class TestFrameOps:
 
     def test_jacobian_fixed_pattern(self):
         # v = log l is axisymmetric (B12 = g2 = 0), so there some entries are
-        # zero; the pattern must not follow them
-        for n in (1, 2):
-            grid = PolarGrid(CapSpec(theta=THETA, n=n), 16)
+        # zero; the pattern must not follow them.  It is the interior rows of
+        # every operator and the identity and D1's rim rows, read off the
+        # product form as a sum of absolute values, so that nothing cancels
+        # (at Nphi = 6 H12's ghost columns do cancel within H12 itself)
+        for n, N in ((2, 6), (2, 16), (2, 48), (1, 16)):
+            grid = PolarGrid(CapSpec(theta=THETA, n=n), N)
             pq = ExponentPair(p=3.0, q=1.0)
             prob = ProblemSpec(grid=grid, pq=pq, f=start_density(grid, pq))
             R, PHI = grid.mesh()
             s = np.sin(R) / grid.spec.sin_theta
             v0 = np.log(cm.l_field(grid))
-            m = grid.ops.n_interior
-            first = None
+            m = grid.boundary_ring * grid.Nphi
+            ref_ops = product_form_ops(grid)
+            total = sum(abs(ref_ops[name]) for name in ("H11", "H12", "H22", "D1", "D2")
+                        if name in ref_ops) + sp.identity(grid.size)
+            pattern = sp.vstack([total.tocsr()[:m], abs(ref_ops["D1"])[m:]]).tocsc()
             for v in (v0, v0 + 0.05 * s**2 * np.cos(2 * PHI) + 0.01 * s**3 * np.sin(3 * PHI)):
                 J = jacobian(residual(v, prob), prob)
                 assert J.format == "csc"
-                if first is None:
-                    first = J
-                assert np.array_equal(J.indptr, first.indptr)
-                assert np.array_equal(J.indices, first.indices)
-                ref = product_form_jacobian(v, prob).toarray()
-                dense = J.toarray()
-                assert np.abs(dense - ref).max() <= 1e-14 * np.abs(ref).max()
-                assert np.array_equal(dense[m:], grid.ops.D1.toarray()[m:])
+                assert np.array_equal(J.indptr, pattern.indptr), (n, N)
+                assert np.array_equal(J.indices, pattern.indices), (n, N)
+                ref = product_form_jacobian(v, prob)
+                assert abs(J - ref).max() <= 1e-14 * abs(ref).max()
+                assert (J.tocsr()[m:] != grid.ops.D1[m:]).nnz == 0
 
     @pytest.mark.parametrize("n, N, theta_deg", [(2, N, t) for N in (12, 48, 96)
                                                  for t in (10.0, 60.0, 85.0)] + [(1, 40, 60.0)])

@@ -166,6 +166,25 @@ class TestValidation:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("path, value", [
+        (("n",), 1.5), (("n",), True), (("grid", "Nr"), 16.7), (("grid", "Nphi"), 16.5),
+        (("grid", "Nr"), "16"), (("f", "m"), 2.5), (("f", "m"), True),
+        (("f", "radial_mode"), 0.9),
+    ])
+    def test_non_integral_counts_refused(self, tmp_path, capsys, no_solve, path, value):
+        # int() would truncate these to a valid run of another problem
+        doc = json.loads(json.dumps(BASE))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["solve", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert f"{path[-1]} must be an integer, got {value!r}" in err
+
     @pytest.mark.parametrize("key, value", [("final_residual", None), ("config", 5)])
     def test_malformed_solution_one_line(self, tmp_path, capsys, key, value):
         cli.main(["solve", "--config", str(write_config(tmp_path))])
