@@ -276,9 +276,10 @@ def boundary_identity_check(sf: SupportField) -> BoundaryIdentityReport:
 
 
 def export_obj(mesh: BodyMesh, path) -> None:
-    """Write the mesh as ASCII OBJ: v/f records plus an l record for the rim loop."""
-    vertices = map("v {:.17g} {:.17g} {:.17g}\n".format, *mesh.vertices.T.tolist())
-    faces = map("f {} {} {}\n".format, *(mesh.faces.T + 1).tolist())
+    """Write the mesh as ASCII OBJ: v records (coordinates in %.17g), f records
+    and an l record for the rim loop; each section is one ``%`` over a flat tuple."""
+    v, f = mesh.vertices, mesh.faces + 1
     loop = " ".join(map(str, (mesh.boundary_loop + 1).tolist()))
     with open(path, "w", newline="\n") as fh:
-        fh.write("".join([*vertices, *faces, f"l {loop}\n"]))
+        fh.write(("v %.17g %.17g %.17g\n" * len(v)) % tuple(v.ravel().tolist())
+                 + ("f %d %d %d\n" * len(f)) % tuple(f.ravel().tolist()) + f"l {loop}\n")

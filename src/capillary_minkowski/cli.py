@@ -25,6 +25,7 @@ from .capillary_body import ExponentPair, SupportField, embed, export_obj
 from .continuation import (
     HomotopySchedule,
     SolverConfig,
+    as_count,
     continuation_solve,
     effective_tolerance,
     start_density,
@@ -67,16 +68,6 @@ class RunConfig:
     raw: dict
 
 
-def _integer(value, name: str) -> int:
-    """A config entry that counts something: a JSON number with an integral value
-    (16 or 16.0), never truncated; booleans and strings are refused."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def _angle_from(doc: dict) -> float:
     theta = float(doc["theta"])
     unit = doc.get("theta_unit", "rad")
@@ -102,8 +93,8 @@ def density_from_spec(f_spec: dict, grid: PolarGrid, pq: ExponentPair) -> np.nda
         elif kind == "harmonic":
             base = float(f_spec["base"])
             amp = float(f_spec["amplitude"])
-            m = _integer(f_spec["m"], "m")
-            k = _integer(f_spec.get("radial_mode", 0), "radial_mode")
+            m = as_count(f_spec["m"], "m")
+            k = as_count(f_spec.get("radial_mode", 0), "radial_mode")
             if m < 0 or k < 0:
                 raise ValueError("modes must be non-negative")
             shape_fn = (np.sin(r) / grid.spec.sin_theta) ** m * np.cos(m * phi) * np.cos(r) ** k
@@ -143,15 +134,15 @@ def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
     try:
-        spec = CapSpec(theta=_angle_from(doc), n=_integer(doc.get("n", 2), "n"))
+        spec = CapSpec(theta=_angle_from(doc), n=as_count(doc.get("n", 2), "n"))
         p, q = float(doc["p"]), float(doc["q"])
         if not p > q:
             raise ValueError(f"exponents must satisfy p > q, got p={p}, q={q}")
         gdoc = doc.get("grid", {})
         if not isinstance(gdoc, dict):
             raise ValueError("'grid' must be an object with keys 'Nr' and 'Nphi'")
-        Nr = _integer(gdoc.get("Nr", 64), "Nr")
-        Nphi = _integer(gdoc.get("Nphi", Nr), "Nphi")
+        Nr = as_count(gdoc.get("Nr", 64), "Nr")
+        Nphi = as_count(gdoc.get("Nphi", Nr), "Nphi")
         f_spec = doc.get("f")
         if not isinstance(f_spec, dict):
             raise ValueError("missing or malformed 'f' spec")
@@ -198,10 +189,27 @@ def load_solution(path: str):
         raise _input_error(exc, "corrupt solution file: ") from None
 
 
+# CPython 3.11 runs its C JSON encoder only without indent.  This one writes a
+# row of numbers as json.dumps(..., indent=2) does two levels into an object.
+_ROW_ENCODER = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+
+
+def _json_value(value) -> str:
+    """``value`` as json.dumps(doc, indent=2) writes it for a key of ``doc``; a
+    list of rows of numbers (a solution's h, a report's per-stage lists) is
+    written row by row by the C encoder."""
+    if value and type(value) is list and all(
+            type(row) is list and {*map(type, row)} <= {float, int} for row in value):
+        rows = (f"[\n      {_ROW_ENCODER(row)[1:-1]}\n    ]" if row else "[]" for row in value)
+        return "[\n    " + ",\n    ".join(rows) + "\n  ]"
+    return json.dumps(value, indent=2).replace("\n", "\n  ")  # no raw newline in a JSON string
+
+
 def _write_json(path: str, doc: dict) -> None:
+    """Write ``doc`` (str keys) as json.dumps(doc, indent=2) plus a newline."""
+    body = ",".join(f"\n  {json.dumps(key)}: {_json_value(value)}" for key, value in doc.items())
     with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(f"{{{body}\n}}\n" if doc else "{}\n")
 
 
 def _write_all(outputs) -> None:

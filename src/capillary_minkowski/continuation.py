@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import operator
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -60,6 +59,22 @@ KRYLOV_MAX_ITERS = 40
 CHORD_CONTRACTION = 0.1
 
 
+def as_count(value, name: str) -> int:
+    """A setting that counts something: a number with an integral value (16 or
+    16.0), never truncated; booleans and strings are refused."""
+    if (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def as_real(value, name: str) -> float:
+    """A real setting: a number, never a boolean (float(True) would be 1.0)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Newton controls: tolerance on the residual max-norm, damping, safeguards."""
@@ -70,11 +85,14 @@ class SolverConfig:
     convexity_floor_rel: float = 1e-8  # floor = rel * max eigenvalue of B
 
     def __post_init__(self):
+        for name in ("tol", "min_step", "convexity_floor_rel"):
+            object.__setattr__(self, name, as_real(getattr(self, name), name))
+        object.__setattr__(self, "max_iter", as_count(self.max_iter, "max_iter"))
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
         if not 0.0 < self.min_step <= 1.0:
             raise ValueError("min_step must lie in (0, 1]")
-        if operator.index(self.max_iter) < 1:
+        if self.max_iter < 1:
             raise ValueError("max_iter must be an integer >= 1")
         if not 0.0 <= self.convexity_floor_rel < 1.0:
             raise ValueError("convexity_floor_rel must lie in [0, 1)")
@@ -90,10 +108,12 @@ class HomotopySchedule:
     t_values: tuple | None = None
 
     def __post_init__(self):
+        for name in ("initial_step", "min_step", "max_step"):
+            object.__setattr__(self, name, as_real(getattr(self, name), name))
         if not 0.0 < self.min_step <= self.initial_step <= self.max_step <= 1.0:
             raise ValueError("need 0 < min_step <= initial_step <= max_step <= 1")
         if self.t_values is not None:
-            ts = tuple(float(t) for t in self.t_values)
+            ts = tuple(as_real(t, "t_values entry") for t in self.t_values)
             if len(ts) < 2 or ts[0] != 0.0 or ts[-1] != 1.0 \
                     or any(b <= a for a, b in zip(ts, ts[1:])):
                 raise ValueError("explicit t_values must increase strictly from 0 to 1")

@@ -263,3 +263,15 @@ class TestObjExport:
         path = tmp_path / "cap.obj"
         cm.export_obj(mesh, path)
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_extreme_values_match_per_record_reference(self, tmp_path):
+        verts = np.array([[-0.0, 5e-324, 0.0], [1e-300, -1e300, 1.0],
+                          [3.0, -2.0, 1e300], [0.1, -1.5, -0.0], [2.0 / 3.0, -7.0, 1e16]])
+        mesh = BodyMesh(vertices=verts, faces=np.array([[0, 1, 2], [0, 2, 3], [3, 4, 0]]),
+                        boundary_loop=np.array([0, 3]))
+        lines = [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in mesh.vertices]
+        lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.faces]
+        lines.append("l 1 4")
+        path = tmp_path / "extreme.obj"
+        cm.export_obj(mesh, path)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()

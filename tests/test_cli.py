@@ -155,7 +155,7 @@ class TestValidation:
         {"theta": [1]},
         {"schedule": {"adaptive": False}},
         {"schedule": {"adaptive": False, "t_values": []}},
-        {"solver": {"max_iter": 30.0}},
+        {"solver": {"max_iter": 30.5}},
         {"solver": {"convexity_floor_rel": "x"}},
         {"output": 5},
         {"solver": {"backtrack_factor": 0.5}},
@@ -184,6 +184,24 @@ class TestValidation:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert f"{path[-1]} must be an integer, got {value!r}" in err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("solver", "tol", True), ("solver", "max_iter", True), ("solver", "min_step", True),
+        ("solver", "convexity_floor_rel", False), ("solver", "tol", "1e-9"),
+        ("schedule", "t_values", [False, True]), ("schedule", "t_values", ["0", "1"]),
+        ("schedule", "t_values", "01"), ("schedule", "initial_step", True),
+    ])
+    def test_non_numeric_solver_settings_refused(self, tmp_path, capsys, no_solve,
+                                                 section, key, value):
+        # float(True) is 1.0 and float("1") is 1.0: either would run another schedule
+        cfg = write_config(tmp_path, **{section: {key: value}})
+        assert cli.main(["solve", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and f"{key} " in err and "must be" in err
+
+    def test_integral_max_iter_read_as_count(self):
+        solver = cli.parse_config(dict(BASE, solver={"max_iter": 2.0})).solver
+        assert solver.max_iter == 2 and type(solver.max_iter) is int
 
     @pytest.mark.parametrize("key, value", [("final_residual", None), ("config", 5)])
     def test_malformed_solution_one_line(self, tmp_path, capsys, key, value):
@@ -270,6 +288,51 @@ class TestValidation:
         cfg.write_text("[1, 2]")
         assert cli.main(["solve", "--config", str(cfg)]) == 2
         assert "not a JSON object" in capsys.readouterr().err
+
+
+def _solve(**overrides):
+    config = cli.parse_config(json.loads(json.dumps(dict(BASE, **overrides))))
+    prob = cli.build_problem(config)
+    sf, report = cli.continuation_solve(prob, config.solver, config.schedule)
+    report.bound_verification = cli.verify(sf, prob, newton_tol=config.solver.tol)
+    return config, sf, report
+
+
+class TestJsonFormat:
+    """Every JSON file the CLI writes is json.dumps(doc, indent=2) plus a newline."""
+
+    @staticmethod
+    def write(tmp_path, doc):
+        path = tmp_path / "out.json"
+        cli._write_json(str(path), doc)
+        assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
+        return path
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"n": 1, "grid": {"Nr": 16, "Nphi": 1}, "f": {"type": "constant", "value": 1.0}},
+        {"h": None, "note": 'text holding "h": null'},
+    ], ids=["n2", "n1-rows-of-one", "config-holding-h-null"])
+    def test_solution_document(self, tmp_path, overrides):
+        config, sf, report = _solve(**overrides)
+        path = self.write(tmp_path, cli.solution_document(config, sf, report.final_residual))
+        config_back, _, sf_back, residual = cli.load_solution(str(path))
+        assert config_back.raw == config.raw
+        assert np.array_equal(sf_back.h, sf.h) and residual == report.final_residual
+
+    def test_report_document(self, tmp_path):
+        _, _, report = _solve()
+        doc = report.to_json_dict()
+        assert json.loads(self.write(tmp_path, doc).read_text())["grids"] == doc["grids"]
+
+    @pytest.mark.parametrize("doc", [
+        {},
+        {"rows": [[], [1, -0.0, 5e-324, 1e300, float("nan"), float("-inf")], [2]]},
+        {"nested": [[1, [2]], [3]], "mixed": [[1], 2], "empty": [], "obj": {}, "s": "a\nb"},
+        {"strs": [["x", "y"]], "bools": [[True, None]], "tuple": [(1.5, 2.5)]},
+    ])
+    def test_shapes(self, tmp_path, doc):
+        self.write(tmp_path, doc)
 
 
 class TestConvergence:
