@@ -38,11 +38,13 @@ from .errors import (
 from .ma_system import (ProblemSpec, ResidualVector, jacobian,  # noqa: F401
                         jacobian_coefficients, log_gauss_map_matrix, residual)
 
-# Smallest Nphi of a coarser level.  Measured on one 2-core host: a 24^2
-# level under 48^2 speeds up a 96^2 solve (0.53-0.57 s against 0.62-0.66 s),
-# while a 16^2 level under 32^2 gains nothing at 128^2 (0.96-0.99 s against
-# 0.97-1.01 s) and would change the path of every 32^2-46^2 solve.
-NESTED_MIN_NPHI = 24
+# Smallest Nphi of a coarser level (``_coarse_shape``).  Measured on one
+# 2-core host: 20 moves the SuperLU homotopy of every 40^2-46^2 grid to a
+# 20^2-23^2 level, which cut the sweep-small benchmark's solve_s from 0.83
+# to 0.62 s (medians of 10 runs each).  16 would also nest every 32^2-38^2
+# grid, but 32^2 grids are the homotopy fixtures of the chord, nested and
+# schedule tests, which would then test nested solves instead.
+NESTED_MIN_NPHI = 20
 
 # GMRES controls of a Krylov Newton step: relative tolerance on the 2-norm of
 # J delta + R, and the iteration budget of one unrestarted cycle, after which
@@ -478,21 +480,33 @@ def _coarse_correction(prob: ProblemSpec, Nr: int, Nphi: int, cfg: SolverConfig,
     return resample(v - np.log(l_field(coarse)), coarse, grid)
 
 
+def _coarse_shape(grid: PolarGrid) -> tuple[int, int] | None:
+    """(Nr, Nphi) of grid's coarser level, or None when it has none.
+
+    The coarser level halves Nr and takes the largest even Nphi not above
+    half; it needs Nphi >= NESTED_MIN_NPHI (so no n = 1 grid, whose Nphi is
+    1, has one) and Nr >= 6.
+    """
+    Nr, Nphi = grid.Nr // 2, 2 * (grid.Nphi // 4)
+    if Nphi >= NESTED_MIN_NPHI and Nr >= 6:
+        return Nr, Nphi
+    return None
+
+
 def _solve_level(prob: ProblemSpec, cfg: SolverConfig, sched: HomotopySchedule,
                  report: SolveReport) -> np.ndarray:
     """v = log h solving prob, by nested iteration where a coarser level exists.
 
-    The coarser level halves Nr and Nphi (n = 2 only) and must keep Nphi even
-    and at least NESTED_MIN_NPHI.  Its solution, resampled, starts one
-    Newton-Krylov solve at t = 1 on this grid; any failure on the way falls
-    back to the homotopy on this grid.
+    The coarser level is ``_coarse_shape(prob.grid)``: 128^2 -> 64^2 -> 32^2,
+    96^2 -> 48^2 -> 24^2, 50^2 -> 25x24, 40^2 -> 20^2.  Its solution,
+    resampled, starts one Newton-Krylov solve at t = 1 on this grid; any
+    failure on the way falls back to the homotopy on this grid.
     """
-    grid = prob.grid
-    Nr, Nphi = grid.Nr // 2, grid.Nphi // 2
-    if grid.spec.n == 2 and Nphi >= NESTED_MIN_NPHI and Nphi % 2 == 0 and Nr >= 6:
+    shape = _coarse_shape(prob.grid)
+    if shape is not None:
         try:
-            dv = _coarse_correction(prob, Nr, Nphi, cfg, sched, report)
-            v, stage = newton_solve(np.log(l_field(grid)) + dv, prob, cfg, krylov=True)
+            dv = _coarse_correction(prob, *shape, cfg, sched, report)
+            v, stage = newton_solve(np.log(l_field(prob.grid)) + dv, prob, cfg, krylov=True)
         except (SolverError, NonConvexError):
             pass  # fall back to the homotopy on this grid
         else:

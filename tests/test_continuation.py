@@ -523,9 +523,45 @@ class TestNested:
         assert outside.count((64, 64)) == 1  # start_residual only
         assert rep.final_residual == rep.stages[-1].residuals[-1]
 
+    @pytest.mark.parametrize("shape, chain", [
+        ((38, 38), []),
+        ((40, 40), [(20, 20)]),
+        ((42, 42), [(21, 20)]),
+        ((50, 50), [(25, 24)]),
+        ((94, 94), [(47, 46), (23, 22)]),
+        ((128, 128), [(64, 64), (32, 32)]),
+        ((96, 96), [(48, 48), (24, 24)]),
+    ])
+    def test_coarse_shape_chain(self, spec, shape, chain):
+        levels = []
+        grid = cm.PolarGrid(spec, *shape)
+        while (coarse := continuation._coarse_shape(grid)) is not None:
+            levels.append(coarse)
+            grid = cm.PolarGrid(spec, *coarse)
+        assert levels == chain
+
+    @pytest.mark.parametrize("Nr", [6, 40, 128])
+    def test_radial_grid_has_no_coarse_level(self, Nr):
+        grid = cm.PolarGrid(cm.CapSpec(theta=np.pi / 3, n=1), Nr)
+        assert continuation._coarse_shape(grid) is None
+
+    def test_50_grid_nests_past_its_homotopy_stall(self, spec):
+        # the 50^2 homotopy stalls near t = 0.92 (line search at the noise
+        # floor); the 25x24 level's homotopy does not, and one Newton-Krylov
+        # solve finishes 50^2 from it
+        grid = cm.PolarGrid(spec, 50, 50)
+        R, PHI = grid.mesh()
+        f = 1.0 + 0.3 * (np.sin(R) / spec.sin_theta) ** 2 * np.cos(2 * PHI) * np.cos(R)
+        prob = ProblemSpec(grid=grid, pq=cm.ExponentPair(p=1.1, q=1.0), f=f)
+        sf, rep = cm.continuation_solve(prob)
+        doc = rep.to_json_dict()
+        assert doc["grids"][0] == [25, 24] and doc["grids"][-1] == [50, 50]
+        assert doc["final_residual"] <= doc["tols"][-1]
+        assert cm.verify(sf, prob).all_passed
+
     def test_grid_without_coarse_level_runs_homotopy(self, prob_start):
-        # 32^2 halves to 16^2, below the coarsest level allowed
-        assert prob_start.grid.Nphi // 2 < continuation.NESTED_MIN_NPHI
+        # 32^2 would halve to 16^2, below the coarsest level allowed
+        assert continuation._coarse_shape(prob_start.grid) is None
         _, rep = cm.continuation_solve(prob_start)
         assert rep.to_json_dict()["grids"] == [[32, 32]]
 
