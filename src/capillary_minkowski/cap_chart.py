@@ -107,8 +107,8 @@ class FrameOps:
         the tables' entries, in the order coeffs, identity, rim, and reads c_k
         on its own rows only; the union expanded over phi is the pattern, so it
         does not depend on the coefficients (entries that cancel are stored
-        zeros).  It is what a sparse factorization needs; a Krylov solve only
-        applies the operator, which ``robin_product`` does without assembling it.
+        zeros).  Only the SuperLU steps of a grid without a coarser level need
+        it; GMRES applies the operator through ``robin_product`` instead.
         """
         Nr, Nphi = self.shape
         tables = self._robin
@@ -177,8 +177,8 @@ class FrameOps:
         it into Nphi/2 + 1 banded radial blocks, one per angular mode; each
         block is factored by LAPACK's banded LU with partial pivoting.  The
         blocks read the ``_robin`` tables, the rim's with mean 1.  A singular
-        block leaves ``ModeFactor.solve`` non-finite, which a Krylov solve
-        reports as a miss.
+        block leaves ``ModeFactor.solve`` non-finite, which GMRES reports as
+        a miss: the Newton step raises SingularSystemError.
         """
         (brow, bcol), (kl, ku), terms = self._modes
         Nr, Nphi = self.shape

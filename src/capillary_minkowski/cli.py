@@ -26,6 +26,7 @@ from .continuation import (
     HomotopySchedule,
     SolverConfig,
     as_count,
+    as_real,
     continuation_solve,
     effective_tolerance,
     start_density,
@@ -69,7 +70,7 @@ class RunConfig:
 
 
 def _angle_from(doc: dict) -> float:
-    theta = float(doc["theta"])
+    theta = as_real(doc["theta"], "theta")
     unit = doc.get("theta_unit", "rad")
     if unit not in ("deg", "rad"):
         raise ValueError(f"theta_unit must be 'deg' or 'rad', got {unit!r}")
@@ -83,16 +84,16 @@ def density_from_spec(f_spec: dict, grid: PolarGrid, pq: ExponentPair) -> np.nda
     phi = grid.phi[None, :]
     try:
         if kind == "constant":
-            f = np.full(grid.shape, float(f_spec["value"]))
+            f = np.full(grid.shape, as_real(f_spec["value"], "value"))
         elif kind == "radial":
-            coeffs = [float(c) for c in f_spec["coeffs"]]
+            coeffs = [as_real(c, "coeffs entry") for c in f_spec["coeffs"]]
             poly = sum(c * np.cos(r) ** k for k, c in enumerate(coeffs))
             f = np.broadcast_to(poly, grid.shape).copy()
             if f_spec.get("times_start_density", False):
                 f = f * start_density(grid, pq)
         elif kind == "harmonic":
-            base = float(f_spec["base"])
-            amp = float(f_spec["amplitude"])
+            base = as_real(f_spec["base"], "base")
+            amp = as_real(f_spec["amplitude"], "amplitude")
             m = as_count(f_spec["m"], "m")
             k = as_count(f_spec.get("radial_mode", 0), "radial_mode")
             if m < 0 or k < 0:
@@ -101,7 +102,7 @@ def density_from_spec(f_spec: dict, grid: PolarGrid, pq: ExponentPair) -> np.nda
             f = base * (1.0 + amp * shape_fn)
             f = np.broadcast_to(f, grid.shape).copy()
         elif kind == "homotopy-start":
-            scale = float(f_spec.get("scale", 1.0))
+            scale = as_real(f_spec.get("scale", 1.0), "scale")
             if scale <= 0.0:
                 raise ValueError("scale must be positive")
             f = scale ** (pq.q - pq.p) * start_density(grid, pq)
@@ -135,7 +136,7 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
     try:
         spec = CapSpec(theta=_angle_from(doc), n=as_count(doc.get("n", 2), "n"))
-        p, q = float(doc["p"]), float(doc["q"])
+        p, q = as_real(doc["p"], "p"), as_real(doc["q"], "q")
         if not p > q:
             raise ValueError(f"exponents must satisfy p > q, got p={p}, q={q}")
         gdoc = doc.get("grid", {})
@@ -184,7 +185,7 @@ def load_solution(path: str):
         config = parse_config(doc["config"])
         prob = build_problem(config)
         sf = SupportField(h=np.asarray(doc["h"], dtype=float), grid=prob.grid)
-        return config, prob, sf, float(doc["final_residual"])
+        return config, prob, sf, as_real(doc["final_residual"], "final_residual")
     except _INPUT_ERRORS as exc:
         raise _input_error(exc, "corrupt solution file: ") from None
 
@@ -297,7 +298,7 @@ def cmd_convergence(args) -> int:
                           "(type 'homotopy-start', exact solution scale * l)")
     probs = [build_problem(replace(config, Nr=N, Nphi=N if config.spec.n == 2 else 1))
              for N in args.grids]
-    scale = float(config.f_spec.get("scale", 1.0))
+    scale = as_real(config.f_spec.get("scale", 1.0), "scale")
 
     rows = []
     for N, prob in zip(args.grids, probs):

@@ -5,12 +5,12 @@ across grids.
 The homotopy f_t = (1-t) f0 + t f interpolates from the start density f0
 (for which h = l solves the problem exactly) to the target f.  Each t-stage
 is solved by Newton with a backtracking line search on the max-norm of the
-residual; stage failures halve the t-step, easy stages double it.  The
-stages of one march share a SuperLU factor: a step is a chord step with the
-factor of an earlier iterate while that contracts fast enough.  On a grid
+residual; stage failures halve the t-step, easy stages double it.  On a grid
 with a coarser level the homotopy runs only on the coarsest level, and each
-finer level starts one Newton solve at t = 1 from the resampled solution,
-whose steps solve by preconditioned GMRES instead of sparse LU.
+finer level starts one Newton solve at t = 1 from the resampled solution.
+The grid picks the linear solve: preconditioned GMRES where a coarser level
+exists, else SuperLU, whose factor the stages of one march share for chord
+steps while these contract fast enough.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ NESTED_MIN_NPHI = 20
 
 # GMRES controls of a Krylov Newton step: relative tolerance on the 2-norm of
 # J delta + R, and the iteration budget of one unrestarted cycle, after which
-# the step is solved with the LU factor instead.
+# the step fails with SingularSystemError.
 KRYLOV_RTOL = 1e-6
 KRYLOV_MAX_ITERS = 40
 
@@ -136,7 +136,6 @@ class NewtonStage:
     grid: list = field(default_factory=list)  # [Nr, Nphi] of the grid it ran on
     tol: float = float("nan")  # the effective tolerance it had to meet
     krylov_iters: list = field(default_factory=list)  # per linear solve; 0 for an LU solve
-    lu_fallbacks: list = field(default_factory=list)  # solves (krylov_iters index) redone by LU
     factorizations: int = 0  # SuperLU factorizations it made
 
 
@@ -183,7 +182,6 @@ class SolveReport:
             "residuals": [list(s.residuals) for s in self.stages],
             "margins": [list(s.margins) for s in self.stages],
             "krylov_iters": [list(s.krylov_iters) for s in self.stages],
-            "lu_fallbacks": [list(s.lu_fallbacks) for s in self.stages],
             "factorizations": [s.factorizations for s in self.stages],
             "timings": {
                 "total_seconds": self.total_seconds,
@@ -306,25 +304,25 @@ def _trial(v: np.ndarray, delta: np.ndarray, prob: ProblemSpec,
     return v_new, R_new, R_new.max_norm() if lo >= cfg.convexity_floor_rel * hi else np.inf
 
 
-def _newton_direction(v: np.ndarray, R: ResidualVector, prob: ProblemSpec, krylov: bool,
+def _newton_direction(v: np.ndarray, R: ResidualVector, prob: ProblemSpec,
                       carry: _Carry | None, stage: NewtonStage) -> np.ndarray:
-    """The solution delta of J delta = -R with the exact J at v; the SuperLU
-    factor it makes, if any, is kept in ``carry``.
-
-    Only a SuperLU solve assembles J (``jacobian``): without ``krylov``, or
-    after GMRES, which applies J matrix-free, missed its tolerance.
-    """
+    """The solution delta of J delta = -R with the exact J at v: by GMRES,
+    which applies J matrix-free, on a grid with a coarser level, where a miss
+    raises SingularSystemError; else by a SuperLU factor of the assembled J
+    (``jacobian``), which is kept in ``carry``."""
     rhs = -R.full.ravel()
-    delta, iters = _gmres_solve(rhs, R, prob) if krylov else (None, 0)
-    if delta is None:
-        if krylov:
-            stage.lu_fallbacks.append(len(stage.krylov_iters))
+    if _coarse_shape(prob.grid) is not None:
+        delta, iters = _gmres_solve(rhs, R, prob)
+        if delta is None:
+            raise SingularSystemError(f"GMRES missed rtol {KRYLOV_RTOL:g} in {iters} iterations",
+                                      best_v=v, report=stage)
+    else:
         try:
             lu = spla.splu(jacobian(R, prob), permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:  # SuperLU signals exact singularity this way
             raise SingularSystemError(str(exc), best_v=v, report=stage) from exc
         stage.factorizations += 1
-        delta = lu.solve(rhs)
+        delta, iters = lu.solve(rhs), 0
         if carry is not None:
             carry.lu = lu
     stage.krylov_iters.append(iters)
@@ -335,8 +333,7 @@ def _newton_direction(v: np.ndarray, R: ResidualVector, prob: ProblemSpec, krylo
 
 
 def newton_solve(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
-                 krylov: bool = False, carry: _Carry | None = None,
-                 ) -> tuple[np.ndarray, NewtonStage]:
+                 carry: _Carry | None = None) -> tuple[np.ndarray, NewtonStage]:
     """Damped Newton on the log-variable residual with a convexity safeguard.
 
     While ``carry`` (the homotopy's) holds ``carry.lu``, the factor of an
@@ -347,10 +344,10 @@ def newton_solve(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
     falls strictly below the residual max-norm.  A trial's merit is its
     residual max-norm, or +inf when B breaks the floor of convexity_floor_rel
     times its max eigenvalue, which every accepted iterate therefore keeps.
-    The exact J is solved by a SuperLU factor, which becomes ``carry.lu``, or
-    with ``krylov`` by GMRES, which applies J matrix-free and is preconditioned
-    by the ring-mean mode blocks (``FrameOps.mode_system``), and falls back to
-    that factor when it misses KRYLOV_RTOL.  On success ``carry.R`` holds the
+    The grid picks how the exact J is solved: by GMRES preconditioned by the
+    ring-mean mode blocks on a grid with a coarser level (``_coarse_shape``),
+    where a miss of KRYLOV_RTOL raises SingularSystemError, else by a SuperLU
+    factor, which becomes ``carry.lu``.  On success ``carry.R`` holds the
     returned iterate's residual.
     """
     grid = prob.grid
@@ -388,7 +385,7 @@ def newton_solve(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
                 else:  # one factor at a time: free it before the next is built
                     trial = carry.lu = None
             if trial is None:
-                delta = _newton_direction(v, R, prob, krylov, carry, stage)
+                delta = _newton_direction(v, R, prob, carry, stage)
                 while not (trial := _trial(v, alpha * delta, prob, cfg))[2] < rnorm:
                     alpha *= 0.5
                     if alpha < cfg.min_step:
@@ -422,9 +419,9 @@ def _homotopy(prob: ProblemSpec, cfg: SolverConfig, sched: HomotopySchedule,
     schedule visits its t values in order and stalls on the first failed
     stage; an adaptive one halves the t-step on failure down to the schedule
     minimum and doubles it after two consecutive easy stages: stages with
-    full steps only and at most two factorizations.  The Newton solves share
-    one SuperLU factor through a ``_Carry``, which a failed stage empties and
-    which dies with the march.  Accepted stages are appended to ``report``.
+    full steps only and at most two factorizations.  A SuperLU grid's Newton
+    solves share one factor through a ``_Carry``, which a failed stage
+    empties and which dies with the march.  Accepted stages go to ``report``.
     """
     grid = prob.grid
     v = np.log(l_field(grid))
@@ -506,7 +503,7 @@ def _solve_level(prob: ProblemSpec, cfg: SolverConfig, sched: HomotopySchedule,
     if shape is not None:
         try:
             dv = _coarse_correction(prob, *shape, cfg, sched, report)
-            v, stage = newton_solve(np.log(l_field(prob.grid)) + dv, prob, cfg, krylov=True)
+            v, stage = newton_solve(np.log(l_field(prob.grid)) + dv, prob, cfg)
         except (SolverError, NonConvexError):
             pass  # fall back to the homotopy on this grid
         else:

@@ -47,7 +47,8 @@ class LineSearchStallError(SolverError):
 
 
 class SingularSystemError(SolverError):
-    """Sparse factorization of the linearized system failed."""
+    """A Newton step's linear solve failed: SuperLU found J singular, GMRES
+    missed its tolerance, or the step is not finite."""
 
 
 class ContinuationStallError(SolverError):

@@ -194,7 +194,7 @@ def jacobian(R: ResidualVector, prob: ProblemSpec) -> sp.csc_matrix:
     Interior rows combine the frame operators with ``jacobian_coefficients``;
     boundary rows are the (linear) one-sided d_r stencil.  Both come from the
     per-ring tables ``FrameOps.robin_system`` reads, so the sparsity pattern
-    is the same for every v.  Assembled for sparse LU only; a Krylov solve
-    applies the same operator through ``FrameOps.robin_product``.
+    is the same for every v.  Assembled only for the SuperLU steps of a grid
+    without a coarser level; GMRES applies it as ``FrameOps.robin_product``.
     """
     return prob.grid.ops.robin_system(**jacobian_coefficients(R, prob))

@@ -199,11 +199,36 @@ class TestValidation:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and f"{key} " in err and "must be" in err
 
+    @pytest.mark.parametrize("overrides, key", [
+        ({"theta": True}, "theta"), ({"theta": "60"}, "theta"), ({"q": False}, "q"),
+        ({"p": "3"}, "p"),
+        ({"f": {"type": "constant", "value": True}}, "value"),
+        ({"f": {"type": "radial", "coeffs": [True, "0.1"]}}, "coeffs entry"),
+        ({"f": {"type": "radial", "coeffs": [1.0, "0.1"]}}, "coeffs entry"),
+        ({"f": {"type": "harmonic", "base": "1", "amplitude": 0.2, "m": 2}}, "base"),
+        ({"f": {"type": "harmonic", "base": 1.0, "amplitude": False, "m": 2}}, "amplitude"),
+        ({"f": {"type": "homotopy-start", "scale": "2"}}, "scale"),
+    ])
+    def test_non_numeric_problem_numbers_refused(self, tmp_path, capsys, no_solve,
+                                                 overrides, key):
+        # float() reads each of these as a number, so they would solve another problem
+        cfg = write_config(tmp_path, **overrides)
+        assert cli.main(["solve", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and f"{key} must be a number" in err
+
+    def test_integral_problem_numbers_accepted(self):
+        config = cli.parse_config(dict(BASE, theta=60, p=3, q=1,
+                                       f={"type": "radial", "coeffs": [1, 0]}))
+        assert (config.pq.p, config.pq.q) == (3.0, 1.0)
+        assert np.all(cli.build_problem(config).f == 1.0)
+
     def test_integral_max_iter_read_as_count(self):
         solver = cli.parse_config(dict(BASE, solver={"max_iter": 2.0})).solver
         assert solver.max_iter == 2 and type(solver.max_iter) is int
 
-    @pytest.mark.parametrize("key, value", [("final_residual", None), ("config", 5)])
+    @pytest.mark.parametrize("key, value", [("final_residual", None), ("final_residual", True),
+                                            ("final_residual", "1e-12"), ("config", 5)])
     def test_malformed_solution_one_line(self, tmp_path, capsys, key, value):
         cli.main(["solve", "--config", str(write_config(tmp_path))])
         sol = tmp_path / "run.solution.json"
@@ -323,6 +348,11 @@ class TestJsonFormat:
     def test_report_document(self, tmp_path):
         _, _, report = _solve()
         doc = report.to_json_dict()
+        # the report format: a change to these keys is a format change
+        assert list(doc) == ["t_steps", "grids", "requested_tol", "tols", "newton_iters",
+                             "residuals", "margins", "krylov_iters", "factorizations",
+                             "timings", "final_residual", "start_residual",
+                             "bound_verification"]
         assert json.loads(self.write(tmp_path, doc).read_text())["grids"] == doc["grids"]
 
     @pytest.mark.parametrize("doc", [
