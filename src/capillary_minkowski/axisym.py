@@ -9,7 +9,7 @@ two-point boundary value problem
 on (0, theta), with the regularity condition h'(0) = 0 at the pole and the
 Robin condition h'(theta) = cot(theta) h(theta) at the rim.  The collocation
 here (uniform nodes including r = 0 and r = theta, centered differences,
-one-sided second-order boundary rows, Newton on the same density homotopy)
+one-sided second-order boundary rows, Newton on a density homotopy)
 shares no discretization code with the 2D solver, which is the point: it
 serves as a brute-force oracle.
 """
@@ -99,8 +99,18 @@ def _factors(h: np.ndarray, prob: RadialProblem, f: np.ndarray):
 
 def radial_residual(h: np.ndarray, prob: RadialProblem, f: np.ndarray | None = None) -> np.ndarray:
     """Residual rows: h'(0) at node 0, factored equation inside, Robin at node M."""
-    h = np.asarray(h, dtype=float)
-    f = prob.f if f is None else f
+    return _rows(np.asarray(h, dtype=float), prob, prob.f if f is None else f)[0]
+
+
+def _rows(h: np.ndarray, prob: RadialProblem, f: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(``radial_residual`` rows, their relative max-norm, its roundoff floor).
+
+    Relative: interior rows over their right-hand side c, boundary rows over
+    max h.  That norm is invariant under the exact scaling h -> s h,
+    f -> s^(q-p) f, and grows like h^(q-p) towards the spurious root h = 0 of
+    the homogeneous rows.  Floor: float noise eps max h in a = h'' + h,
+    divided by dr^2 and by a.
+    """
     n = prob.cap.n
     M = prob.r.size - 1
     dr = prob.dr
@@ -109,7 +119,10 @@ def radial_residual(h: np.ndarray, prob: RadialProblem, f: np.ndarray | None = N
     out[1:M] = a * b ** (n - 1) - c
     out[0] = (-3 * h[0] + 4 * h[1] - h[2]) / (2 * dr)
     out[M] = (3 * h[M] - 4 * h[M - 1] + h[M - 2]) / (2 * dr) - prob.cap.cot_theta * h[M]
-    return out
+    h_max, a_min = float(np.max(np.abs(h))), float(np.min(a))
+    rel = max(float(np.max(np.abs(out[1:M]) / c)), abs(out[0]) / h_max, abs(out[M]) / h_max)
+    floor = 16.0 * np.finfo(float).eps * h_max / (dr**2 * a_min) if a_min > 0.0 else 0.0
+    return out, rel, floor
 
 
 def _radial_jacobian(h: np.ndarray, prob: RadialProblem, f: np.ndarray) -> np.ndarray:
@@ -150,19 +163,14 @@ def _radial_jacobian(h: np.ndarray, prob: RadialProblem, f: np.ndarray) -> np.nd
     return ab
 
 
-def _noise_floor(h: np.ndarray, dr: float) -> float:
-    """Roundoff floor of the residual evaluation: second differences divide
-    float noise of size eps*|h| by dr^2, so tolerances below this are
-    unreachable in double precision on fine grids."""
-    return 16.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(h)))) / dr**2
-
-
 def _radial_newton(h0, prob, f, tol, max_iter=40, min_step=1e-8):
+    """Newton on ``radial_residual`` with a backtracking line search on the
+    relative max-norm of ``_rows``, until that is at most tol, or at its
+    roundoff floor where the line search stalls."""
     h = h0.copy()
-    res = radial_residual(h, prob, f)
-    rnorm = float(np.max(np.abs(res)))
+    res, rel, floor = _rows(h, prob, f)
     for _ in range(max_iter):
-        if rnorm <= tol:
+        if rel <= tol:
             return h
         try:
             delta = solve_banded((2, 2), _radial_jacobian(h, prob, f), -res,
@@ -172,33 +180,34 @@ def _radial_newton(h0, prob, f, tol, max_iter=40, min_step=1e-8):
         alpha = 1.0
         while True:
             h_new = h + alpha * delta
-            ok = np.all(h_new > 0.0)
-            if ok:
-                res_new = radial_residual(h_new, prob, f)
-                rn = float(np.max(np.abs(res_new)))
-                if np.isfinite(rn) and rn < rnorm:
+            if np.all(h_new > 0.0):
+                res_new, rel_new, floor_new = _rows(h_new, prob, f)
+                if np.isfinite(rel_new) and rel_new < rel:
                     break
             alpha *= 0.5
             if alpha < min_step:
-                if rnorm <= _noise_floor(h, prob.dr):
+                if rel <= floor:
                     return h  # stalled at the roundoff floor, accept
                 raise LineSearchStallError(
-                    f"1D line search stalled (residual {rnorm:.3e})", best_v=h
+                    f"1D line search stalled (relative residual {rel:.3e})", best_v=h
                 )
-        h, res, rnorm = h_new, res_new, rn
-    if rnorm <= max(tol, _noise_floor(h, prob.dr)):
+        h, res, rel, floor = h_new, res_new, rel_new, floor_new
+    if rel <= max(tol, floor):
         return h
-    raise MaxIterationsError(f"1D Newton did not converge (residual {rnorm:.3e})", best_v=h)
+    raise MaxIterationsError(f"1D Newton did not converge (relative residual {rel:.3e})",
+                             best_v=h)
 
 
 def radial_solve(prob: RadialProblem, tol: float = 1e-10) -> np.ndarray:
-    """Solve the radial problem by Newton along the density homotopy from h = l."""
-    spec = prob.cap
-    h = 1.0 - spec.cos_theta * np.cos(prob.r)
+    """Solve the radial problem by Newton along the density homotopy from h = s l,
+    which solves s^(q-p) f0 exactly; s matches that to f in geometric mean."""
     f0 = radial_start_density(prob)
+    s = np.exp(np.mean(np.log(f0 / prob.f)) / (prob.pq.p - prob.pq.q))
+    h = s * (1.0 - prob.cap.cos_theta * np.cos(prob.r))
+    f0 = s ** (prob.pq.q - prob.pq.p) * f0
     t, dt = 0.0, 0.25
     while t < 1.0:
-        if float(np.max(np.abs(radial_residual(h, prob)))) <= tol:
+        if _rows(h, prob, prob.f)[1] <= tol:
             return h
         t_try = min(1.0, t + dt)
         f_t = (1.0 - t_try) * f0 + t_try * prob.f

@@ -73,10 +73,14 @@ class FrameOps:
       D1  = d_r                        D2  = (1/sin r) d_phi
       H11 = d_rr                       H12 = (d_rphi - cot r d_phi) / sin r
       H22 = d_phiphi / sin^2 r + cot r d_r
-    The 2D-only ones are None for n = 1.  Rows are grid nodes in C order on a
-    grid of ``shape`` (Nr, Nphi); ring Nr - 1 is the rim.
+    and the identity, the zeroth-order term of a linearization.  The 2D-only
+    ones are None for n = 1.  Rows are grid nodes in C order on a grid of
+    ``shape`` (Nr, Nphi); ring Nr - 1 is the rim.  ``combination`` and its
+    siblings take sum_k diag(c_k) op_k over every row, so the coefficient
+    fields alone (``ma_system.jacobian_coefficients``) say what a row is.
     """
 
+    identity: sp.csr_matrix
     D1: sp.csr_matrix
     H11: sp.csr_matrix
     shape: tuple
@@ -85,68 +89,45 @@ class FrameOps:
     H12: sp.csr_matrix | None = None
     H22: sp.csr_matrix | None = None
 
-    @cached_property
-    def _robin(self) -> dict:
-        """The entries of ``robin_system`` as per-ring tables, by coefficient name:
-        each operator's and the identity's interior rings, and as "rim" D1's rim
-        ring, whose coefficient is 1 (the Robin d_r rows, as the residual has them).
-        """
-        Nr = self.shape[0]
-        rings = np.arange(Nr - 1)
-        tables = dict(self.stencils, identity=Stencil(rings, rings, 0 * rings, np.ones(Nr - 1)))
-        robin = {name: Stencil(*(a[t.ring < Nr - 1] for a in t)) for name, t in tables.items()}
-        D1 = self.stencils["D1"]
-        robin["rim"] = Stencil(*(a[D1.ring == Nr - 1] for a in D1))
-        return robin
+    def combination(self, **coeffs: np.ndarray) -> sp.csc_matrix:
+        """sum_k diag(c_k) op_k, for ``coeffs`` mapping operator names to per-node fields c_k.
 
-    def robin_system(self, identity: float, **coeffs: np.ndarray) -> sp.csc_matrix:
-        """sum_k diag(c_k) op_k + identity * I on the interior rows, D1 on the rim rows.
-
-        ``coeffs`` maps operator names (``H11``, ``D1``, ...) to per-node fields
-        c_k.  Each ``_robin`` table adds c_k times its weights to the union of
-        the tables' entries, in the order coeffs, identity, rim, and reads c_k
-        on its own rows only; the union expanded over phi is the pattern, so it
-        does not depend on the coefficients (entries that cancel are stored
-        zeros).  Only the SuperLU steps of a grid without a coarser level need
-        it; GMRES applies the operator through ``robin_product`` instead.
+        Each table of ``stencils`` named in ``coeffs`` adds c_k times its
+        weights to the union of all the tables' entries, in the order of
+        ``coeffs``; the union expanded over phi is the pattern, so it does not
+        depend on the coefficients (entries that cancel are stored zeros).
+        Only the SuperLU steps of a grid without a coarser level need it;
+        GMRES applies the operator through ``combination_product`` instead.
         """
         Nr, Nphi = self.shape
-        tables = self._robin
-        key = {name: (t.ring * Nr + t.src) * Nphi + t.shift for name, t in tables.items()}
+        key = {name: (t.ring * Nr + t.src) * Nphi + t.shift for name, t in self.stencils.items()}
         union = np.unique(np.concatenate(list(key.values())))
         values = np.zeros((union.size, Nphi))
-        coeffs = dict(coeffs, identity=np.full(self.shape, float(identity)), rim=np.ones(self.shape))
         for name, c in coeffs.items():
-            t = tables[name]
+            t = self.stencils[name]
             c = np.reshape(c, self.shape)[t.ring]
             values[np.searchsorted(union, key[name])] += c * t.weight[:, None]
         ring_src, shift = np.divmod(union, Nphi)
         return _expand(Stencil(*np.divmod(ring_src, Nr), shift, None), Nr, Nphi, values).tocsc()
 
-    def robin_product(self, identity: float, **coeffs: np.ndarray):
-        """x -> robin_system(identity, **coeffs) @ x, applied without assembly.
-
-        Interior rows are identity * x + sum_k c_k (op_k x), rim rows D1 x; D1 x
-        is computed once for both.  Equal to the assembled product up to the
-        order of the sums.
-        """
-        m = (self.shape[0] - 1) * self.shape[1]
-        terms = [(getattr(self, name), np.ravel(c)[:m]) for name, c in coeffs.items()]
+    def combination_product(self, **coeffs: np.ndarray):
+        """x -> combination(**coeffs) @ x, applied without assembly as the sum of
+        c_k (op_k x) in the order of ``coeffs``.  Equal to the assembled product
+        up to the order of the sums."""
+        terms = [(getattr(self, name), np.ravel(c)) for name, c in coeffs.items()]
 
         def apply(x: np.ndarray) -> np.ndarray:
             x = np.ravel(x)
-            out = self.D1 @ x
-            acc = identity * x[:m]
+            out = np.zeros(x.size)
             for op, c in terms:
-                acc += c * (out if op is self.D1 else op @ x)[:m]
-            out[:m] = acc
+                out += c * (op @ x)
             return out
 
         return apply
 
     @cached_property
     def _modes(self):
-        """Band layout of ``mode_system`` and each ``_robin`` table's mode symbols in it.
+        """Band layout of ``mode_system`` and each ``stencils`` table's mode symbols in it.
 
         Table entry (i, j, s, w) adds w exp(2 pi i s k / Nphi) to entry (i, j) of
         the radial block of angular mode k.  A ghost's shift Nphi/2 makes its
@@ -156,7 +137,7 @@ class FrameOps:
         jk = np.outer(np.arange(Nphi), np.arange(Nphi // 2 + 1)) % Nphi
         phases = np.exp(2j * np.pi / Nphi * jk)  # (shift s, mode k)
         parts = {}
-        for name, t in self._robin.items():
+        for name, t in self.stencils.items():
             pos, inv = np.unique(t.ring * Nr + t.src, return_inverse=True)
             sym = np.zeros((pos.size, phases.shape[1]), dtype=complex)
             np.add.at(sym, inv, t.weight[:, None] * phases[t.shift])
@@ -169,25 +150,22 @@ class FrameOps:
         layout = (kl + ku + row - col, col)  # LAPACK gbtrf band storage of entry (row, col)
         return layout, (kl, ku), terms
 
-    def mode_system(self, identity: float, **coeffs: np.ndarray) -> ModeFactor:
-        """LU factors of ``robin_system(identity, **coeffs)`` with every c_k
-        replaced by its mean over each ring.
+    def mode_system(self, **coeffs: np.ndarray) -> ModeFactor:
+        """LU factors of ``combination(**coeffs)`` with every c_k replaced by its
+        mean over each ring.
 
         That operator commutes with rotations in phi, so an FFT in phi splits
         it into Nphi/2 + 1 banded radial blocks, one per angular mode; each
-        block is factored by LAPACK's banded LU with partial pivoting.  The
-        blocks read the ``_robin`` tables, the rim's with mean 1.  A singular
-        block leaves ``ModeFactor.solve`` non-finite, which GMRES reports as
-        a miss: the Newton step raises SingularSystemError.
+        block is factored by LAPACK's banded LU with partial pivoting.  A
+        singular block leaves ``ModeFactor.solve`` non-finite, which GMRES
+        reports as a miss: the Newton step raises SingularSystemError.
         """
         (brow, bcol), (kl, ku), terms = self._modes
         Nr, Nphi = self.shape
-        means = {name: np.reshape(c, self.shape)[:-1].mean(axis=1) for name, c in coeffs.items()}
-        means.update(identity=np.full(Nr - 1, float(identity)), rim=np.ones(Nr))
         data = np.zeros((Nphi // 2 + 1, brow.size), dtype=complex)
-        for name, c in means.items():
+        for name, c in coeffs.items():
             slots, ring, sym = terms[name]
-            data[:, slots] += c[ring] * sym
+            data[:, slots] += np.reshape(c, self.shape).mean(axis=1)[ring] * sym
         bands = np.zeros((data.shape[0], 2 * kl + ku + 1, Nr), dtype=complex)
         bands[:, brow, bcol] = data
         factors = [lapack.zgbtrf(band, kl, ku)[:2] for band in bands]
@@ -237,21 +215,22 @@ class PolarGrid:
     def __init__(self, spec: CapSpec, Nr: int, Nphi: int | None = None):
         if spec.n not in (1, 2):
             raise ValueError(f"grids support n in (1, 2), got n = {spec.n}")
-        if spec.n == 1:
-            if Nphi not in (None, 1):
-                raise ValueError("n = 1 grids are radial only (Nphi must be 1)")
-            Nphi = 1
-        else:
-            if Nphi is None:
-                Nphi = Nr
-            if Nphi < 6 or Nphi % 2 != 0:
-                raise ValueError(f"Nphi must be even and >= 6, got {Nphi}")
+        if Nphi is None:
+            Nphi = Nr if spec.n == 2 else 1
+        for name, count in (("Nr", Nr), ("Nphi", Nphi)):
+            if isinstance(count, bool) or not float(count).is_integer():
+                raise ValueError(f"{name} must be an integer, got {count!r}")
+        Nr, Nphi = int(Nr), int(Nphi)
+        if spec.n == 1 and Nphi != 1:
+            raise ValueError("n = 1 grids are radial only (Nphi must be 1)")
+        if spec.n == 2 and (Nphi < 6 or Nphi % 2 != 0):
+            raise ValueError(f"Nphi must be even and >= 6, got {Nphi}")
         if Nr < 6:
             raise ValueError(f"Nr must be >= 6, got {Nr}")
 
         self.spec = spec
-        self.Nr = int(Nr)
-        self.Nphi = int(Nphi)
+        self.Nr = Nr
+        self.Nphi = Nphi
         self.dr = spec.theta / (Nr - 0.5)
         self.dphi = 2.0 * math.pi / Nphi if spec.n == 2 else 0.0
 
@@ -342,7 +321,7 @@ class PolarGrid:
     @cached_property
     def ops(self) -> FrameOps:
         """The frame operators of this grid, built on first use: a Jacobian
-        assembly only fills its coefficients into ``FrameOps.robin_system``,
+        assembly only fills its coefficients into ``FrameOps.combination``,
         and building them lazily keeps grid construction cheap."""
         Nr, dr = self.Nr, self.dr
         # fourth-order, second-order and one-sided rim rows; zero weights pad them
@@ -353,7 +332,8 @@ class PolarGrid:
                                            np.array([1.0, -4.0, 3.0, 0.0, 0.0]) / (2 * dr)])[kind]
         d_rr = [-3, -2, -1, 0, 1], \
             np.array([[0.0, 0.0, 1.0, -2.0, 1.0], [-1.0, 4.0, -5.0, 2.0, 0.0]])[kind // 2] / dr**2
-        stencils = {"D1": self._stencil(*d_r), "H11": self._stencil(*d_rr)}
+        stencils = {"identity": self._stencil([0], [1.0]), "D1": self._stencil(*d_r),
+                    "H11": self._stencil(*d_rr)}
         if self.spec.n == 2:
             d_phi = [-2, -1, 1, 2], np.array([1.0, -8.0, 8.0, -1.0]) / (12 * self.dphi)
             d_phiphi = [-2, -1, 0, 1, 2], \

@@ -273,14 +273,14 @@ def _gmres_solve(rhs: np.ndarray, R, prob: ProblemSpec) -> tuple[np.ndarray | No
     right-preconditioned by the ring-mean mode blocks; x is None when GMRES
     misses KRYLOV_RTOL.
 
-    J is never assembled: GMRES applies it as ``FrameOps.robin_product`` of
-    the same ``jacobian_coefficients`` that build the preconditioner.  With
+    J is never assembled: GMRES applies it as ``FrameOps.combination_product``
+    of the same ``jacobian_coefficients`` that build the preconditioner.  With
     the preconditioner on the right, GMRES minimizes the residual of J x = rhs
     itself, so its tolerance bounds the true linear residual.
     """
     ops = prob.grid.ops
     coeffs = jacobian_coefficients(R, prob)
-    M, J = ops.mode_system(**coeffs), ops.robin_product(**coeffs)
+    M, J = ops.mode_system(**coeffs), ops.combination_product(**coeffs)
     iters = 0
 
     def count(_):

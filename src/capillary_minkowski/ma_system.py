@@ -157,13 +157,16 @@ def residual_h_form(h: np.ndarray, prob: ProblemSpec) -> ResidualVector:
 
 
 def jacobian_coefficients(R: ResidualVector, prob: ProblemSpec) -> dict:
-    """Per-node coefficients of the exact linearization at the v of R = residual(v, prob).
+    """Per-node coefficients of the exact linearization at the v of R = residual(v, prob),
+    as the keyword arguments of ``FrameOps.combination`` and its siblings.
 
-    Interior rows of the linearization:
+    This is the one place that knows which rows are which.  Interior rows:
         tr(B^-1 dB) - (p-q) I - (n+1-q) * (grad v . d grad v) / (1+|grad v|^2)
-    with dB = d hess + dgrad x grad + grad x dgrad, as the keyword arguments
-    of ``FrameOps.robin_system`` and ``FrameOps.mode_system``.  Requires B(v)
-    positive definite.
+    with dB = d hess + dgrad x grad + grad x dgrad.  Rim rows: D1, since the
+    Robin rows d_r v - cot(theta) are linear; every other term is 0 there.
+    Every term is a field on every ring: ``identity``, ``H11``, ``H12``,
+    ``H22``, ``D1``, ``D2`` (``identity``, ``H11``, ``D1`` for n = 1).
+    Requires B(v) positive definite.
     """
     n = prob.grid.spec.n
     p, q = prob.pq.p, prob.pq.q
@@ -175,26 +178,30 @@ def jacobian_coefficients(R: ResidualVector, prob: ProblemSpec) -> dict:
 
     B, g, detB = R.B, R.g, R.detB
     w = (n + 1 - q) / (1.0 + g.norm_sq())
+    identity = np.full(prob.grid.shape, -(p - q))
     if n == 1:
         B11, g1 = B.comps[0, 0], g.comps[0]
-        return dict(H11=1.0 / B11, D1=(2.0 / B11 - w) * g1, identity=-(p - q))
-    B11, B12, B22 = B.comps[0, 0], B.comps[0, 1], B.comps[1, 1]
-    g1, g2 = g.comps[0], g.comps[1]
-    return dict(
-        H11=B22 / detB, H12=-2.0 * B12 / detB, H22=B11 / detB,
-        D1=2.0 * (B22 * g1 - B12 * g2) / detB - w * g1,
-        D2=2.0 * (B11 * g2 - B12 * g1) / detB - w * g2,
-        identity=-(p - q),
-    )
+        coeffs = dict(identity=identity, H11=1.0 / B11, D1=(2.0 / B11 - w) * g1)
+    else:
+        B11, B12, B22 = B.comps[0, 0], B.comps[0, 1], B.comps[1, 1]
+        g1, g2 = g.comps[0], g.comps[1]
+        coeffs = dict(
+            identity=identity, H11=B22 / detB, H12=-2.0 * B12 / detB, H22=B11 / detB,
+            D1=2.0 * (B22 * g1 - B12 * g2) / detB - w * g1,
+            D2=2.0 * (B11 * g2 - B12 * g1) / detB - w * g2,
+        )
+    for name, c in coeffs.items():  # the rim's Robin rows d_r v - cot(theta)
+        c[prob.grid.boundary_ring] = 1.0 if name == "D1" else 0.0
+    return coeffs
 
 
 def jacobian(R: ResidualVector, prob: ProblemSpec) -> sp.csc_matrix:
     """Exact analytic linearization of ``residual`` at the v of R = residual(v, prob).
 
-    Interior rows combine the frame operators with ``jacobian_coefficients``;
-    boundary rows are the (linear) one-sided d_r stencil.  Both come from the
-    per-ring tables ``FrameOps.robin_system`` reads, so the sparsity pattern
-    is the same for every v.  Assembled only for the SuperLU steps of a grid
-    without a coarser level; GMRES applies it as ``FrameOps.robin_product``.
+    ``FrameOps.combination`` of ``jacobian_coefficients``, which give the
+    interior rows and the rim's Robin rows alike; the sparsity pattern is the
+    union of the operators' tables, the same for every v.  Assembled only for
+    the SuperLU steps of a grid without a coarser level; GMRES applies it as
+    ``FrameOps.combination_product``.
     """
-    return prob.grid.ops.robin_system(**jacobian_coefficients(R, prob))
+    return prob.grid.ops.combination(**jacobian_coefficients(R, prob))

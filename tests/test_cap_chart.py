@@ -137,7 +137,8 @@ def product_form_ops(grid):
     """Reference frame operators, assembled without the stencil tables: per-ring
     COO rows for d_r, d_rr, d_phi and d_phiphi, then the chart formulas as sparse
     products of diagonal scalings with them, sums and the product d_r d_phi.
-    Also returns the two angular stencils, as "Dphi" and "Dphiphi"."""
+    Also returns the identity, and the two angular stencils as "Dphi" and
+    "Dphiphi"."""
     Nr, Nphi, dr, N = grid.Nr, grid.Nphi, grid.dr, grid.size
     k = np.arange(Nphi)
 
@@ -174,7 +175,7 @@ def product_form_ops(grid):
     def diag(x):
         return sp.diags(np.repeat(x, Nphi))
 
-    ops = {"D1": radial_csr(d_r), "H11": radial_csr(d_rr)}
+    ops = {"identity": sp.identity(N, format="csr"), "D1": radial_csr(d_r), "H11": radial_csr(d_rr)}
     if grid.spec.n == 2:
         Dr = ops["D1"]
         Dphi = angular_csr([-2, -1, 1, 2], np.array([1.0, -8.0, 8.0, -1.0]) / (12 * grid.dphi))
@@ -191,9 +192,8 @@ def product_form_ops(grid):
 
 
 def product_form_symbols(ref, grid):
-    """Mode symbols of each term read off row (i, 0) of the reference operators:
-    {name: (row ring * Nr + column ring, symbols (modes, entries))}; "rim" holds
-    D1's rim row, the others their interior rings."""
+    """Mode symbols of each term read off row (i, 0) of the reference operators,
+    on every ring: {name: (row ring * Nr + column ring, symbols (modes, entries))}."""
     Nr, Nphi = grid.shape
     jk = np.outer(np.arange(Nphi), np.arange(Nphi // 2 + 1)) % Nphi
     phases = np.exp(2j * np.pi / Nphi * jk)
@@ -204,11 +204,8 @@ def product_form_symbols(ref, grid):
         stencil = sp.csr_matrix((ent.data, (inv, ent.col % Nphi)), shape=(pos.size, Nphi))
         return pos, (stencil @ phases).T
 
-    interior = np.arange(Nr - 1)
-    out = {name: symbols(op, interior) for name, op in ref.items() if not name.startswith("Dphi")}
-    out["identity"] = symbols(sp.identity(grid.size, format="csr"), interior)
-    out["rim"] = symbols(ref["D1"], np.array([Nr - 1]))
-    return out
+    rings = np.arange(Nr)
+    return {name: symbols(op, rings) for name, op in ref.items() if not name.startswith("Dphi")}
 
 
 def mode_symbols(grid):
@@ -287,7 +284,7 @@ class TestFrameOps:
         # the same exact zeros, so every stored entry is equal bit for bit
         grid = PolarGrid(CapSpec(theta=theta, n=n), N)
         ref = product_form_ops(grid)
-        for name in ("D1", "H11", "D2", "H12", "H22"):
+        for name in ("identity", "D1", "H11", "D2", "H12", "H22"):
             op = getattr(grid.ops, name)
             if name not in ref:
                 assert op is None
@@ -314,10 +311,11 @@ class TestFrameOps:
 
     def test_jacobian_fixed_pattern(self):
         # v = log l is axisymmetric (B12 = g2 = 0), so there some entries are
-        # zero; the pattern must not follow them.  It is the interior rows of
-        # every operator and the identity and D1's rim rows, read off the
-        # product form as a sum of absolute values, so that nothing cancels
-        # (at Nphi = 6 H12's ghost columns do cancel within H12 itself)
+        # zero; the pattern must not follow them.  It is every operator's and
+        # the identity's entries on every row, read off the product form as a
+        # sum of absolute values, so that nothing cancels (at Nphi = 6 H12's
+        # ghost columns do cancel within H12 itself).  The rim rows hold D1's
+        # values; the other terms' rim entries are stored zeros
         for n, N in ((2, 6), (2, 16), (2, 48), (1, 16)):
             grid = PolarGrid(CapSpec(theta=THETA, n=n), N)
             pq = ExponentPair(p=3.0, q=1.0)
@@ -327,9 +325,8 @@ class TestFrameOps:
             v0 = np.log(cm.l_field(grid))
             m = grid.boundary_ring * grid.Nphi
             ref_ops = product_form_ops(grid)
-            total = sum(abs(ref_ops[name]) for name in ("H11", "H12", "H22", "D1", "D2")
-                        if name in ref_ops) + sp.identity(grid.size)
-            pattern = sp.vstack([total.tocsr()[:m], abs(ref_ops["D1"])[m:]]).tocsc()
+            pattern = sum(abs(op) for name, op in ref_ops.items()
+                          if not name.startswith("Dphi")).tocsc()
             for v in (v0, v0 + 0.05 * s**2 * np.cos(2 * PHI) + 0.01 * s**3 * np.sin(3 * PHI)):
                 J = jacobian(residual(v, prob), prob)
                 assert J.format == "csc"
@@ -342,8 +339,8 @@ class TestFrameOps:
     @pytest.mark.parametrize("n, N, theta_deg", [(2, N, t) for N in (12, 48, 96)
                                                  for t in (10.0, 60.0, 85.0)] + [(1, 40, 60.0)])
     def test_robin_product_matches_robin_system(self, n, N, theta_deg):
-        # the matrix-free product sums the same terms as the assembled system,
-        # in another order
+        # the matrix-free product sums the same terms as the assembled
+        # combination, in another order
         grid = PolarGrid(CapSpec(theta=math.radians(theta_deg), n=n), N)
         pq = ExponentPair(p=3.0, q=1.0)
         prob = ProblemSpec(grid=grid, pq=pq, f=start_density(grid, pq))
@@ -353,11 +350,26 @@ class TestFrameOps:
         rng = np.random.default_rng(N)
         for v in (v0, v0 + 0.05 * s**2 * np.cos(2 * PHI) + 0.01 * s**3 * np.sin(3 * PHI)):
             coeffs = jacobian_coefficients(residual(v, prob), prob)
-            apply = grid.ops.robin_product(**coeffs)
-            J = grid.ops.robin_system(**coeffs)
+            apply = grid.ops.combination_product(**coeffs)
+            J = grid.ops.combination(**coeffs)
             for x in rng.standard_normal((3, grid.size)):
                 want = J @ x
                 assert np.abs(apply(x) - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n, N", [(2, 16), (2, 48), (1, 16)])
+    def test_product_rim_rows_are_d1_exactly(self, n, N):
+        # jacobian_coefficients gives the rim rows D1 with coefficient 1 and
+        # every other term 0, so the product's rim rows are D1 x bit for bit
+        grid = PolarGrid(CapSpec(theta=THETA, n=n), N)
+        pq = ExponentPair(p=3.0, q=1.0)
+        prob = ProblemSpec(grid=grid, pq=pq, f=start_density(grid, pq))
+        R, PHI = grid.mesh()
+        s = np.sin(R) / grid.spec.sin_theta
+        v = np.log(cm.l_field(grid)) + 0.05 * s**2 * np.cos(2 * PHI)
+        apply = grid.ops.combination_product(**jacobian_coefficients(residual(v, prob), prob))
+        m = grid.boundary_ring * grid.Nphi
+        for x in np.random.default_rng(N).standard_normal((3, grid.size)):
+            assert np.array_equal(apply(x)[m:], grid.ops.D1[m:] @ x)
 
     @pytest.mark.parametrize("N", [48, 64])
     @pytest.mark.parametrize("theta_deg", [10.0, 60.0, 85.0])
@@ -374,10 +386,10 @@ class TestFrameOps:
         R, _ = grid.mesh()
         v = np.log(cm.l_field(grid)) + 0.05 * (np.sin(R) / grid.spec.sin_theta) ** 2
         coeffs = jacobian_coefficients(residual(v, prob), prob)
-        ring = {name: np.repeat(c.mean(axis=1, keepdims=True), N, axis=1) if np.ndim(c) else c
+        ring = {name: np.repeat(c.mean(axis=1, keepdims=True), N, axis=1)
                 for name, c in coeffs.items()}
         x = np.random.default_rng(N).standard_normal(grid.size)
-        Jx = grid.ops.robin_system(**ring) @ x
+        Jx = grid.ops.combination(**ring) @ x
         err = np.linalg.norm(grid.ops.mode_system(**coeffs).solve(Jx) - x)
         assert err <= 1e-8 * np.linalg.norm(x)
         no_pole_factor = PolarGrid(grid.spec, N)
@@ -475,6 +487,21 @@ class TestGridInvariants:
             CapSpec(theta=np.pi / 2)
         with pytest.raises(ValueError):
             CapSpec(theta=0.5, n=0)
+
+    @pytest.mark.parametrize("Nr, Nphi", [(16.5, 16), (16, 16.5), (True, 16), (16, np.nan),
+                                          (16, np.inf)])
+    def test_non_integral_counts_rejected(self, spec, Nr, Nphi):
+        # a fractional Nr used to build Nr + 1 radii on a grid of shape (Nr, Nphi)
+        with pytest.raises(ValueError, match="must be an integer"):
+            PolarGrid(spec, Nr, Nphi)
+
+    def test_integral_float_counts_accepted(self, spec):
+        grid = PolarGrid(spec, 16.0, 12.0)
+        assert (grid.Nr, grid.Nphi) == (16, 12) and type(grid.Nr) is int
+        assert grid.r.size == 16 and cm.l_field(grid).shape == (16, 12)
+        assert PolarGrid(CapSpec(theta=0.5, n=1), 16.0).Nphi == 1
+        with pytest.raises(ValueError, match="must be an integer"):
+            PolarGrid(CapSpec(theta=0.5, n=1), 16, True)
 
 
 class TestOneDimensional:
