@@ -333,7 +333,8 @@ def _newton_direction(v: np.ndarray, R: ResidualVector, prob: ProblemSpec,
 
 
 def newton_solve(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
-                 carry: _Carry | None = None) -> tuple[np.ndarray, NewtonStage]:
+                 carry: _Carry | None = None,
+                 R0: ResidualVector | None = None) -> tuple[np.ndarray, NewtonStage]:
     """Damped Newton on the log-variable residual with a convexity safeguard.
 
     While ``carry`` (the homotopy's) holds ``carry.lu``, the factor of an
@@ -348,14 +349,15 @@ def newton_solve(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
     ring-mean mode blocks on a grid with a coarser level (``_coarse_shape``),
     where a miss of KRYLOV_RTOL raises SingularSystemError, else by a SuperLU
     factor, which becomes ``carry.lu``.  On success ``carry.R`` holds the
-    returned iterate's residual.
+    returned iterate's residual.  ``R0``, when given, is the residual at v0
+    against prob.f, which the solve then does not evaluate again.
     """
     grid = prob.grid
     v = np.asarray(v0, dtype=float).copy()
     if not np.all(np.isfinite(v)):
         raise ValueError("initial guess must be finite")
     t0 = time.perf_counter()
-    R = residual(v, prob)
+    R = residual(v, prob) if R0 is None else R0
     eig_lo = R.eig_range[0]
     if eig_lo <= 0.0:
         raise NonConvexError(
@@ -414,14 +416,15 @@ def _homotopy(prob: ProblemSpec, cfg: SolverConfig, sched: HomotopySchedule,
 
     Before every stage the residual against the t = 1 density is probed; if it
     is already within tolerance the march jumps to the end (a constant
-    homotopy therefore costs a single Newton stage).  The probe reuses the
-    previous stage's last residual, whose density alone differs.  An explicit
-    schedule visits its t values in order and stalls on the first failed
-    stage; an adaptive one halves the t-step on failure down to the schedule
-    minimum and doubles it after two consecutive easy stages: stages with
-    full steps only and at most two factorizations.  A SuperLU grid's Newton
-    solves share one factor through a ``_Carry``, which a failed stage
-    empties and which dies with the march.  Accepted stages go to ``report``.
+    homotopy therefore costs a single Newton stage).  The probe, and the next
+    stage as its start residual, reuse the previous stage's last residual,
+    whose density alone differs.  An explicit schedule visits its t values in
+    order and stalls on the first failed stage; an adaptive one halves the
+    t-step on failure down to the schedule minimum and doubles it after two
+    consecutive easy stages: stages with full steps only and at most two
+    factorizations.  A SuperLU grid's Newton solves share one factor through a
+    ``_Carry``, which a failed stage empties and which dies with the march.
+    Accepted stages go to ``report``.
     """
     grid = prob.grid
     v = np.log(l_field(grid))
@@ -439,7 +442,8 @@ def _homotopy(prob: ProblemSpec, cfg: SolverConfig, sched: HomotopySchedule,
             t_try = next(s for s in sched.t_values if s > t)
         stage_prob = replace(prob, f=homotopy_density(t_try, prob))
         try:
-            v_new, stage = newton_solve(v, stage_prob, cfg, carry=carry)
+            v_new, stage = newton_solve(v, stage_prob, cfg, carry=carry,
+                                        R0=carry.R.with_density(f_v, stage_prob.f))
         except SolverError as exc:
             carry.lu = None
             dt *= 0.5

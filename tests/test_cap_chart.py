@@ -16,6 +16,7 @@ from scipy.integrate import quad
 
 import capillary_minkowski as cm
 from capillary_minkowski import CapSpec, ExponentPair, PolarGrid, cli
+from capillary_minkowski.cap_chart import _expand
 from capillary_minkowski.continuation import start_density
 from capillary_minkowski.ma_system import (ProblemSpec, jacobian, jacobian_coefficients,
                                             log_gauss_map_matrix, residual)
@@ -240,7 +241,7 @@ def product_form_jacobian(v, prob):
     """The Jacobian as sums of products of diagonal scalings and frame operators,
     with the PDE rows of the rim swapped for the Robin d_r rows."""
     grid, n = prob.grid, prob.grid.spec.n
-    ops = grid.ops
+    ops = product_form_ops(grid)
 
     def diag(x):
         return sp.diags(np.ravel(x))
@@ -252,18 +253,18 @@ def product_form_jacobian(v, prob):
         det = B.det()
         B11, B12, B22 = B.comps[0, 0], B.comps[0, 1], B.comps[1, 1]
         g1, g2 = g.comps
-        J = (diag(B22 / det) @ ops.H11 - 2.0 * (diag(B12 / det) @ ops.H12)
-             + diag(B11 / det) @ ops.H22
-             + 2.0 * (diag((B22 * g1 - B12 * g2) / det) @ ops.D1)
-             + 2.0 * (diag((B11 * g2 - B12 * g1) / det) @ ops.D2)
-             - diag(w * g1) @ ops.D1 - diag(w * g2) @ ops.D2)
+        J = (diag(B22 / det) @ ops["H11"] - 2.0 * (diag(B12 / det) @ ops["H12"])
+             + diag(B11 / det) @ ops["H22"]
+             + 2.0 * (diag((B22 * g1 - B12 * g2) / det) @ ops["D1"])
+             + 2.0 * (diag((B11 * g2 - B12 * g1) / det) @ ops["D2"])
+             - diag(w * g1) @ ops["D1"] - diag(w * g2) @ ops["D2"])
     else:
         B11, g1 = B.comps[0, 0], g.comps[0]
-        J = diag(1.0 / B11) @ (ops.H11 + 2.0 * (diag(g1) @ ops.D1)) - diag(w * g1) @ ops.D1
+        J = diag(1.0 / B11) @ (ops["H11"] + 2.0 * (diag(g1) @ ops["D1"])) - diag(w * g1) @ ops["D1"]
     J = J - (prob.pq.p - prob.pq.q) * sp.identity(grid.size)
     interior = np.ones(grid.shape)
     interior[grid.boundary_ring] = 0.0
-    return diag(interior) @ J + diag(1.0 - interior) @ ops.D1
+    return diag(interior) @ J + diag(1.0 - interior) @ ops["D1"]
 
 
 class TestFrameOps:
@@ -281,27 +282,76 @@ class TestFrameOps:
                                       (1, 16), (1, 40)])
     def test_tables_match_product_form(self, n, N, theta):
         # the tables sum entries in the order the sparse products do and drop
-        # the same exact zeros, so every stored entry is equal bit for bit
+        # the same exact zeros, so every table expanded over phi, and every
+        # matrix FrameOps holds, is equal to the product form bit for bit.  The
+        # composed D2, H12 and H22 sum the same terms in another order, and the
+        # FFT gives the mode symbols to roundoff
         grid = PolarGrid(CapSpec(theta=theta, n=n), N)
         ref = product_form_ops(grid)
+        ops = grid.ops
         for name in ("identity", "D1", "H11", "D2", "H12", "H22"):
-            op = getattr(grid.ops, name)
             if name not in ref:
-                assert op is None
+                assert name not in ops.stencils and getattr(ops, name) is None
                 continue
+            t = ops.stencils[name]
+            op = _expand(t, grid.Nr, grid.Nphi, t.weight[:, None])
             for attr in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(op, attr), getattr(ref[name], attr)), (name, attr)
+        for name in ("identity", "D1", "H11", "Dphi", "Dphiphi"):
+            op = getattr(ops, name)
+            assert (op is None) == (name not in ref), name
+            for attr in ("indptr", "indices", "data") if op is not None else ():
+                assert np.array_equal(getattr(op, attr), getattr(ref[name], attr)), (name, attr)
+        if n == 2:
+            for x in np.random.default_rng(N).standard_normal((3, grid.size)):
+                for name, got in zip(("D2", "H12", "H22"), ops.apply(x, "D2", "H12", "H22")):
+                    want = ref[name] @ x
+                    assert np.abs(got.ravel() - want).max() <= 1e-14 * np.abs(want).max(), name
         got, want = mode_symbols(grid), product_form_symbols(ref, grid)
         assert got.keys() == want.keys()
         for name, (pos, sym) in want.items():
             assert np.array_equal(got[name][0], pos), name
-            assert np.array_equal(got[name][1], sym), name
+            assert np.abs(got[name][1] - sym).max() <= 1e-15 * np.abs(sym).max(), name
+
+    @pytest.mark.parametrize("Nphi", [6, 10, 26, 48])
+    @pytest.mark.parametrize("theta_deg", [10.0, 85.0])
+    def test_composed_pole_rows_match_product_form(self, Nphi, theta_deg):
+        # rings 0 and 1 read ghost nodes half a turn away through D1, which the
+        # composition applies to d_phi u; Nphi = 6, 10, 26 are 2 mod 4 (the
+        # ghost shift Nphi/2 is odd) and 48 is 0 mod 4.  Near the pole 1/sin r
+        # and cot r are largest, so roundoff in the composition shows there first
+        grid = PolarGrid(CapSpec(theta=math.radians(theta_deg)), 16, Nphi)
+        ref = product_form_ops(grid)
+        rows = slice(0, 3 * Nphi)  # rings 0-2
+        for x in np.random.default_rng(Nphi).standard_normal((3, grid.size)):
+            for name, got in zip(("H12", "H22"), grid.ops.apply(x, "H12", "H22")):
+                want = (ref[name] @ x)[rows]
+                assert np.abs(got.ravel()[rows] - want).max() <= 1e-14 * np.abs(want).max(), name
 
     def test_ghost_columns_cancel_exactly_at_six_angles(self):
         # at Nphi = 6 the ghosts half a turn away meet the regular columns of ring
         # 1's d_r d_phi entries, and two such pairs per node sum to exactly 0.0:
-        # 12 of the 504 entries are not stored
-        assert PolarGrid(CapSpec(theta=THETA), 6).ops.H12.nnz == 492
+        # the H12 table drops them, so 12 of the 504 entries over phi are not there
+        assert PolarGrid(CapSpec(theta=THETA), 6).ops.stencils["H12"].weight.size * 6 == 492
+
+    def test_frame_ops_hold_no_mixed_matrix(self):
+        # D2, H12 and H22 are compositions: after a residual, a Jacobian product
+        # and a mode system, the sparse matrices FrameOps holds store no more
+        # entries than identity, D1, H11, Dphi (4 per node) and Dphiphi (5 per
+        # node).  A merged H12 would add four d_r d_phi entries per d_r entry
+        grid = PolarGrid(CapSpec(theta=THETA), 128)
+        pq = ExponentPair(p=3.0, q=1.0)
+        prob = ProblemSpec(grid=grid, pq=pq, f=start_density(grid, pq))
+        R, PHI = grid.mesh()
+        s = np.sin(R) / grid.spec.sin_theta
+        v = np.log(cm.l_field(grid)) + 0.05 * s**2 * np.cos(2 * PHI)
+        coeffs = jacobian_coefficients(residual(v, prob), prob)
+        grid.ops.combination_product(**coeffs)(v)
+        grid.ops.mode_system(**coeffs)
+        ops = grid.ops
+        held = sum(m.nnz for m in vars(ops).values() if sp.issparse(m))
+        radial = sum(ops.stencils[name].weight.size for name in ("identity", "D1", "H11"))
+        assert held <= radial * grid.Nphi + (4 + 5) * grid.size
 
     def test_grid_construction_builds_no_operators(self):
         prob = cli.build_problem(cli.parse_config(CONFIG))

@@ -600,6 +600,24 @@ class TestNested:
         assert doc["final_residual"] <= doc["tols"][-1]
         assert cm.verify(sf, prob).all_passed
 
+    @pytest.mark.parametrize("N", [80, 96])
+    def test_pole_rounding_no_longer_stalls_the_fine_levels(self, spec, N):
+        # p - q = 0.1 puts max|v| near 8, and the angular stencils' rounding of
+        # v, times 1/sin^2 r on the pole ring, used to exceed the effective
+        # tolerance: the fine level's Newton solve stalled, and so did the
+        # homotopy it fell back to.  With d_phi and d_phiphi applied to v minus
+        # its ring value at phi = 0, the nested levels finish
+        grid = cm.PolarGrid(spec, N, N)
+        R, PHI = grid.mesh()
+        s = np.sin(R) / spec.sin_theta
+        f = 1.0 + 0.3 * s**2 * np.cos(2 * PHI) * np.cos(R)  # harmonic, m = 2, radial_mode 1
+        prob = ProblemSpec(grid=grid, pq=cm.ExponentPair(p=1.1, q=1.0), f=f)
+        sf, rep = cm.continuation_solve(prob)
+        doc = rep.to_json_dict()
+        assert doc["grids"][-1] == [N, N] and doc["t_steps"][-1] == 1.0
+        assert doc["final_residual"] <= doc["tols"][-1]
+        assert cm.verify(sf, prob).all_passed
+
     def test_grid_without_coarse_level_runs_homotopy(self, prob_start):
         # 32^2 would halve to 16^2, below the coarsest level allowed
         assert continuation._coarse_shape(prob_start.grid) is None
