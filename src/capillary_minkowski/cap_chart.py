@@ -496,9 +496,20 @@ def l_gradient_norm_sq(grid: PolarGrid) -> np.ndarray:
     return np.repeat(col[:, None], grid.Nphi, axis=1)
 
 
+_GRAD = {1: ("D1",), 2: ("D1", "D2")}
+_HESS = {1: ("H11",), 2: ("H11", "H12", "H22")}
+
+
+def _frame_hessian(terms: list[np.ndarray]) -> FrameSymMatrix:
+    if len(terms) == 1:
+        return FrameSymMatrix(terms[0][None, None])
+    H11, H12, H22 = terms
+    return FrameSymMatrix(np.array([[H11, H12], [H12, H22]]))
+
+
 def grad(f: np.ndarray, grid: PolarGrid) -> FrameVector:
     """Orthonormal-frame gradient (f_r, f_phi / sin r): ``FrameOps.D1``/``D2``."""
-    return FrameVector(np.stack(grid.ops.apply(f, *("D1", "D2")[:grid.spec.n])))
+    return FrameVector(np.stack(grid.ops.apply(f, *_GRAD[grid.spec.n])))
 
 
 def hessian(f: np.ndarray, grid: PolarGrid) -> FrameSymMatrix:
@@ -507,10 +518,15 @@ def hessian(f: np.ndarray, grid: PolarGrid) -> FrameSymMatrix:
     Applies ``FrameOps.H11``/``H12``/``H22``; the chart formulas are listed in
     the ``FrameOps`` docstring.
     """
-    if grid.spec.n == 1:
-        return FrameSymMatrix(grid.ops.apply(f, "H11")[0][None, None])
-    H11, H12, H22 = grid.ops.apply(f, "H11", "H12", "H22")
-    return FrameSymMatrix(np.array([[H11, H12], [H12, H22]]))
+    return _frame_hessian(grid.ops.apply(f, *_HESS[grid.spec.n]))
+
+
+def grad_hessian(f: np.ndarray, grid: PolarGrid) -> tuple[FrameVector, FrameSymMatrix]:
+    """(grad f, hessian f) from one ``FrameOps.apply`` pass, which computes
+    D1 f and d_phi f once for both; equal to the two separate calls bit for bit."""
+    n = grid.spec.n
+    terms = grid.ops.apply(f, *_GRAD[n], *_HESS[n])
+    return FrameVector(np.stack(terms[:n])), _frame_hessian(terms[n:])
 
 
 def normal_derivative(f: np.ndarray, grid: PolarGrid) -> np.ndarray:

@@ -60,6 +60,14 @@ KRYLOV_MAX_ITERS = 40
 # with 0.1, nearer the default max_iter of 30.
 CHORD_CONTRACTION = 0.1
 
+# SuperLU factors J in symmetric mode: ordered on J^T + J, it keeps a diagonal
+# pivot unless it is below this share of its column's largest entry, and else
+# pivots off the diagonal.  The Jacobian is nearly structurally symmetric, and
+# keeping the diagonal cut the fill of a 32^2 factor from 92k to 79k entries
+# and its time by 11%; at 0.1 the 24^2-40^2 factors pivoted off the diagonal
+# and their fill went back to that of partial pivoting.
+DIAG_PIVOT_THRESH = 0.01
+
 
 def as_count(value, name: str) -> int:
     """A setting that counts something: a number with an integral value (16 or
@@ -318,7 +326,9 @@ def _newton_direction(v: np.ndarray, R: ResidualVector, prob: ProblemSpec,
                                       best_v=v, report=stage)
     else:
         try:
-            lu = spla.splu(jacobian(R, prob), permc_spec="MMD_AT_PLUS_A")
+            lu = spla.splu(jacobian(R, prob), permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=DIAG_PIVOT_THRESH,
+                           options=dict(SymmetricMode=True))
         except RuntimeError as exc:  # SuperLU signals exact singularity this way
             raise SingularSystemError(str(exc), best_v=v, report=stage) from exc
         stage.factorizations += 1
@@ -411,7 +421,7 @@ def newton_solve(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
 
 
 def _homotopy(prob: ProblemSpec, cfg: SolverConfig, sched: HomotopySchedule,
-              report: SolveReport) -> np.ndarray:
+              report: SolveReport, R0: ResidualVector | None = None) -> np.ndarray:
     """March the homotopy on prob's grid from h = l at t = 0 to t = 1.
 
     Before every stage the residual against the t = 1 density is probed; if it
@@ -424,14 +434,15 @@ def _homotopy(prob: ProblemSpec, cfg: SolverConfig, sched: HomotopySchedule,
     consecutive easy stages: stages with full steps only and at most two
     factorizations.  A SuperLU grid's Newton solves share one factor through a
     ``_Carry``, which a failed stage empties and which dies with the march.
-    Accepted stages go to ``report``.
+    Accepted stages go to ``report``.  ``R0``, when given, is the residual at
+    h = l against prob.f, which the march then does not evaluate again.
     """
     grid = prob.grid
     v = np.log(l_field(grid))
     tol = effective_tolerance(cfg, grid, v)
     adaptive = sched.t_values is None
     t, dt, easy_streak = 0.0, sched.initial_step, 0
-    carry = _Carry(R=residual(v, prob))
+    carry = _Carry(R=residual(v, prob) if R0 is None else R0)
     f_v = prob.f  # the density carry.R was evaluated against
     while t < 1.0:
         if carry.R.with_density(f_v, prob.f).max_norm() <= tol:
@@ -495,13 +506,14 @@ def _coarse_shape(grid: PolarGrid) -> tuple[int, int] | None:
 
 
 def _solve_level(prob: ProblemSpec, cfg: SolverConfig, sched: HomotopySchedule,
-                 report: SolveReport) -> np.ndarray:
+                 report: SolveReport, R0: ResidualVector | None = None) -> np.ndarray:
     """v = log h solving prob, by nested iteration where a coarser level exists.
 
     The coarser level is ``_coarse_shape(prob.grid)``: 128^2 -> 64^2 -> 32^2,
     96^2 -> 48^2 -> 24^2, 50^2 -> 25x24, 40^2 -> 20^2.  Its solution,
     resampled, starts one Newton-Krylov solve at t = 1 on this grid; any
-    failure on the way falls back to the homotopy on this grid.
+    failure on the way falls back to the homotopy on this grid.  ``R0``
+    goes to ``_homotopy``.
     """
     shape = _coarse_shape(prob.grid)
     if shape is not None:
@@ -514,7 +526,7 @@ def _solve_level(prob: ProblemSpec, cfg: SolverConfig, sched: HomotopySchedule,
             stage.t = 1.0
             report.stages.append(stage)
             return v
-    return _homotopy(prob, cfg, sched, report)
+    return _homotopy(prob, cfg, sched, report, R0)
 
 
 def continuation_solve(
@@ -536,10 +548,12 @@ def continuation_solve(
 
     report = SolveReport(requested_tol=cfg.tol)
     t_start = time.perf_counter()
-    report.start_residual = residual(np.log(l_field(grid)),
-                                     replace(prob, f=homotopy_density(0.0, prob))).max_norm()
+    R0 = residual(np.log(l_field(grid)), prob)  # h = l against the target density
+    report.start_residual = R0.with_density(prob.f, homotopy_density(0.0, prob)).max_norm()
+    if _coarse_shape(grid) is not None:
+        R0 = None  # not held through the coarser levels for a fallback homotopy's sake
     try:
-        v = _solve_level(prob, cfg, sched, report)
+        v = _solve_level(prob, cfg, sched, report, R0)
     except ContinuationStallError as exc:
         report.final_residual = residual(exc.best_v, prob).max_norm()
         raise

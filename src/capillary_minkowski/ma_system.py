@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .cap_chart import (CapSpec, FrameSymMatrix, FrameVector, PolarGrid, grad, hessian,
+from .cap_chart import (CapSpec, FrameSymMatrix, FrameVector, PolarGrid, grad, grad_hessian,
                         normal_derivative)
 from .capillary_body import ExponentPair, SupportField, second_fundamental_form
 from .errors import NonConvexError
@@ -90,9 +90,9 @@ class ResidualVector:
         return float(lo.min()), float(hi.max())
 
 
-def log_gauss_map_matrix(v: np.ndarray, grid: PolarGrid, g: FrameVector) -> FrameSymMatrix:
-    """B(v) = hess(v) + g x g + id in the orthonormal frame, where g = grad(v)."""
-    comps = hessian(v, grid).comps + g.comps[:, None] * g.comps[None, :]
+def log_gauss_map_matrix(g: FrameVector, hess: FrameSymMatrix) -> FrameSymMatrix:
+    """B(v) = hess + g x g + id in the orthonormal frame, where g = grad v, hess = hessian v."""
+    comps = hess.comps + g.comps[:, None] * g.comps[None, :]
     for i in range(g.comps.shape[0]):
         comps[i, i] += 1.0
     return FrameSymMatrix(comps)
@@ -103,15 +103,16 @@ def residual(v: np.ndarray, prob: ProblemSpec) -> ResidualVector:
 
     Interior rows:  log det B - [log f + (p-q) v + ((n+1-q)/2) log(1+|grad v|^2)].
     Boundary rows:  d_r v - cot(theta)  (one-sided second order).
-    det B <= 0 yields a +inf sentinel instead of an exception.
+    det B <= 0 yields a +inf sentinel instead of an exception.  grad v and
+    hess v come from one ``grad_hessian`` pass of the frame operators.
     """
     grid = prob.grid
     n = grid.spec.n
     p, q = prob.pq.p, prob.pq.q
     v = np.asarray(v, dtype=float)
 
-    g = grad(v, grid)
-    B = log_gauss_map_matrix(v, grid, g)
+    g, hess = grad_hessian(v, grid)
+    B = log_gauss_map_matrix(g, hess)
     detB = B.det()
     gsq = g.norm_sq()
 

@@ -247,7 +247,7 @@ def product_form_jacobian(v, prob):
         return sp.diags(np.ravel(x))
 
     g = cm.grad(v, grid)
-    B = log_gauss_map_matrix(v, grid, g)
+    B = log_gauss_map_matrix(g, cm.hessian(v, grid))
     w = (n + 1 - prob.pq.q) / (1.0 + g.norm_sq())
     if n == 2:
         det = B.det()

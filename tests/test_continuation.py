@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -99,9 +100,10 @@ class TestNewton:
             cm.newton_solve(np.log(cm.l_field(grid32)), prob, cfg)
 
     def test_one_evaluation_per_trial(self, grid32, prob_harmonic, monkeypatch):
-        # residual takes grad v and forms B(v) once; the convexity checks and
-        # the Jacobian read its ResidualVector instead of evaluating v again
-        calls = {"gauss_map": 0, "grad": 0, "hessian": 0, "residual": 0}
+        # residual takes grad v and hess v from one operator pass and forms
+        # B(v) once; the convexity checks and the Jacobian read its
+        # ResidualVector instead of evaluating v again
+        calls = {"gauss_map": 0, "apply": 0, "residual": 0}
 
         def counted(module, name, key):
             real = getattr(module, name)
@@ -113,8 +115,7 @@ class TestNewton:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(ma_system, "log_gauss_map_matrix", "gauss_map")
-        counted(ma_system, "grad", "grad")
-        counted(ma_system, "hessian", "hessian")
+        counted(cm.cap_chart.FrameOps, "apply", "apply")
         counted(continuation, "residual", "residual")
         _, stage = cm.newton_solve(np.log(cm.l_field(grid32)), prob_harmonic, cm.SolverConfig())
         assert stage.converged and stage.iterations >= 2
@@ -385,6 +386,71 @@ class TestChord:
         np.testing.assert_allclose(shifted.full, ma_system.residual(v, prob_harmonic).full,
                                    rtol=0.0, atol=1e-13)
         assert shifted.B is R_t.B
+
+    def test_start_residual_evaluated_once(self, grid32, prob_harmonic, monkeypatch):
+        # the report's start residual and the march's first probe read one
+        # evaluation at h = l, shifted between the two densities
+        real_residual, v0 = continuation.residual, np.log(cm.l_field(grid32))
+        at_start = []
+
+        def counted_residual(v, prob):
+            if np.array_equal(v, v0):
+                at_start.append(prob.grid.shape)
+            return real_residual(v, prob)
+
+        monkeypatch.setattr(continuation, "residual", counted_residual)
+        _, rep = cm.continuation_solve(prob_harmonic)
+        assert at_start == [(32, 32)]
+        f0 = cm.homotopy_density(0.0, prob_harmonic)
+        direct = real_residual(v0, replace(prob_harmonic, f=f0)).max_norm()
+        assert rep.start_residual == pytest.approx(direct, rel=0.0, abs=1e-14)
+
+
+def harmonic_problem(theta_deg, N, amplitude):
+    spec = cm.CapSpec(theta=np.radians(theta_deg))
+    grid = cm.PolarGrid(spec, N, N)
+    R, PHI = grid.mesh()
+    f = 1.0 + amplitude * (np.sin(R) / spec.sin_theta) ** 2 * np.cos(2 * PHI) * np.cos(R)
+    return ProblemSpec(grid=grid, pq=cm.ExponentPair(p=3.0, q=1.0), f=f)
+
+
+class TestSymmetricPivoting:
+    """SuperLU factors J in symmetric mode: diagonal pivots unless one falls
+    below DIAG_PIVOT_THRESH of its column's largest entry."""
+
+    @pytest.mark.parametrize("N", [16, 24, 32])
+    @pytest.mark.parametrize("theta_deg", [5.0, 45.0, 85.0])
+    def test_direction_matches_partial_pivoting(self, theta_deg, N):
+        # the Jacobian at a solution, applied to the residual against the start
+        # density, so the direction is of order one
+        for amplitude in (0.3, 0.9):
+            prob = harmonic_problem(theta_deg, N, amplitude)
+            v = np.log(cm.continuation_solve(prob)[0].h)
+            R = ma_system.residual(v, replace(prob, f=start_density(prob.grid, prob.pq)))
+            carry = continuation._Carry()
+            delta = continuation._newton_direction(v, R, prob, carry,
+                                                   continuation.NewtonStage(t=1.0))
+            ref = continuation.spla.splu(ma_system.jacobian(R, prob),
+                                         permc_spec="MMD_AT_PLUS_A").solve(-R.full.ravel())
+            assert np.abs(delta.ravel() - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert np.array_equal(carry.lu.perm_r, carry.lu.perm_c)  # every pivot diagonal
+
+    def test_small_diagonal_pivots_off_the_diagonal(self, grid32, prob_harmonic, monkeypatch):
+        # a hand-built J whose last two unknowns couple through a 2x2 block
+        # with diagonal 1e-8 against off-diagonal 5: the factor pivots off the
+        # diagonal there and the step still solves J delta = -R
+        N = grid32.size
+        J = sp.block_diag([sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(N - 2, N - 2)),
+                           np.array([[1e-8, 5.0], [5.0, 1e-8]])], format="csc")
+        assert 1e-8 < continuation.DIAG_PIVOT_THRESH * 5.0
+        monkeypatch.setattr(continuation, "jacobian", lambda R, prob: J)
+        rhs = np.random.default_rng(3).normal(size=grid32.shape)
+        R = ma_system.ResidualVector(full=rhs, bad_nodes=np.array([], dtype=int))
+        carry = continuation._Carry()
+        delta = continuation._newton_direction(np.zeros(grid32.shape), R, prob_harmonic, carry,
+                                               continuation.NewtonStage(t=1.0))
+        assert not np.array_equal(carry.lu.perm_r, carry.lu.perm_c)
+        assert np.abs(J @ delta.ravel() + rhs.ravel()).max() <= 1e-12 * np.abs(rhs).max()
 
 
 class TestNested:

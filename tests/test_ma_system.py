@@ -6,7 +6,8 @@ import pytest
 import capillary_minkowski as cm
 from capillary_minkowski.continuation import start_density
 from capillary_minkowski.errors import NonConvexError
-from capillary_minkowski.ma_system import ProblemSpec, jacobian, residual, residual_h_form
+from capillary_minkowski.ma_system import (ProblemSpec, jacobian, log_gauss_map_matrix, residual,
+                                            residual_h_form)
 
 from conftest import smooth_field
 
@@ -56,6 +57,23 @@ class TestResidual:
         tol = 20.0 * grid32.max_spacing**2
         assert np.abs(Rv.interior - Rh.interior).max() < tol
         assert np.abs(Rv.boundary - Rh.boundary / h[-1]).max() < tol
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fused_pass_equals_separate_operators(self, n):
+        # residual takes g and the Hessian from one FrameOps.apply pass; the
+        # same sparse products run once, so g and B equal the grad/hessian ones
+        spec = cm.CapSpec(theta=0.9, n=n)
+        grid = cm.PolarGrid(spec, 24, 24) if n == 2 else cm.PolarGrid(spec, 24)
+        pq = cm.ExponentPair(p=3.0, q=1.0)
+        prob = ProblemSpec(grid=grid, pq=pq, f=start_density(grid, pq))
+        v = np.log(cm.l_field(grid)) + 0.05 * smooth_field(grid, np.random.default_rng(11))
+        R = residual(v, prob)
+        g = cm.grad(v, grid)
+        B = log_gauss_map_matrix(g, cm.hessian(v, grid))
+        assert R.g.comps.shape == (n,) + grid.shape and R.B.comps.shape == (n, n) + grid.shape
+        assert np.array_equal(R.g.comps, g.comps)
+        assert np.array_equal(R.B.comps, B.comps)
+        assert np.array_equal(R.detB, B.det())
 
 
 class TestJacobian:
