@@ -9,11 +9,9 @@ angular nodes.  Crossing the pole identifies (r, phi) with (-r, phi + pi),
 which supplies ghost values for radial stencils on the innermost rings.
 
 Frame components refer to the orthonormal frame {d_r, (1/sin r) d_phi}; the
-frame gradient and Hessian are defined once, as per-ring ``Stencil`` tables.
-``PolarGrid.ops`` expands only the radial ones (d_r, the frame d_rr) and the
-purely angular d_phi, d_phiphi into sparse matrices; ``FrameOps`` applies the
-mixed ones (D2, H12, H22) as compositions of those, and reads the angular-mode
-symbols of every table off an FFT of its rows.
+chart formulas of the mixed frame operators D2, H12 and H22 are written once,
+in ``_mixed``, which ``PolarGrid.ops`` evaluates on per-ring ``Stencil`` tables
+and ``FrameOps.apply`` on fields.
 Angular stencils are fourth order everywhere and the radial first derivative
 is fourth order on the inner half of the cap: the Christoffel factors cot(r)
 and 1/sin(r)^2 amplify truncation errors by 1/r near the pole, and the extra
@@ -29,7 +27,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.interpolate import CubicSpline
 from scipy.linalg import lapack
 
@@ -67,29 +64,46 @@ class CapSpec:
         raise ValueError("area formula implemented for n in (1, 2) only")
 
 
+def _mixed(want, inv_sin, inv_sin_sq, cot, D1, Dphi, Dphiphi, D1_Dphi) -> dict:
+    """The mixed frame operators named in ``want``, by the chart formulas
+      D2  = Dphi / sin r
+      H12 = (D1 Dphi - cot r Dphi) / sin r
+      H22 = Dphiphi / sin^2 r + cot r D1
+    on fields (with 1/sin r, 1/sin^2 r and cot r at every node) or on ``Stencil``
+    tables (with them on every ring).  Only the terms of the operators in ``want``
+    are read; on fields, the terms D1_Dphi, Dphiphi and Dphi are updated in place.
+    """
+    out = {}
+    if "H12" in want:
+        D1_Dphi -= Dphi * cot
+        D1_Dphi *= inv_sin
+        out["H12"] = D1_Dphi
+    if "H22" in want:
+        Dphiphi *= inv_sin_sq
+        Dphiphi += D1 * cot
+        out["H22"] = Dphiphi
+    if "D2" in want:  # last: on fields it overwrites Dphi, which H12 reads
+        Dphi *= inv_sin
+        out["D2"] = Dphi
+    return out
+
+
 @dataclass(frozen=True)
 class FrameOps:
     """The frame calculus on the flattened (Nr*Nphi) grid.
 
-    ``stencils`` holds one per-ring table per operator, the one definition of
-    the chart formulas (Christoffel symbols of dr^2 + sin^2 r dphi^2,
-    orthonormal frame {d_r, (1/sin r) d_phi}):
-      D1  = d_r                        D2  = (1/sin r) d_phi
-      H11 = d_rr                       H12 = (d_r d_phi - cot r d_phi) / sin r
-      H22 = d_phiphi / sin^2 r + cot r d_r
-    and the identity, the zeroth-order term of a linearization.  Only
-    ``identity``, ``D1``, ``H11`` and the angular ``Dphi`` (d_phi) and
-    ``Dphiphi`` (d_phiphi), the same on every ring, are sparse matrices;
-    ``apply`` composes D2, H12 and H22 from them by the formulas above, with
-    D1's ghost rows acting on d_phi u (the half-turn shift commutes with
-    d_phi).  The 2D-only ones are None for n = 1.  Rows are grid nodes in C
-    order on a grid of ``shape`` (Nr, Nphi); ring Nr - 1 is the rim.
-    ``combination`` and its siblings take sum_k diag(c_k) op_k over every row,
-    so the coefficient fields alone (``ma_system.jacobian_coefficients``) say
-    what a row is.
+    ``stencils`` holds one per-ring table per operator: D1 = d_r, H11 = d_rr,
+    the mixed D2, H12 and H22 of ``_mixed``, and the identity, the zeroth-order
+    term of a linearization.  Only D1, H11 and the angular Dphi (d_phi) and
+    Dphiphi (d_phiphi), the same on every ring, are sparse matrices; ``apply``
+    evaluates ``_mixed`` on fields from them, with D1's ghost rows acting on
+    d_phi u (the half-turn shift commutes with d_phi).  The 2D-only ones are
+    None for n = 1.  Rows are grid nodes in C order on a grid of ``shape``
+    (Nr, Nphi); ring Nr - 1 is the rim.  ``combination`` and its siblings take
+    sum_k diag(c_k) op_k over every row, so the coefficient fields alone
+    (``ma_system.jacobian_coefficients``) say what a row is.
     """
 
-    identity: sp.csr_matrix
     D1: sp.csr_matrix
     H11: sp.csr_matrix
     shape: tuple
@@ -103,47 +117,26 @@ class FrameOps:
     def apply(self, x: np.ndarray, *names: str) -> list[np.ndarray]:
         """[op x for op in ``names``] as (Nr, Nphi) fields, for a field x flattened or not.
 
-        D2, H12 and H22 are compositions; the terms asked for share one D1 x
-        and one Dphi x.  Dphi and Dphiphi act on x minus its value at phi = 0
-        on each ring.  They annihilate ring constants, so this changes nothing
-        exactly; near the pole, where a ring is almost constant, the
-        subtraction is exact and the rounding of x itself no longer reaches
-        the 1/sin r and 1/sin^2 r factors (at the pole ring of a 50^2 solve it
-        cut the residual's rounding error from 1.9e-9 to 4e-12).
+        The terms asked for share one D1 x and one Dphi x.  Dphi and Dphiphi act
+        on x minus its value at phi = 0 on each ring: they annihilate ring
+        constants, so this changes nothing exactly, but near the pole, where a
+        ring is almost constant, it keeps the rounding of x itself from the
+        1/sin r and 1/sin^2 r factors (docs/math_map.md, "Rounding at the pole").
         """
         x = np.ravel(x)
-        want = set(names)
         out = {"identity": x}
-        if want & {"D1", "H22"}:
+        if "D1" in names or "H22" in names:
             out["D1"] = self.D1 @ x
-        if "H11" in want:
+        if "H11" in names:
             out["H11"] = self.H11 @ x
-        if want & {"D2", "H12", "H22"}:
+        if not {"D2", "H12", "H22"}.isdisjoint(names):
             u = x.reshape(self.shape)
-            scratch = (u - u[:, :1]).ravel()  # reused as a buffer once Dphi, Dphiphi read it
-            dphi = self.Dphi @ scratch if want & {"D2", "H12"} else None
-            if "H22" in want:
-                out["H22"] = h22 = self.Dphiphi @ scratch
-                h22 *= self.inv_sin_sq
-                h22 += np.multiply(self.cot, out["D1"], out=scratch)
-            if "D2" in want:
-                out["D2"] = dphi * self.inv_sin
-            if "H12" in want:
-                out["H12"] = h12 = self.D1 @ dphi
-                h12 -= np.multiply(self.cot, dphi, out=dphi)
-                h12 *= self.inv_sin
+            centred = (u - u[:, :1]).ravel()
+            dphi = self.Dphi @ centred if "D2" in names or "H12" in names else None
+            out.update(_mixed(names, self.inv_sin, self.inv_sin_sq, self.cot, out.get("D1"), dphi,
+                              self.Dphiphi @ centred if "H22" in names else None,
+                              self.D1 @ dphi if "H12" in names else None))
         return [out[name].reshape(self.shape) for name in names]
-
-    def _composed(self, name: str) -> spla.LinearOperator | None:
-        if self.Dphi is None:
-            return None
-        N = self.identity.shape[0]
-        return spla.LinearOperator((N, N), matvec=lambda x: self.apply(x, name)[0].ravel(),
-                                   dtype=float)
-
-    D2 = property(lambda self: self._composed("D2"), doc="x -> D2 x, composed (None for n = 1).")
-    H12 = property(lambda self: self._composed("H12"), doc="x -> H12 x, composed (None for n = 1).")
-    H22 = property(lambda self: self._composed("H22"), doc="x -> H22 x, composed (None for n = 1).")
 
     def combination(self, **coeffs: np.ndarray) -> sp.csc_matrix:
         """sum_k diag(c_k) op_k, for ``coeffs`` mapping operator names to per-node fields c_k.
@@ -245,16 +238,32 @@ class ModeFactor:
 
 class Stencil(NamedTuple):
     """Per-ring table of a frame operator: entry (i, j, s, w) gives every node
-    (i, k) the weight w at node (j, k + s mod Nphi)."""
+    (i, k) the weight w at node (j, k + s mod Nphi), 0 <= s < Nphi.  Tables take
+    the arithmetic of ``_mixed``: t * x scales ring i's rows by x[i], and t + u
+    and t - u are ``merged``."""
 
     ring: np.ndarray
     src: np.ndarray
     shift: np.ndarray
     weight: np.ndarray
 
-    def scaled(self, x: np.ndarray) -> Stencil:
-        """Row (i, k) multiplied by x[i]."""
+    def merged(self) -> Stencil:
+        """The entries sorted by (ring, source ring, shift), those of one key summed
+        in order; sums of exactly 0.0 go, as in sparse products."""
+        m = int(max(self.ring.max(), self.src.max(), self.shift.max())) + 1
+        key, inv = np.unique((self.ring * m + self.src) * m + self.shift, return_inverse=True)
+        weight = np.bincount(inv, weights=self.weight)
+        ring_src, shift = np.divmod(key[weight != 0.0], m)
+        return Stencil(*np.divmod(ring_src, m), shift, weight[weight != 0.0])
+
+    def __mul__(self, x: np.ndarray) -> Stencil:
         return self._replace(weight=self.weight * x[self.ring])
+
+    def __add__(self, other: Stencil) -> Stencil:
+        return Stencil(*map(np.concatenate, zip(self, other))).merged()
+
+    def __sub__(self, other: Stencil) -> Stencil:
+        return self + other._replace(weight=-other.weight)
 
 
 class PolarGrid:
@@ -320,28 +329,16 @@ class PolarGrid:
         w_r = 2.0 * (edges[1:] - edges[:-1])
         return w_r[:, None].copy()
 
-    def _merge(self, *parts: Stencil) -> Stencil:
-        """``parts`` as one table sorted by (ring, source ring, shift mod Nphi).  A
-        source ring j < 0 is the ghost across the pole: ring -1 - j at ``pole_map``.
-        Entries of one key are summed in order; sums of exactly 0.0 go, as in sparse products."""
-        ring, src, shift, weight = (np.concatenate(a) for a in zip(*parts))
-        ghost = src < 0
-        key, inv = np.unique((ring * self.Nr + np.where(ghost, -1 - src, src)) * self.Nphi
-                             + (shift + ghost * int(self.pole_map[0])) % self.Nphi,
-                             return_inverse=True)
-        weight = np.bincount(inv, weights=weight)
-        keep = weight != 0.0
-        ring_src, shift = np.divmod(key[keep], self.Nphi)
-        return Stencil(*np.divmod(ring_src, self.Nr), shift, weight[keep])
-
     def _stencil(self, offsets, w_r, shifts=(0,), w_phi=(1.0,)) -> Stencil:
         """Merged table of a radial stencil (offsets, weights w_r[ring, m] or w_r[m])
-        times an angular one (shifts, w_phi); zero weights pad rows and add nothing."""
+        times an angular one (shifts, w_phi); zero weights pad rows and add nothing.
+        A source ring j < 0 is the ghost across the pole: ring -1 - j at ``pole_map``."""
         ring = np.arange(self.Nr)
         w = np.broadcast_to(w_r, (self.Nr, len(offsets)))[:, :, None] * np.asarray(w_phi)
-        return self._merge(Stencil(np.repeat(ring, w[0].size),
-                                   np.repeat(ring[:, None] + offsets, len(shifts)),
-                                   np.resize(shifts, w.size), w.ravel()))
+        src = np.repeat(ring[:, None] + offsets, len(shifts))
+        shift = (np.resize(shifts, w.size) + (src < 0) * int(self.pole_map[0])) % self.Nphi
+        return Stencil(np.repeat(ring, w[0].size), np.where(src < 0, -1 - src, src), shift,
+                       w.ravel()).merged()
 
     # -- conveniences ----------------------------------------------------------
 
@@ -386,18 +383,16 @@ class PolarGrid:
                                            np.array([1.0, -4.0, 3.0, 0.0, 0.0]) / (2 * dr)])[kind]
         d_rr = [-3, -2, -1, 0, 1], \
             np.array([[0.0, 0.0, 1.0, -2.0, 1.0], [-1.0, 4.0, -5.0, 2.0, 0.0]])[kind // 2] / dr**2
-        stencils = {"identity": self._stencil([0], [1.0]), "D1": self._stencil(*d_r),
-                    "H11": self._stencil(*d_rr)}
-        expanded, scalings = dict(stencils), {}
+        expanded = {"D1": self._stencil(*d_r), "H11": self._stencil(*d_rr)}
+        stencils, scalings = {"identity": self._stencil([0], [1.0]), **expanded}, {}
         if self.spec.n == 2:
             d_phi = [-2, -1, 1, 2], np.array([1.0, -8.0, 8.0, -1.0]) / (12 * self.dphi)
             d_phiphi = [-2, -1, 0, 1, 2], \
                 np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12 * self.dphi**2)
             Dphi, Dphiphi = self._stencil([0], [1.0], *d_phi), self._stencil([0], [1.0], *d_phiphi)
             inv_sin, cot = 1.0 / self.sin_r, self.cot_r
-            stencils["D2"] = Dphi.scaled(inv_sin)
-            stencils["H12"] = self._merge(self._stencil(*d_r, *d_phi), Dphi.scaled(-cot)).scaled(inv_sin)
-            stencils["H22"] = self._merge(Dphiphi.scaled(inv_sin**2), stencils["D1"].scaled(cot))
+            stencils.update(_mixed({"D2", "H12", "H22"}, inv_sin, inv_sin**2, cot, stencils["D1"],
+                                   Dphi, Dphiphi, self._stencil(*d_r, *d_phi)))
             expanded.update(Dphi=Dphi, Dphiphi=Dphiphi)
             scalings = dict(inv_sin=np.repeat(inv_sin, Nphi),
                             inv_sin_sq=np.repeat(inv_sin**2, Nphi), cot=np.repeat(cot, Nphi))
@@ -508,16 +503,12 @@ def _frame_hessian(terms: list[np.ndarray]) -> FrameSymMatrix:
 
 
 def grad(f: np.ndarray, grid: PolarGrid) -> FrameVector:
-    """Orthonormal-frame gradient (f_r, f_phi / sin r): ``FrameOps.D1``/``D2``."""
+    """Orthonormal-frame gradient (f_r, f_phi / sin r): D1 and D2 of ``FrameOps.apply``."""
     return FrameVector(np.stack(grid.ops.apply(f, *_GRAD[grid.spec.n])))
 
 
 def hessian(f: np.ndarray, grid: PolarGrid) -> FrameSymMatrix:
-    """Covariant Hessian w.r.t. the round metric, in the orthonormal frame.
-
-    Applies ``FrameOps.H11``/``H12``/``H22``; the chart formulas are listed in
-    the ``FrameOps`` docstring.
-    """
+    """Covariant Hessian w.r.t. the round metric in the orthonormal frame: H11, H12, H22."""
     return _frame_hessian(grid.ops.apply(f, *_HESS[grid.spec.n]))
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -28,6 +29,7 @@ from .cap_chart import PolarGrid, l_field, l_gradient_norm_sq, resample
 from .capillary_body import ExponentPair, SupportField
 from .errors import (
     ContinuationStallError,
+    InvalidExponentsError,
     LineSearchStallError,
     MaxIterationsError,
     NonConvexError,
@@ -79,8 +81,9 @@ def as_count(value, name: str) -> int:
 
 
 def as_real(value, name: str) -> float:
-    """A real setting: a number, never a boolean (float(True) would be 1.0)."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    """A real setting: a finite number, never a boolean (float(True) would be 1.0)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and abs(value) <= sys.float_info.max:
         return float(value)
     raise ValueError(f"{name} must be a number, got {value!r}")
 
@@ -540,7 +543,8 @@ def continuation_solve(
     coarsest one and finish each finer one with one Newton solve at t = 1;
     the others march the homotopy directly (``_homotopy``).  An explicit
     schedule runs on the coarsest level.  A stall of the homotopy on prob's
-    own grid raises ``ContinuationStallError``.
+    own grid raises ``ContinuationStallError``; a start density that is not
+    finite and positive on it (p far above q, say) ``InvalidExponentsError``.
     """
     cfg = cfg or SolverConfig()
     sched = sched or HomotopySchedule()
@@ -548,8 +552,12 @@ def continuation_solve(
 
     report = SolveReport(requested_tol=cfg.tol)
     t_start = time.perf_counter()
+    with np.errstate(all="ignore"):
+        f0 = homotopy_density(0.0, prob)
+    if not np.all((f0 > 0.0) & (f0 < np.inf)):
+        raise InvalidExponentsError(f"start density of {prob.pq} is not finite and positive")
     R0 = residual(np.log(l_field(grid)), prob)  # h = l against the target density
-    report.start_residual = R0.with_density(prob.f, homotopy_density(0.0, prob)).max_norm()
+    report.start_residual = R0.with_density(prob.f, f0).max_norm()
     if _coarse_shape(grid) is not None:
         R0 = None  # not held through the coarser levels for a fallback homotopy's sake
     try:

@@ -6,7 +6,7 @@ class CapillaryError(Exception):
 
 
 class InvalidExponentsError(CapillaryError):
-    """Exponent pair outside the supported regime (requires p > q)."""
+    """Exponent pair outside the supported regime: p > q, a finite positive start density."""
 
 
 class NonConvexError(CapillaryError):

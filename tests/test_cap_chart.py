@@ -5,6 +5,7 @@ the gradient/Hessian/normal-derivative examples, scipy quadrature for the
 integrals, and ambient inner products for the weight field l.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -284,20 +285,17 @@ class TestFrameOps:
         # the tables sum entries in the order the sparse products do and drop
         # the same exact zeros, so every table expanded over phi, and every
         # matrix FrameOps holds, is equal to the product form bit for bit.  The
-        # composed D2, H12 and H22 sum the same terms in another order, and the
-        # FFT gives the mode symbols to roundoff
+        # D2, H12 and H22 that apply gives sum the same terms in another order,
+        # and the FFT gives the mode symbols to roundoff
         grid = PolarGrid(CapSpec(theta=theta, n=n), N)
         ref = product_form_ops(grid)
         ops = grid.ops
-        for name in ("identity", "D1", "H11", "D2", "H12", "H22"):
-            if name not in ref:
-                assert name not in ops.stencils and getattr(ops, name) is None
-                continue
-            t = ops.stencils[name]
+        assert set(ops.stencils) == set(ref) - {"Dphi", "Dphiphi"}
+        for name, t in ops.stencils.items():
             op = _expand(t, grid.Nr, grid.Nphi, t.weight[:, None])
             for attr in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(op, attr), getattr(ref[name], attr)), (name, attr)
-        for name in ("identity", "D1", "H11", "Dphi", "Dphiphi"):
+        for name in ("D1", "H11", "Dphi", "Dphiphi"):
             op = getattr(ops, name)
             assert (op is None) == (name not in ref), name
             for attr in ("indptr", "indices", "data") if op is not None else ():
@@ -449,7 +447,24 @@ class TestFrameOps:
 
     def test_one_dimensional_has_no_angular_terms(self):
         ops = PolarGrid(CapSpec(theta=THETA, n=1), 16).ops
-        assert ops.D2 is None and ops.H12 is None and ops.H22 is None
+        assert set(ops.stencils) == {"identity", "D1", "H11"}
+        assert ops.Dphi is None and ops.Dphiphi is None and ops.inv_sin is None
+
+    @pytest.mark.parametrize("n, Nr, Nphi, theta_deg", [(2, 6, 6, 30.0), (2, 16, 6, 85.0),
+                                                        (2, 16, 10, 5.0), (2, 24, 24, 60.0),
+                                                        (1, 6, 1, 30.0), (1, 16, 1, 85.0)])
+    def test_each_term_and_pair_equals_full_pass(self, n, Nr, Nphi, theta_deg):
+        # apply computes only the terms asked for, and works in place on some of
+        # them: a term asked alone, or with any other, is the same term of the
+        # five-term pass (two terms for n = 1) bit for bit
+        grid = PolarGrid(CapSpec(theta=math.radians(theta_deg), n=n), Nr, Nphi)
+        names = ("D1", "D2", "H11", "H12", "H22") if n == 2 else ("D1", "H11")
+        for x in np.random.default_rng(Nr * Nphi).standard_normal((2, grid.size)):
+            full = dict(zip(names, grid.ops.apply(x, *names)))
+            subsets = [(a,) for a in names] + list(itertools.permutations(names, 2))
+            for subset in subsets:
+                for name, got in zip(subset, grid.ops.apply(x, *subset)):
+                    assert np.array_equal(got, full[name]), (subset, name)
 
 
 class TestNormalDerivative:

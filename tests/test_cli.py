@@ -159,6 +159,7 @@ class TestValidation:
         {"solver": {"convexity_floor_rel": "x"}},
         {"output": 5},
         {"solver": {"backtrack_factor": 0.5}},
+        {"p": 1e308},  # finite, but the start density l^(1-p) overflows
     ])
     def test_malformed_config_one_line(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path, **overrides)
@@ -190,6 +191,8 @@ class TestValidation:
         ("solver", "convexity_floor_rel", False), ("solver", "tol", "1e-9"),
         ("schedule", "t_values", [False, True]), ("schedule", "t_values", ["0", "1"]),
         ("schedule", "t_values", "01"), ("schedule", "initial_step", True),
+        ("schedule", "t_values", [0, float("nan"), 1]), ("solver", "tol", float("inf")),
+        ("solver", "min_step", float("nan")), ("schedule", "max_step", float("-inf")),
     ])
     def test_non_numeric_solver_settings_refused(self, tmp_path, capsys, no_solve,
                                                  section, key, value):
@@ -208,10 +211,14 @@ class TestValidation:
         ({"f": {"type": "harmonic", "base": "1", "amplitude": 0.2, "m": 2}}, "base"),
         ({"f": {"type": "harmonic", "base": 1.0, "amplitude": False, "m": 2}}, "amplitude"),
         ({"f": {"type": "homotopy-start", "scale": "2"}}, "scale"),
+        ({"p": float("inf")}, "p"), ({"q": float("-inf")}, "q"), ({"theta": float("nan")}, "theta"),
+        ({"p": 10**400}, "p"),
+        ({"f": {"type": "harmonic", "base": 1.0, "amplitude": float("inf"), "m": 2}}, "amplitude"),
     ])
     def test_non_numeric_problem_numbers_refused(self, tmp_path, capsys, no_solve,
                                                  overrides, key):
-        # float() reads each of these as a number, so they would solve another problem
+        # float() reads each of these as a number, so they would solve another
+        # problem; NaN and the infinities (JSON's NaN and Infinity) solve none
         cfg = write_config(tmp_path, **overrides)
         assert cli.main(["solve", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
