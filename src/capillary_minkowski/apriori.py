@@ -9,6 +9,7 @@ solution can be checked against them directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,50 +27,69 @@ from .ma_system import ProblemSpec
 
 @dataclass(frozen=True)
 class BoundSet:
-    """Root-resolved sup/inf bounds on h plus the convexity gradient factor."""
+    """Sup/inf bounds on log h plus the convexity gradient factor.
 
-    h_lower: float
-    h_upper: float
+    Kept in logs: with 1/(p - q) near 100 the bounds on h leave the float range.
+    """
+
+    log_h_lower: float
+    log_h_upper: float
     grad_bound_factor: float  # (1 + cot^2 theta)^(1/2) = 1/sin(theta)
     case: str  # "q <= n+1" or "q > n+1"
 
     def __post_init__(self):
-        if not 0.0 < self.h_lower <= self.h_upper:
-            raise ValueError(f"invalid bound ordering: [{self.h_lower}, {self.h_upper}]")
+        if not self.log_h_lower <= self.log_h_upper:
+            raise ValueError(f"invalid bound ordering: log h in "
+                             f"[{self.log_h_lower}, {self.log_h_upper}]")
+
+    @property
+    def h_lower(self) -> float:
+        return _exp(self.log_h_lower)
+
+    @property
+    def h_upper(self) -> float:
+        return _exp(self.log_h_upper)
+
+
+def _exp(x: float) -> float:
+    """exp(x), or inf beyond the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def c0_bounds(prob: ProblemSpec) -> BoundSet:
-    """Sup/inf bounds on h from the equation, resolved to h by a (p-q)-th root.
+    """Sup/inf bounds on h from the equation, resolved to log h by dividing by p - q.
 
     Two closed forms apply depending on the sign of n+1-q; both carry the
     range of f through min(1/f) and max(1/f).  The grid min/max of f stand in
-    for the continuous extrema.
+    for the continuous extrema.  Each bound on h^(p-q) is taken in logs, so
+    no power of it overflows.
     """
     spec = prob.cap
     p, q, n = prob.pq.p, prob.pq.q, spec.n
     if not p > q:
         raise InvalidExponentsError(f"bounds require p > q, got p={p}, q={q}")
-    f_min = float(prob.f.min())
-    f_max = float(prob.f.max())
-    one_minus_cos = 1.0 - spec.cos_theta
-    sin_t = spec.sin_theta
+    log_f_min = math.log(float(prob.f.min()))
+    log_f_max = math.log(float(prob.f.max()))
+    log_1mc = math.log(1.0 - spec.cos_theta)
+    log_sin = math.log(spec.sin_theta)
+    log_c = -0.5 * (n + 1 - q) * math.log(2.0)  # log of 2^(-(n+1-q)/2)
 
     if n + 1 - q >= 0:
         case = "q <= n+1"
-        lower_pq = 2.0 ** (-0.5 * (n + 1 - q)) * one_minus_cos ** (p - q) \
-            / sin_t ** (2 * (p - 1)) / f_max
-        upper_pq = sin_t ** (2 * (p - q)) / one_minus_cos ** (n + p - q) / f_min
+        log_lower_pq = log_c + (p - q) * log_1mc - 2 * (p - 1) * log_sin - log_f_max
+        log_upper_pq = 2 * (p - q) * log_sin - (n + p - q) * log_1mc - log_f_min
     else:
         case = "q > n+1"
-        lower_pq = one_minus_cos ** (p - q) / sin_t ** (2 * (n + p - q)) / f_max
-        upper_pq = 2.0 ** (-0.5 * (n + 1 - q)) * sin_t ** (2 * (p - q)) \
-            / one_minus_cos ** (p - 1) / f_min
+        log_lower_pq = (p - q) * log_1mc - 2 * (n + p - q) * log_sin - log_f_max
+        log_upper_pq = log_c + 2 * (p - q) * log_sin - (p - 1) * log_1mc - log_f_min
 
-    root = 1.0 / (p - q)
     return BoundSet(
-        h_lower=lower_pq**root,
-        h_upper=upper_pq**root,
-        grad_bound_factor=1.0 / sin_t,
+        log_h_lower=log_lower_pq / (p - q),
+        log_h_upper=log_upper_pq / (p - q),
+        grad_bound_factor=1.0 / spec.sin_theta,
         case=case,
     )
 
@@ -151,14 +171,15 @@ def verify(sf: SupportField, prob: ProblemSpec, newton_tol: float = 1e-9) -> Ver
 
     bounds = c0_bounds(prob)
     h_min, h_max = float(sf.h.min()), float(sf.h.max())
+    # compared in logs; a slack of rel_tol >= 1 passes every positive h_min
     report.checks.append(CheckResult(
         "c0_lower", h_min, bounds.h_lower,
-        h_min >= bounds.h_lower * (1.0 - rel_tol),
+        rel_tol >= 1.0 or math.log(h_min) >= bounds.log_h_lower + math.log1p(-rel_tol),
         h_min - bounds.h_lower,
     ))
     report.checks.append(CheckResult(
         "c0_upper", h_max, bounds.h_upper,
-        h_max <= bounds.h_upper * (1.0 + rel_tol),
+        math.log(h_max) <= bounds.log_h_upper + math.log1p(rel_tol),
         bounds.h_upper - h_max,
     ))
 

@@ -77,6 +77,7 @@ def _angle_from(doc: dict) -> float:
     return math.radians(theta) if unit == "deg" else theta
 
 
+@np.errstate(all="ignore")  # an overflow shows as a value refused later, not a warning
 def density_from_spec(f_spec: dict, grid: PolarGrid, pq: ExponentPair) -> np.ndarray:
     """Evaluate a density family on the grid; reject malformed specs and non-positive results."""
     kind = f_spec.get("type")
@@ -105,7 +106,11 @@ def density_from_spec(f_spec: dict, grid: PolarGrid, pq: ExponentPair) -> np.nda
             scale = as_real(f_spec.get("scale", 1.0), "scale")
             if scale <= 0.0:
                 raise ValueError("scale must be positive")
-            f = scale ** (pq.q - pq.p) * start_density(grid, pq)
+            try:
+                factor = scale ** (pq.q - pq.p)
+            except OverflowError:  # ProblemSpec refuses the infinite f
+                factor = math.inf
+            f = factor * start_density(grid, pq)
         else:
             raise ValueError("unknown type")
     except _INPUT_ERRORS as exc:

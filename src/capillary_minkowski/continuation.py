@@ -1,16 +1,16 @@
-"""Damped Newton iteration with a convexity safeguard, driven along the
-density homotopy f_t from the exact start h = l, with nested iteration
-across grids.
+"""Damped Newton iteration with a convexity safeguard, from the exact start
+h = l of the density homotopy f_t, with nested iteration across grids.
 
 The homotopy f_t = (1-t) f0 + t f interpolates from the start density f0
 (for which h = l solves the problem exactly) to the target f.  Each t-stage
 is solved by Newton with a backtracking line search on the max-norm of the
-residual; stage failures halve the t-step, easy stages double it.  On a grid
-with a coarser level the homotopy runs only on the coarsest level, and each
-finer level starts one Newton solve at t = 1 from the resampled solution.
-The grid picks the linear solve: preconditioned GMRES where a coarser level
-exists, else SuperLU, whose factor the stages of one march share for chord
-steps while these contract fast enough.
+residual.  By default the first stage is t = 1; stage failures halve the
+t-step, so the march along f_t is the fallback, and easy stages double it.
+On a grid with a coarser level the homotopy runs only on the coarsest level,
+and each finer level starts one Newton solve at t = 1 from the resampled
+solution.  The grid picks the linear solve: preconditioned GMRES where a
+coarser level exists, else SuperLU, whose factor one Newton solve keeps for
+chord steps while these contract fast enough.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ NESTED_MIN_NPHI = 20
 KRYLOV_RTOL = 1e-6
 KRYLOV_MAX_ITERS = 40
 
-# A chord step (the carried factor of an earlier Jacobian) is accepted when
+# A chord step (the solve's factor of an earlier Jacobian) is accepted when
 # its full step cuts the residual max-norm by this factor; otherwise the
 # factor is dropped and the step is redone exactly.  On the sweep-small
 # benchmark (seed 1) 0.1 cut the factorizations from 179 to 50.  0.25 made
@@ -73,8 +73,9 @@ DIAG_PIVOT_THRESH = 0.01
 
 def as_count(value, name: str) -> int:
     """A setting that counts something: a number with an integral value (16 or
-    16.0), never truncated; booleans and strings are refused."""
+    16.0) in the float range, never truncated; booleans and strings are refused."""
     if (isinstance(value, int) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max
             or isinstance(value, float) and value.is_integer()):
         return int(value)
     raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -115,9 +116,9 @@ class SolverConfig:
 class HomotopySchedule:
     """Plan for the march in t: the explicit list t_values when given, else adaptive steps."""
 
-    initial_step: float = 0.25
+    initial_step: float = 1.0
     min_step: float = 2.0**-10
-    max_step: float = 0.5
+    max_step: float = 1.0
     t_values: tuple | None = None
 
     def __post_init__(self):
@@ -151,20 +152,6 @@ class NewtonStage:
 
 
 @dataclass
-class _Carry:
-    """What one Newton solve of a homotopy march hands to the next.
-
-    ``lu`` is the SuperLU factor of the last Jacobian the march assembled,
-    or None once a chord step with it was refused or a stage failed; ``R`` is
-    the residual of the last accepted stage's solution against that stage's
-    density.
-    """
-
-    lu: object = None
-    R: ResidualVector | None = None
-
-
-@dataclass
 class SolveReport:
     """Aggregated continuation history plus verification hooks."""
 
@@ -174,6 +161,7 @@ class SolveReport:
     final_residual: float = float("nan")
     total_seconds: float = 0.0
     bound_verification: object = None  # filled by the a priori estimate suite
+    rejected: list = field(default_factory=list)  # {"t", "grid", "error"} per failed attempt
 
     @property
     def t_steps(self):
@@ -182,6 +170,9 @@ class SolveReport:
     @property
     def newton_iters(self):
         return [s.iterations for s in self.stages]
+
+    def reject(self, t: float, grid: PolarGrid, exc: Exception) -> None:
+        self.rejected.append({"t": t, "grid": [grid.Nr, grid.Nphi], "error": type(exc).__name__})
 
     def to_json_dict(self) -> dict:
         out = {
@@ -194,6 +185,7 @@ class SolveReport:
             "margins": [list(s.margins) for s in self.stages],
             "krylov_iters": [list(s.krylov_iters) for s in self.stages],
             "factorizations": [s.factorizations for s in self.stages],
+            "rejected": self.rejected,
             "timings": {
                 "total_seconds": self.total_seconds,
                 "stage_seconds": [s.seconds for s in self.stages],
@@ -316,12 +308,13 @@ def _trial(v: np.ndarray, delta: np.ndarray, prob: ProblemSpec,
 
 
 def _newton_direction(v: np.ndarray, R: ResidualVector, prob: ProblemSpec,
-                      carry: _Carry | None, stage: NewtonStage) -> np.ndarray:
-    """The solution delta of J delta = -R with the exact J at v: by GMRES,
-    which applies J matrix-free, on a grid with a coarser level, where a miss
-    raises SingularSystemError; else by a SuperLU factor of the assembled J
-    (``jacobian``), which is kept in ``carry``."""
+                      stage: NewtonStage) -> tuple[np.ndarray, object]:
+    """(delta, factor): delta solves J delta = -R with the exact J at v.  On a
+    grid with a coarser level GMRES solves it, applying J matrix-free, and a
+    miss raises SingularSystemError; factor is then None.  Else factor is the
+    SuperLU factor of the assembled J (``jacobian``) that solved it."""
     rhs = -R.full.ravel()
+    lu = None
     if _coarse_shape(prob.grid) is not None:
         delta, iters = _gmres_solve(rhs, R, prob)
         if delta is None:
@@ -336,33 +329,29 @@ def _newton_direction(v: np.ndarray, R: ResidualVector, prob: ProblemSpec,
             raise SingularSystemError(str(exc), best_v=v, report=stage) from exc
         stage.factorizations += 1
         delta, iters = lu.solve(rhs), 0
-        if carry is not None:
-            carry.lu = lu
     stage.krylov_iters.append(iters)
     if not np.all(np.isfinite(delta)):
         raise SingularSystemError("linear solve produced non-finite step",
                                   best_v=v, report=stage)
-    return delta.reshape(v.shape)
+    return delta.reshape(v.shape), lu
 
 
 def newton_solve(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
-                 carry: _Carry | None = None,
                  R0: ResidualVector | None = None) -> tuple[np.ndarray, NewtonStage]:
     """Damped Newton on the log-variable residual with a convexity safeguard.
 
-    While ``carry`` (the homotopy's) holds ``carry.lu``, the factor of an
-    earlier iterate's J, a step is first the full chord step with it, kept
-    when its merit is at most CHORD_CONTRACTION times the residual max-norm;
-    a refused one drops the factor before any other is built.  Otherwise the
-    exact direction at v is line-searched by step halving until the merit
-    falls strictly below the residual max-norm.  A trial's merit is its
-    residual max-norm, or +inf when B breaks the floor of convexity_floor_rel
-    times its max eigenvalue, which every accepted iterate therefore keeps.
-    The grid picks how the exact J is solved: by GMRES preconditioned by the
-    ring-mean mode blocks on a grid with a coarser level (``_coarse_shape``),
-    where a miss of KRYLOV_RTOL raises SingularSystemError, else by a SuperLU
-    factor, which becomes ``carry.lu``.  On success ``carry.R`` holds the
-    returned iterate's residual.  ``R0``, when given, is the residual at v0
+    While the solve holds ``lu``, the SuperLU factor of an earlier iterate's
+    J, a step is first the full chord step with it, kept when its merit is at
+    most CHORD_CONTRACTION times the residual max-norm; a refused one drops
+    the factor before any other is built.  Otherwise the exact direction at v
+    is line-searched by step halving until the merit falls strictly below the
+    residual max-norm.  A trial's merit is its residual max-norm, or +inf when
+    B breaks the floor of convexity_floor_rel times its max eigenvalue, which
+    every accepted iterate therefore keeps.  The grid picks how the exact J
+    is solved: by GMRES preconditioned by the ring-mean mode blocks on a grid
+    with a coarser level (``_coarse_shape``), where a miss of KRYLOV_RTOL
+    raises SingularSystemError, else by a SuperLU factor, which becomes
+    ``lu`` and dies with the call.  ``R0``, when given, is the residual at v0
     against prob.f, which the solve then does not evaluate again.
     """
     grid = prob.grid
@@ -371,6 +360,7 @@ def newton_solve(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
         raise ValueError("initial guess must be finite")
     t0 = time.perf_counter()
     R = residual(v, prob) if R0 is None else R0
+    lu = None  # SuperLU factor of an earlier iterate's J, for chord steps
     eig_lo = R.eig_range[0]
     if eig_lo <= 0.0:
         raise NonConvexError(
@@ -393,14 +383,14 @@ def newton_solve(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
                     report=stage,
                 )
             alpha, trial = 1.0, None
-            if carry is not None and carry.lu is not None:
-                trial = _trial(v, carry.lu.solve(-R.full.ravel()).reshape(v.shape), prob, cfg)
+            if lu is not None:
+                trial = _trial(v, lu.solve(-R.full.ravel()).reshape(v.shape), prob, cfg)
                 if trial[2] <= CHORD_CONTRACTION * rnorm:
                     stage.krylov_iters.append(0)
                 else:  # one factor at a time: free it before the next is built
-                    trial = carry.lu = None
+                    trial = lu = None
             if trial is None:
-                delta = _newton_direction(v, R, prob, carry, stage)
+                delta, lu = _newton_direction(v, R, prob, stage)
                 while not (trial := _trial(v, alpha * delta, prob, cfg))[2] < rnorm:
                     alpha *= 0.5
                     if alpha < cfg.min_step:
@@ -416,8 +406,6 @@ def newton_solve(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
             stage.step_lengths.append(alpha)
 
         stage.converged = True
-        if carry is not None:
-            carry.R = R
         return v, stage
     finally:
         stage.seconds = time.perf_counter() - t0
@@ -427,39 +415,35 @@ def _homotopy(prob: ProblemSpec, cfg: SolverConfig, sched: HomotopySchedule,
               report: SolveReport, R0: ResidualVector | None = None) -> np.ndarray:
     """March the homotopy on prob's grid from h = l at t = 0 to t = 1.
 
-    Before every stage the residual against the t = 1 density is probed; if it
-    is already within tolerance the march jumps to the end (a constant
-    homotopy therefore costs a single Newton stage).  The probe, and the next
-    stage as its start residual, reuse the previous stage's last residual,
-    whose density alone differs.  An explicit schedule visits its t values in
-    order and stalls on the first failed stage; an adaptive one halves the
-    t-step on failure down to the schedule minimum and doubles it after two
+    The default schedule's first stage is t = 1.  ``R`` is the residual of
+    the current v against prob.f: within tolerance, the march jumps to the
+    end (a constant homotopy therefore costs a single Newton stage); shifted
+    to a stage's density, it is that stage's start residual.  It is ``R0``
+    at h = l when given, and is evaluated once after each accepted stage
+    below t = 1.  An explicit schedule visits its t values in order and
+    stalls on the first failed stage; an adaptive one halves the t-step on
+    failure down to the schedule minimum and doubles it after two
     consecutive easy stages: stages with full steps only and at most two
-    factorizations.  A SuperLU grid's Newton solves share one factor through a
-    ``_Carry``, which a failed stage empties and which dies with the march.
-    Accepted stages go to ``report``.  ``R0``, when given, is the residual at
-    h = l against prob.f, which the march then does not evaluate again.
+    factorizations.  Accepted stages go to ``report.stages``, failed
+    attempts to ``report.rejected``.
     """
     grid = prob.grid
     v = np.log(l_field(grid))
     tol = effective_tolerance(cfg, grid, v)
     adaptive = sched.t_values is None
     t, dt, easy_streak = 0.0, sched.initial_step, 0
-    carry = _Carry(R=residual(v, prob) if R0 is None else R0)
-    f_v = prob.f  # the density carry.R was evaluated against
-    while t < 1.0:
-        if carry.R.with_density(f_v, prob.f).max_norm() <= tol:
-            break
+    R = residual(v, prob) if R0 is None else R0
+    while t < 1.0 and R.max_norm() > tol:
         if adaptive:
             t_try = min(1.0, t + dt)
         else:
             t_try = next(s for s in sched.t_values if s > t)
         stage_prob = replace(prob, f=homotopy_density(t_try, prob))
         try:
-            v_new, stage = newton_solve(v, stage_prob, cfg, carry=carry,
-                                        R0=carry.R.with_density(f_v, stage_prob.f))
+            v_new, stage = newton_solve(v, stage_prob, cfg,
+                                        R0=R.with_density(prob.f, stage_prob.f))
         except SolverError as exc:
-            carry.lu = None
+            report.reject(t_try, grid, exc)
             dt *= 0.5
             if not adaptive or dt < sched.min_step:
                 raise ContinuationStallError(
@@ -471,7 +455,9 @@ def _homotopy(prob: ProblemSpec, cfg: SolverConfig, sched: HomotopySchedule,
             continue
         stage.t = t_try
         report.stages.append(stage)
-        v, t, f_v = v_new, t_try, stage_prob.f
+        v, t = v_new, t_try
+        if t < 1.0:
+            R = residual(v, prob)
         if adaptive:
             easy = stage.factorizations <= 2 and all(a == 1.0 for a in stage.step_lengths)
             easy_streak = easy_streak + 1 if easy else 0
@@ -515,16 +501,16 @@ def _solve_level(prob: ProblemSpec, cfg: SolverConfig, sched: HomotopySchedule,
     The coarser level is ``_coarse_shape(prob.grid)``: 128^2 -> 64^2 -> 32^2,
     96^2 -> 48^2 -> 24^2, 50^2 -> 25x24, 40^2 -> 20^2.  Its solution,
     resampled, starts one Newton-Krylov solve at t = 1 on this grid; any
-    failure on the way falls back to the homotopy on this grid.  ``R0``
-    goes to ``_homotopy``.
+    failure on the way is rejected and falls back to the homotopy on this
+    grid.  ``R0`` goes to ``_homotopy``.
     """
     shape = _coarse_shape(prob.grid)
     if shape is not None:
         try:
             dv = _coarse_correction(prob, *shape, cfg, sched, report)
             v, stage = newton_solve(np.log(l_field(prob.grid)) + dv, prob, cfg)
-        except (SolverError, NonConvexError):
-            pass  # fall back to the homotopy on this grid
+        except (SolverError, NonConvexError) as exc:
+            report.reject(1.0, prob.grid, exc)  # and fall back to the homotopy
         else:
             stage.t = 1.0
             report.stages.append(stage)
@@ -537,14 +523,15 @@ def continuation_solve(
     cfg: SolverConfig | None = None,
     sched: HomotopySchedule | None = None,
 ) -> tuple[SupportField, SolveReport]:
-    """Solve prob from the exact start h = l at t = 0 of the density homotopy.
+    """Solve prob from the exact start h = l of the density homotopy.
 
     Grids with a coarser level (``_solve_level``) run the homotopy only on the
     coarsest one and finish each finer one with one Newton solve at t = 1;
-    the others march the homotopy directly (``_homotopy``).  An explicit
-    schedule runs on the coarsest level.  A stall of the homotopy on prob's
-    own grid raises ``ContinuationStallError``; a start density that is not
-    finite and positive on it (p far above q, say) ``InvalidExponentsError``.
+    the others run it directly (``_homotopy``).  An explicit schedule runs on
+    the coarsest level.  A stall of the homotopy on prob's own grid raises
+    ``ContinuationStallError``; a start density that is not finite and
+    positive on it (p far above q, say) ``InvalidExponentsError``; a solution
+    whose h = exp(v) leaves the float range ``SolverError`` with best_v = v.
     """
     cfg = cfg or SolverConfig()
     sched = sched or HomotopySchedule()
@@ -573,7 +560,12 @@ def continuation_solve(
         report.final_residual = last.residuals[-1]
     else:
         report.final_residual = residual(v, prob).max_norm()
-    return SupportField(h=np.exp(v), grid=grid), report
+    with np.errstate(over="ignore"):
+        h = np.exp(v)
+    if not np.all((h > 0.0) & (h < np.inf)):
+        raise SolverError(f"h = exp(v) leaves the float range: v spans "
+                          f"[{v.min():.6g}, {v.max():.6g}]", best_v=v, report=report)
+    return SupportField(h=h, grid=grid), report
 
 
 @dataclass

@@ -19,8 +19,8 @@ from capillary_minkowski.errors import InvalidExponentsError
 from capillary_minkowski.ma_system import ProblemSpec
 
 
-def independent_bounds(theta, n, p, q, f_min, f_max):
-    """Oracle: reassemble the h-bounds from the u-extremum inequalities."""
+def independent_bounds_pq(theta, n, p, q, f_min, f_max):
+    """Oracle: reassemble the bounds on h^(p-q) from the u-extremum inequalities."""
     l_min = 1.0 - math.cos(theta)
     l_max = math.sin(theta) ** 2
     if n + 1 - q >= 0:
@@ -29,9 +29,12 @@ def independent_bounds(theta, n, p, q, f_min, f_max):
     else:
         u_max_pq = 2.0 ** (-0.5 * (n + 1 - q)) / (f_min * l_min ** (p - 1))
         u_min_pq = 1.0 / (f_max * l_max ** (n + p - q))
-    h_upper = (u_max_pq * l_max ** (p - q)) ** (1.0 / (p - q))
-    h_lower = (u_min_pq * l_min ** (p - q)) ** (1.0 / (p - q))
-    return h_lower, h_upper
+    return u_min_pq * l_min ** (p - q), u_max_pq * l_max ** (p - q)
+
+
+def independent_bounds(theta, n, p, q, f_min, f_max):
+    """Oracle: the h-bounds, the (p-q)-th roots of independent_bounds_pq."""
+    return tuple(b ** (1.0 / (p - q)) for b in independent_bounds_pq(theta, n, p, q, f_min, f_max))
 
 
 def make_problem(theta, n, p, q, f_base=1.0, f_amp=0.0):
@@ -72,6 +75,30 @@ class TestC0Bounds:
         root = 1.0 / (p - q)
         assert b2.h_lower == pytest.approx(b1.h_lower * 2.5**-root, rel=1e-12)
         assert b2.h_upper == pytest.approx(b1.h_upper * 2.5**-root, rel=1e-12)
+
+    def test_bounds_beyond_the_float_range(self):
+        # p - q = 0.00884 at theta 3 deg: h^(p-q) bounds are ordinary numbers,
+        # but their 113th powers leave the float range; the logs stay finite
+        p, q, f = 0.63521, 0.62637, 87.0
+        bs = cm.c0_bounds(make_problem(np.radians(3.0), 2, p, q, f_base=f))
+        assert math.isfinite(bs.log_h_lower) and math.isfinite(bs.log_h_upper)
+        assert bs.log_h_upper > math.log(np.finfo(float).max) and bs.h_upper == math.inf
+        lo_pq, hi_pq = independent_bounds_pq(np.radians(3.0), 2, p, q, f, f)
+        assert (p - q) * bs.log_h_lower == pytest.approx(math.log(lo_pq), rel=1e-12)
+        assert (p - q) * bs.log_h_upper == pytest.approx(math.log(hi_pq), rel=1e-12)
+
+    def test_verify_near_p_equal_q_gives_a_table(self):
+        # the 16^2 solve reaches max h near 4e136; verify compares its bounds in
+        # logs and reports each check instead of raising OverflowError
+        spec = cm.CapSpec(theta=np.radians(3.0))
+        grid = cm.PolarGrid(spec, 16, 16)
+        prob = ProblemSpec(grid=grid, pq=cm.ExponentPair(p=0.63521, q=0.62637),
+                           f=np.full(grid.shape, 87.0))
+        sf, _ = cm.continuation_solve(prob)
+        report = cm.verify(sf, prob)
+        assert report["c0_lower"].passed and report["c0_upper"].passed
+        assert report["c0_upper"].bound == math.inf
+        assert "c0_upper" in report.format_table()
 
     def test_grad_factor(self):
         bs = cm.c0_bounds(make_problem(np.pi / 3, 2, 3.0, 1.0))

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,17 @@ class TestSolveVerify:
         assert cli.main(["solve", "--config", str(cfg)]) == 0
 
 
+    def test_solution_beyond_float_range_exits_3(self, tmp_path, capsys):
+        # the solve converges in log h, but h = exp(v) overflows: a solver
+        # failure with one line, and no output file
+        cfg = write_config(tmp_path, theta=1.0, p=1.4612, q=1.453,
+                           grid={"Nr": 24, "Nphi": 24}, f={"type": "constant", "value": 1.0})
+        assert cli.main(["solve", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "float range" in err
+        assert not (tmp_path / "run.solution.json").exists()
+
+
 class TestValidation:
     def test_p_not_greater_q_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, p=2.0, q=2.0)
@@ -160,12 +172,18 @@ class TestValidation:
         {"output": 5},
         {"solver": {"backtrack_factor": 0.5}},
         {"p": 1e308},  # finite, but the start density l^(1-p) overflows
+        {"grid": {"Nr": 10**400}},  # an integer beyond the float range
+        {"f": {"type": "homotopy-start", "scale": 1e-300}},  # scale^(q-p) overflows
+        {"p": 1e308, "f": {"type": "homotopy-start"}},  # the f-spec itself overflows
     ])
     def test_malformed_config_one_line(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path, **overrides)
-        assert cli.main(["solve", "--config", str(cfg)]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # a warning would print to stderr too
+            assert cli.main(["solve", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize("path, value", [
         (("n",), 1.5), (("n",), True), (("grid", "Nr"), 16.7), (("grid", "Nphi"), 16.5),
@@ -358,7 +376,7 @@ class TestJsonFormat:
         # the report format: a change to these keys is a format change
         assert list(doc) == ["t_steps", "grids", "requested_tol", "tols", "newton_iters",
                              "residuals", "margins", "krylov_iters", "factorizations",
-                             "timings", "final_residual", "start_residual",
+                             "rejected", "timings", "final_residual", "start_residual",
                              "bound_verification"]
         assert json.loads(self.write(tmp_path, doc).read_text())["grids"] == doc["grids"]
 

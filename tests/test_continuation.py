@@ -219,6 +219,23 @@ class TestContinuation:
             cm.continuation_solve(prob_harmonic, cfg)
         assert exc.value.t == 0.0
         assert exc.value.best_v is not None
+        # t = 1 first, then the halved steps down to the schedule's minimum 2^-10
+        assert exc.value.report.rejected == [
+            {"t": 2.0**-k, "grid": [32, 32], "error": "MaxIterationsError"} for k in range(11)]
+
+    def test_solution_beyond_float_range_raises_with_best_iterate(self):
+        # p - q = 0.0082 at theta 1 deg: the solve converges in v = log h near
+        # 1383, where h = exp(v) overflows
+        grid = cm.PolarGrid(cm.CapSpec(theta=np.radians(1.0)), 24, 24)
+        prob = ProblemSpec(grid=grid, pq=cm.ExponentPair(p=1.4612, q=1.453),
+                           f=np.ones(grid.shape))
+        with pytest.raises(cm.errors.SolverError, match="float range") as exc:
+            cm.continuation_solve(prob)
+        assert type(exc.value) is cm.errors.SolverError
+        v, report = exc.value.best_v, exc.value.report
+        assert np.all(np.isfinite(v)) and v.max() > np.log(np.finfo(float).max)
+        assert report.t_steps == [1.0] and report.rejected == []
+        assert report.final_residual <= report.stages[-1].tol
 
     def test_explicit_schedule(self, grid32, prob_harmonic):
         sched = cm.HomotopySchedule(t_values=(0.0, 0.5, 1.0))
@@ -251,7 +268,14 @@ class TestContinuation:
 
 
 class TestChord:
-    """The homotopy's Newton solves share one SuperLU factor across steps and stages."""
+    """One Newton solve keeps the SuperLU factor of an earlier iterate's J for chord steps."""
+
+    @staticmethod
+    def exact_newton(monkeypatch):
+        """From here on every direction is exact: _newton_direction keeps no factor."""
+        real = continuation._newton_direction
+        monkeypatch.setattr(continuation, "_newton_direction",
+                            lambda *args: (real(*args)[0], None))
 
     def test_fewer_factorizations_than_steps(self, prob_harmonic, monkeypatch):
         calls = {"splu": 0, "jacobian": 0}
@@ -269,50 +293,57 @@ class TestChord:
         monkeypatch.setattr(continuation, "jacobian", jac)
         _, rep = cm.continuation_solve(prob_harmonic)
         doc = rep.to_json_dict()
+        assert rep.t_steps == [1.0] and doc["rejected"] == []
         assert calls["splu"] == calls["jacobian"] == sum(doc["factorizations"])
         assert calls["splu"] < sum(doc["newton_iters"])
         assert len(doc["factorizations"]) == len(doc["newton_iters"])
-        # the stages of the exact-Newton march (3, 3 and 4 steps); an easy-stage
-        # test counting chord steps instead of factorizations adds t = 0.75
-        assert rep.t_steps == [0.25, 0.5, 1.0]
 
     def test_refused_chord_steps_give_exact_newton(self, prob_harmonic, monkeypatch):
         # with contraction 0 every chord step is refused and redone exactly at
-        # the same v, so the march is the exact-Newton one bit for bit
-        real = continuation.newton_solve
-
-        def exact(v0, prob, cfg, carry=None, **kwargs):
-            v, stage = real(v0, prob, cfg, **kwargs)
-            carry.R = ma_system.residual(v, prob)  # what the probe reads
-            return v, stage
-
+        # the same v, so each stage of the march is the exact-Newton one bit for bit
+        sched = cm.HomotopySchedule(t_values=(0.0, 0.5, 1.0))
         with monkeypatch.context() as m:
-            m.setattr(continuation, "newton_solve", exact)
-            sf_exact, rep_exact = cm.continuation_solve(prob_harmonic)
+            self.exact_newton(m)
+            sf_exact, rep_exact = cm.continuation_solve(prob_harmonic, sched=sched)
         monkeypatch.setattr(continuation, "CHORD_CONTRACTION", 0.0)
-        sf, rep = cm.continuation_solve(prob_harmonic)
+        sf, rep = cm.continuation_solve(prob_harmonic, sched=sched)
         assert np.array_equal(sf.h, sf_exact.h)
-        assert rep.t_steps == rep_exact.t_steps
+        assert rep.t_steps == rep_exact.t_steps == [0.5, 1.0]
         assert rep.newton_iters == rep_exact.newton_iters
         assert [s.factorizations for s in rep.stages] == rep.newton_iters
 
-    def test_non_finite_chord_step_is_refused(self, grid32, prob_harmonic):
-        # a carried factor whose step is not finite is dropped, and the solve
-        # is the one that starts without a factor
+    def test_non_finite_chord_step_is_refused(self, grid32, prob_harmonic, monkeypatch):
+        # a factor whose later solves (the chord steps) are all NaN: each chord
+        # step is refused and the solve is the exact-Newton one
+        real_splu = continuation.spla.splu
         v0, cfg = np.log(cm.l_field(grid32)), cm.SolverConfig()
-        v_ref, stage_ref = cm.newton_solve(v0, prob_harmonic, cfg, carry=continuation._Carry())
-        carry = continuation._Carry(lu=_NanFactor())
-        v, stage = cm.newton_solve(v0, prob_harmonic, cfg, carry=carry)
-        assert np.array_equal(v, v_ref)
-        assert stage.iterations == stage_ref.iterations
-        assert stage.factorizations == stage_ref.factorizations
-        assert not isinstance(carry.lu, _NanFactor)
+        with monkeypatch.context() as m:
+            self.exact_newton(m)
+            v_ref, stage_ref = cm.newton_solve(v0, prob_harmonic, cfg)
+        chord_solves = []
 
-    def test_one_factor_at_a_time(self, prob_harmonic, monkeypatch):
-        # a refused chord step frees the carried factor before the next one is
-        # built, so a march never holds two factors at once
-        real_splu, real_newton = continuation.spla.splu, continuation.newton_solve
-        carries, live, held = [], weakref.WeakSet(), []
+        class FirstSolveOnly:
+            def __init__(self, lu):
+                self.lu, self.solves = lu, 0
+
+            def solve(self, rhs):
+                self.solves += 1
+                if self.solves == 1:
+                    return self.lu.solve(rhs)
+                chord_solves.append(self.solves)
+                return np.full_like(rhs, np.nan)
+
+        monkeypatch.setattr(continuation.spla, "splu",
+                            lambda J, **kwargs: FirstSolveOnly(real_splu(J, **kwargs)))
+        v, stage = cm.newton_solve(v0, prob_harmonic, cfg)
+        assert chord_solves == [2] * (stage.iterations - 1) and stage.iterations >= 2
+        assert np.array_equal(v, v_ref)
+        assert stage.iterations == stage_ref.iterations == stage.factorizations
+
+    def test_one_factor_at_a_time(self, grid32, prob_harmonic, monkeypatch):
+        # a refused chord step frees the solve's factor before the next one is
+        # built, so a Newton solve never holds two factors at once
+        real_splu, live, held = continuation.spla.splu, weakref.WeakSet(), []
 
         class Factor:
             def __init__(self, lu):
@@ -322,61 +353,41 @@ class TestChord:
                 return self.lu.solve(rhs)
 
         def splu(J, **kwargs):
-            held.append((carries[-1].lu is not None, len(live)))
+            held.append(len(live))
             factor = Factor(real_splu(J, **kwargs))
             live.add(factor)
             return factor
 
-        def newton(v0, prob, cfg, carry=None, **kwargs):
-            carries.append(carry)
-            return real_newton(v0, prob, cfg, carry=carry, **kwargs)
-
         monkeypatch.setattr(continuation.spla, "splu", splu)
-        monkeypatch.setattr(continuation, "newton_solve", newton)
-        _, rep = cm.continuation_solve(prob_harmonic)
-        assert len(held) == sum(s.factorizations for s in rep.stages) >= 2
-        assert held == [(False, 0)] * len(held)
+        _, stage = cm.newton_solve(np.log(cm.l_field(grid32)), prob_harmonic, cm.SolverConfig())
+        assert len(held) == stage.factorizations >= 2
+        assert held == [0] * len(held)
+        assert len(live) == 0  # the factor dies with the call
 
-    def test_failed_stage_leaves_no_factor(self, prob_harmonic, monkeypatch):
-        real = continuation.newton_solve
-        factor_at_entry = []
-
-        def fail_second(v0, prob, cfg, carry=None, **kwargs):
-            factor_at_entry.append(carry.lu is not None)
-            out = real(v0, prob, cfg, carry=carry, **kwargs)
-            if len(factor_at_entry) == 2:
-                assert carry.lu is not None
-                raise MaxIterationsError("injected", best_v=v0)
-            return out
-
-        monkeypatch.setattr(continuation, "newton_solve", fail_second)
-        _, rep = cm.continuation_solve(prob_harmonic)
-        assert factor_at_entry[:3] == [False, True, False]
-        assert rep.final_residual <= cm.SolverConfig().tol
-
-    def test_probe_reuses_the_last_stage_residual(self, prob_harmonic, monkeypatch):
-        # between stages the t = 1 probe shifts the last stage's residual to
-        # the target density instead of evaluating B at that v again
+    def test_march_evaluates_each_accepted_stage_once(self, prob_harmonic, monkeypatch):
+        # between stages the march evaluates the residual of the accepted v
+        # against the target density once; no residual at t = 1
         real_residual, real_newton = continuation.residual, continuation.newton_solve
-        stages, between = [], []
+        depth, outside = [0], []
 
         def counted_residual(v, prob):
-            if stages and stages[-1] == "done":
-                between.append(len(stages))
+            if depth[0] == 0:
+                outside.append(prob.f is prob_harmonic.f)
             return real_residual(v, prob)
 
         def newton(*args, **kwargs):
-            stages.append("running")
+            depth[0] += 1
             try:
                 return real_newton(*args, **kwargs)
             finally:
-                stages[-1] = "done"
+                depth[0] -= 1
 
         monkeypatch.setattr(continuation, "residual", counted_residual)
         monkeypatch.setattr(continuation, "newton_solve", newton)
-        _, rep = cm.continuation_solve(prob_harmonic)
-        assert len(rep.stages) >= 3 and rep.t_steps[-1] == 1.0
-        assert between == []
+        sched = cm.HomotopySchedule(initial_step=0.25, max_step=0.5)
+        _, rep = cm.continuation_solve(prob_harmonic, sched=sched)
+        assert rep.t_steps == [0.25, 0.5, 1.0]
+        assert outside == [True] * 3  # h = l, then the stages at 0.25 and 0.5
 
     def test_shifted_residual_matches_evaluation(self, grid32, prob_harmonic):
         v = np.log(1.1 * cm.l_field(grid32))
@@ -427,13 +438,12 @@ class TestSymmetricPivoting:
             prob = harmonic_problem(theta_deg, N, amplitude)
             v = np.log(cm.continuation_solve(prob)[0].h)
             R = ma_system.residual(v, replace(prob, f=start_density(prob.grid, prob.pq)))
-            carry = continuation._Carry()
-            delta = continuation._newton_direction(v, R, prob, carry,
-                                                   continuation.NewtonStage(t=1.0))
+            delta, lu = continuation._newton_direction(v, R, prob,
+                                                       continuation.NewtonStage(t=1.0))
             ref = continuation.spla.splu(ma_system.jacobian(R, prob),
                                          permc_spec="MMD_AT_PLUS_A").solve(-R.full.ravel())
             assert np.abs(delta.ravel() - ref).max() <= 1e-12 * np.abs(ref).max()
-            assert np.array_equal(carry.lu.perm_r, carry.lu.perm_c)  # every pivot diagonal
+            assert np.array_equal(lu.perm_r, lu.perm_c)  # every pivot diagonal
 
     def test_small_diagonal_pivots_off_the_diagonal(self, grid32, prob_harmonic, monkeypatch):
         # a hand-built J whose last two unknowns couple through a 2x2 block
@@ -446,10 +456,9 @@ class TestSymmetricPivoting:
         monkeypatch.setattr(continuation, "jacobian", lambda R, prob: J)
         rhs = np.random.default_rng(3).normal(size=grid32.shape)
         R = ma_system.ResidualVector(full=rhs, bad_nodes=np.array([], dtype=int))
-        carry = continuation._Carry()
-        delta = continuation._newton_direction(np.zeros(grid32.shape), R, prob_harmonic, carry,
-                                               continuation.NewtonStage(t=1.0))
-        assert not np.array_equal(carry.lu.perm_r, carry.lu.perm_c)
+        delta, lu = continuation._newton_direction(np.zeros(grid32.shape), R, prob_harmonic,
+                                                   continuation.NewtonStage(t=1.0))
+        assert not np.array_equal(lu.perm_r, lu.perm_c)
         assert np.abs(J @ delta.ravel() + rhs.ravel()).max() <= 1e-12 * np.abs(rhs).max()
 
 
@@ -508,6 +517,7 @@ class TestNested:
 
         monkeypatch.setattr(continuation, "newton_solve", fail_first_fine)
         sf, rep = cm.continuation_solve(prob64)
+        assert rep.rejected == [{"t": 1.0, "grid": [64, 64], "error": "MaxIterationsError"}]
         assert np.array_equal(sf.h, direct[0])
         grids = rep.to_json_dict()["grids"]
         first_fine = grids.index([64, 64])
@@ -588,7 +598,8 @@ class TestNested:
         monkeypatch.setattr(continuation.spla, "gmres", gmres)
         monkeypatch.setattr(continuation, "newton_solve", newton)
         calls = self.record_jacobians(monkeypatch)
-        sf, _ = cm.continuation_solve(prob64)
+        sf, rep = cm.continuation_solve(prob64)
+        assert rep.rejected == [{"t": 1.0, "grid": [64, 64], "error": "SingularSystemError"}]
         assert [shape for shape, _ in failures] == [(64, 64)]
         assert "GMRES missed" in str(failures[0][1])
         assert np.array_equal(sf.h, direct[0])
@@ -653,9 +664,9 @@ class TestNested:
         assert continuation._coarse_shape(grid) is None
 
     def test_50_grid_nests_past_its_homotopy_stall(self, spec):
-        # the 50^2 homotopy stalls near t = 0.92 (line search at the noise
-        # floor); the 25x24 level's homotopy does not, and one Newton-Krylov
-        # solve finishes 50^2 from it
+        # the 50^2 homotopy once stalled near t = 0.92 (line search at the
+        # noise floor); the 25x24 level's homotopy did not, and one
+        # Newton-Krylov solve finishes 50^2 from it
         grid = cm.PolarGrid(spec, 50, 50)
         R, PHI = grid.mesh()
         f = 1.0 + 0.3 * (np.sin(R) / spec.sin_theta) ** 2 * np.cos(2 * PHI) * np.cos(R)
