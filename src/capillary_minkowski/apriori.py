@@ -155,6 +155,20 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _measure_ratio(sf: SupportField, prob: ProblemSpec) -> np.ndarray:
+    """measure_density / (l f), evaluated within the float range.
+
+    The density is homogeneous of degree q - p in h, so it is evaluated on
+    h / max h and its scale max h^(q - p) joins 1/(l f) in logs: with
+    1/(p - q) near 100, h can reach 1e136, where the density's powers of h
+    underflow.
+    """
+    pq, scale = prob.pq, float(sf.h.max())
+    density = measure_density(SupportField(h=sf.h / scale, grid=sf.grid), pq)
+    return density * np.exp((pq.q - pq.p) * math.log(scale)
+                            - np.log(l_field(sf.grid)) - np.log(prob.f))
+
+
 def verify(sf: SupportField, prob: ProblemSpec, newton_tol: float = 1e-9) -> VerificationReport:
     """Run every closed-form check on a computed solution.
 
@@ -209,8 +223,7 @@ def verify(sf: SupportField, prob: ProblemSpec, newton_tol: float = 1e-9) -> Ver
         "robin", robin_v, robin_tol, robin_v <= robin_tol, robin_tol - robin_v,
     ))
 
-    density = measure_density(sf, prob.pq)
-    rel_err = float(np.max(np.abs(density / (l_field(grid) * prob.f) - 1.0)))
+    rel_err = float(np.max(np.abs(_measure_ratio(sf, prob) - 1.0)))
     meas_tol = 10.0 * d2
     report.checks.append(CheckResult(
         "measure_consistency", rel_err, meas_tol, rel_err <= meas_tol, meas_tol - rel_err,

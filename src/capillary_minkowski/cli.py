@@ -169,6 +169,8 @@ def build_problem(config: RunConfig) -> ProblemSpec:
         return ProblemSpec(grid=grid, pq=config.pq, f=f)
     except _INPUT_ERRORS as exc:
         raise _input_error(exc) from None
+    except MemoryError:
+        raise ConfigError(f"a {config.Nr} x {config.Nphi} grid does not fit in memory") from None
 
 
 def solution_document(config: RunConfig, sf: SupportField, final_residual: float) -> dict:

@@ -48,11 +48,24 @@ from .ma_system import (ProblemSpec, ResidualVector, jacobian,  # noqa: F401
 # schedule tests, which would then test nested solves instead.
 NESTED_MIN_NPHI = 20
 
-# GMRES controls of a Krylov Newton step: relative tolerance on the 2-norm of
-# J delta + R, and the iteration budget of one unrestarted cycle, after which
-# the step fails with SingularSystemError.
+# GMRES controls of a Krylov Newton step.  GMRES stops once the 2-norm of
+# J delta + R is at most max(KRYLOV_RTOL * ||R||_2, KRYLOV_TOL_SHARE * tol),
+# tol being the Newton solve's effective tolerance: ||.||_inf <= ||.||_2, so
+# the linear part of the next residual is then at most a tenth of what the
+# solve must reach (an inexact Newton step; Eisenstat & Walker, SIAM J. Sci.
+# Comput. 17, 1996).  KRYLOV_MAX_ITERS is the budget of one unrestarted
+# cycle, after which the step fails with SingularSystemError.
 KRYLOV_RTOL = 1e-6
+KRYLOV_TOL_SHARE = 0.1
 KRYLOV_MAX_ITERS = 40
+
+# A coarser level is solved only to COARSE_LEVEL_TOL * spacing^2 (its
+# max_spacing), or to the requested tolerance when that is larger: the finer
+# level's start then errs by its discretization error anyway, of order
+# spacing^2 (nested iteration; Hackbusch, Multi-Grid Methods and
+# Applications, Springer 1985, ch. 5).  It is 1/1000 of the 10 * spacing^2
+# bound of ``verify``.  The finest level keeps the requested tolerance.
+COARSE_LEVEL_TOL = 1e-2
 
 # A chord step (the solve's factor of an earlier Jacobian) is accepted when
 # its full step cuts the residual max-norm by this factor; otherwise the
@@ -271,15 +284,17 @@ def _serial_blas():
         set_(before)
 
 
-def _gmres_solve(rhs: np.ndarray, R, prob: ProblemSpec) -> tuple[np.ndarray | None, int]:
-    """(x, iterations) of GMRES on J x = rhs for the exact J at the v of R,
-    right-preconditioned by the ring-mean mode blocks; x is None when GMRES
-    misses KRYLOV_RTOL.
+def _gmres_solve(rhs: np.ndarray, R, prob: ProblemSpec,
+                 atol: float) -> tuple[np.ndarray | None, int, float]:
+    """(x, iterations, bound) of GMRES on J x = rhs for the exact J at the v
+    of R, right-preconditioned by the ring-mean mode blocks.  GMRES stops once
+    the 2-norm of J x - rhs is at most bound = max(KRYLOV_RTOL * ||rhs||_2,
+    atol); x is None when it misses that bound.
 
     J is never assembled: GMRES applies it as ``FrameOps.combination_product``
     of the same ``jacobian_coefficients`` that build the preconditioner.  With
     the preconditioner on the right, GMRES minimizes the residual of J x = rhs
-    itself, so its tolerance bounds the true linear residual.
+    itself, so its bound holds for the true linear residual.
     """
     ops = prob.grid.ops
     coeffs = jacobian_coefficients(R, prob)
@@ -292,9 +307,10 @@ def _gmres_solve(rhs: np.ndarray, R, prob: ProblemSpec) -> tuple[np.ndarray | No
 
     JM = spla.LinearOperator((rhs.size, rhs.size), matvec=lambda y: J(M.solve(y)), dtype=float)
     with _serial_blas():
-        y, info = spla.gmres(JM, rhs, rtol=KRYLOV_RTOL, restart=KRYLOV_MAX_ITERS, maxiter=1,
-                             callback=count, callback_type="pr_norm")
-    return (M.solve(y) if info == 0 else None), iters
+        y, info = spla.gmres(JM, rhs, rtol=KRYLOV_RTOL, atol=atol, restart=KRYLOV_MAX_ITERS,
+                             maxiter=1, callback=count, callback_type="pr_norm")
+        bound = max(KRYLOV_RTOL * float(np.linalg.norm(rhs)), atol)  # a BLAS dot, kept serial
+    return (M.solve(y) if info == 0 else None), iters, bound
 
 
 def _trial(v: np.ndarray, delta: np.ndarray, prob: ProblemSpec,
@@ -310,16 +326,21 @@ def _trial(v: np.ndarray, delta: np.ndarray, prob: ProblemSpec,
 def _newton_direction(v: np.ndarray, R: ResidualVector, prob: ProblemSpec,
                       stage: NewtonStage) -> tuple[np.ndarray, object]:
     """(delta, factor): delta solves J delta = -R with the exact J at v.  On a
-    grid with a coarser level GMRES solves it, applying J matrix-free, and a
-    miss raises SingularSystemError; factor is then None.  Else factor is the
-    SuperLU factor of the assembled J (``jacobian``) that solved it."""
+    grid with a coarser level GMRES solves it, applying J matrix-free, only
+    until ||J delta + R||_2 <= max(KRYLOV_RTOL * ||R||_2, KRYLOV_TOL_SHARE *
+    stage.tol), and a miss raises SingularSystemError naming that bound;
+    factor is then None.  Else factor is the SuperLU factor of the assembled
+    J (``jacobian``) that solved it."""
     rhs = -R.full.ravel()
     lu = None
     if _coarse_shape(prob.grid) is not None:
-        delta, iters = _gmres_solve(rhs, R, prob)
+        atol = KRYLOV_TOL_SHARE * stage.tol
+        delta, iters, bound = _gmres_solve(rhs, R, prob, atol)
         if delta is None:
-            raise SingularSystemError(f"GMRES missed rtol {KRYLOV_RTOL:g} in {iters} iterations",
-                                      best_v=v, report=stage)
+            raise SingularSystemError(
+                f"GMRES missed its bound {bound:.3e} on ||J delta + R||_2 (the larger of rtol "
+                f"{KRYLOV_RTOL:g} times ||R||_2 and atol {atol:.3e}) in {iters} iterations",
+                best_v=v, report=stage)
     else:
         try:
             lu = spla.splu(jacobian(R, prob), permc_spec="MMD_AT_PLUS_A",
@@ -349,7 +370,7 @@ def newton_solve(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
     B breaks the floor of convexity_floor_rel times its max eigenvalue, which
     every accepted iterate therefore keeps.  The grid picks how the exact J
     is solved: by GMRES preconditioned by the ring-mean mode blocks on a grid
-    with a coarser level (``_coarse_shape``), where a miss of KRYLOV_RTOL
+    with a coarser level (``_coarse_shape``), where a miss of its stop rule
     raises SingularSystemError, else by a SuperLU factor, which becomes
     ``lu`` and dies with the call.  ``R0``, when given, is the residual at v0
     against prob.f, which the solve then does not evaluate again.
@@ -471,13 +492,17 @@ def _coarse_correction(prob: ProblemSpec, Nr: int, Nphi: int, cfg: SolverConfig,
                        sched: HomotopySchedule, report: SolveReport) -> np.ndarray:
     """Solve prob on the (Nr, Nphi) grid and resample its v - log l onto prob's grid.
 
-    The coarse density is exp(resample(log f)); the coarse grid and problem
-    are dropped on return, before the caller's Newton solve.
+    The coarse density is exp(resample(log f)).  The coarse level is solved
+    only to max(cfg.tol, COARSE_LEVEL_TOL * spacing^2) of its own spacing:
+    below its discretization error a tighter solve does not bring the finer
+    level's start closer.  The coarse grid and problem are dropped on
+    return, before the caller's Newton solve.
     """
     grid = prob.grid
     coarse = PolarGrid(grid.spec, Nr, Nphi)
     coarse_prob = replace(prob, grid=coarse, f=np.exp(resample(np.log(prob.f), grid, coarse)))
-    v = _solve_level(coarse_prob, cfg, sched, report)
+    coarse_cfg = replace(cfg, tol=max(cfg.tol, COARSE_LEVEL_TOL * coarse.max_spacing**2))
+    v = _solve_level(coarse_prob, coarse_cfg, sched, report)
     return resample(v - np.log(l_field(coarse)), coarse, grid)
 
 
@@ -499,8 +524,9 @@ def _solve_level(prob: ProblemSpec, cfg: SolverConfig, sched: HomotopySchedule,
     """v = log h solving prob, by nested iteration where a coarser level exists.
 
     The coarser level is ``_coarse_shape(prob.grid)``: 128^2 -> 64^2 -> 32^2,
-    96^2 -> 48^2 -> 24^2, 50^2 -> 25x24, 40^2 -> 20^2.  Its solution,
-    resampled, starts one Newton-Krylov solve at t = 1 on this grid; any
+    96^2 -> 48^2 -> 24^2, 50^2 -> 25x24, 40^2 -> 20^2.  Its solution, to
+    the coarse-level tolerance of ``_coarse_correction`` and resampled,
+    starts one Newton-Krylov solve at t = 1 on this grid to cfg.tol; any
     failure on the way is rejected and falls back to the homotopy on this
     grid.  ``R0`` goes to ``_homotopy``.
     """

@@ -184,6 +184,21 @@ class TestVerify:
         ratio = density / (cm.l_field(grid32) * prob.f)
         assert np.median(ratio) == pytest.approx(0.25, rel=1e-2)
 
+    def test_measure_consistency_is_scale_invariant(self, grid32, pq31):
+        # (lam h, lam^(q-p) f) solves the equation when (h, f) does; at lam =
+        # 1e100 the density's powers of h underflow unless h is rescaled first
+        R, PHI = grid32.mesh()
+        f = 1.0 + 0.3 * (np.sin(R) / grid32.spec.sin_theta) ** 2 * np.cos(2 * PHI)
+        prob = ProblemSpec(grid=grid32, pq=pq31, f=f)
+        sf, _ = cm.continuation_solve(prob)
+        lam = 1e100
+        scaled = ProblemSpec(grid=grid32, pq=pq31, f=lam ** (pq31.q - pq31.p) * f)
+        check = cm.verify(sf, prob)["measure_consistency"]
+        lam_value = cm.verify(cm.SupportField(h=lam * sf.h, grid=grid32),
+                              scaled)["measure_consistency"].value
+        assert check.passed
+        assert abs(lam_value - check.value) <= 1e-12
+
     def test_table_rendering(self, grid32, pq31):
         prob = ProblemSpec(grid=grid32, pq=pq31, f=start_density(grid32, pq31))
         sf, _ = cm.continuation_solve(prob)

@@ -173,6 +173,7 @@ class TestValidation:
         {"solver": {"backtrack_factor": 0.5}},
         {"p": 1e308},  # finite, but the start density l^(1-p) overflows
         {"grid": {"Nr": 10**400}},  # an integer beyond the float range
+        {"grid": {"Nr": 10**18}},  # in the float range, but no array of it fits in memory
         {"f": {"type": "homotopy-start", "scale": 1e-300}},  # scale^(q-p) overflows
         {"p": 1e308, "f": {"type": "homotopy-start"}},  # the f-spec itself overflows
     ])

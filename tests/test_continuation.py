@@ -641,6 +641,64 @@ class TestNested:
         assert outside.count((64, 64)) == 1  # start_residual only
         assert rep.final_residual == rep.stages[-1].residuals[-1]
 
+    def test_coarse_level_met_its_own_tolerance(self, prob64, monkeypatch):
+        # the 32^2 level is solved to COARSE_LEVEL_TOL * spacing^2 there; the
+        # 64^2 level to the requested tolerance, floored by its noise floor
+        real, starts = continuation.newton_solve, []
+
+        def newton(v0, prob, cfg, **kwargs):
+            starts.append((prob.grid.shape, cfg.tol, v0))
+            return real(v0, prob, cfg, **kwargs)
+
+        monkeypatch.setattr(continuation, "newton_solve", newton)
+        cfg = cm.SolverConfig()
+        _, rep = cm.continuation_solve(prob64, cfg)
+        doc = rep.to_json_dict()
+        coarse = cm.PolarGrid(prob64.grid.spec, 32, 32)
+        coarse_tol = max(cfg.tol, continuation.COARSE_LEVEL_TOL * coarse.max_spacing**2)
+        assert coarse_tol > 1000.0 * cfg.tol
+        assert doc["grids"] == [[32, 32]] * (len(doc["grids"]) - 1) + [[64, 64]]
+        assert doc["tols"][:-1] == [coarse_tol] * (len(doc["tols"]) - 1)
+        assert all(tol == coarse_tol for shape, tol, _ in starts if shape == (32, 32))
+        [(_, fine_tol, v0)] = [s for s in starts if s[0] == (64, 64)]
+        assert fine_tol == cfg.tol
+        assert doc["tols"][-1] == continuation.effective_tolerance(cfg, prob64.grid, v0)
+        assert doc["final_residual"] <= doc["tols"][-1]
+
+    @pytest.mark.parametrize("atol_over_rtol_bound", [0.5, 1000.0])
+    def test_gmres_stops_at_the_larger_bound(self, grid48, pq31, atol_over_rtol_bound):
+        # GMRES stops once ||J delta + R||_2 <= max(KRYLOV_RTOL ||R||_2, atol),
+        # checked against the assembled Jacobian; an atol above the relative
+        # bound stops it after fewer iterations.  v is not axisymmetric, so
+        # the ring-mean preconditioner is not exact
+        R_, PHI = grid48.mesh()
+        shape = (np.sin(R_) / grid48.spec.sin_theta) ** 2 * np.cos(2 * PHI)
+        prob = ProblemSpec(grid=grid48, pq=pq31, f=1.0 + 0.3 * shape)
+        R = ma_system.residual(np.log(cm.l_field(grid48)) - 0.05 * shape, prob)
+        J = grid48.ops.combination(**ma_system.jacobian_coefficients(R, prob))
+        rhs = -R.full.ravel()
+        rtol_bound = continuation.KRYLOV_RTOL * np.linalg.norm(rhs)
+        atol = atol_over_rtol_bound * rtol_bound
+        delta, iters, bound = continuation._gmres_solve(rhs, R, prob, atol=atol)
+        assert bound == max(atol, rtol_bound)
+        assert np.linalg.norm(J @ delta - rhs) <= bound
+        _, iters_rtol, _ = continuation._gmres_solve(rhs, R, prob, atol=0.0)
+        assert (iters < iters_rtol) == (atol > rtol_bound)
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-3])
+    def test_gmres_miss_names_the_bound_it_missed(self, prob64, monkeypatch, tol):
+        # tol 1e-12 leaves the relative bound in force, 1e-3 the absolute one
+        monkeypatch.setattr(continuation.spla, "gmres", lambda A, b, **kwargs: (0.0 * b, 1))
+        v = np.log(cm.l_field(prob64.grid))
+        R = ma_system.residual(v, prob64)
+        stage = continuation.NewtonStage(t=1.0, tol=tol)
+        with pytest.raises(SingularSystemError) as exc:
+            continuation._newton_direction(v, R, prob64, stage)
+        bound = max(continuation.KRYLOV_RTOL * np.linalg.norm(R.full),
+                    continuation.KRYLOV_TOL_SHARE * tol)
+        assert f"GMRES missed its bound {bound:.3e}" in str(exc.value)
+        assert exc.value.best_v is v and exc.value.report is stage
+
     @pytest.mark.parametrize("shape, chain", [
         ((38, 38), []),
         ((40, 40), [(20, 20)]),
@@ -754,7 +812,9 @@ class TestSymmetry:
 
     def solve(self, prob):
         sf, rep = cm.continuation_solve(prob, self.CFG)
-        tol = max(s.tol for s in rep.stages)  # effective_tolerance of each stage's start
+        # effective_tolerance of each stage's start on prob's grid; a coarser
+        # level is solved to a looser tolerance of its own
+        tol = max(s.tol for s in rep.stages if s.grid == [prob.grid.Nr, prob.grid.Nphi])
         assert rep.final_residual <= tol
         return np.log(sf.h), tol
 
@@ -810,6 +870,29 @@ class TestSymmetry:
         self.check_scaling(prob, 2.5, base)
         self.check_rotation(prob, 7, base)
         self.check_reflection(prob, base)
+
+
+class TestPaperEdges:
+    """theta near 0 with p - q near 0, inside the paper's range: by h(lam f) =
+    lam^(-1/(p - q)) h(f), a density off the start density by a modest factor
+    moves log h by hundreds, so h and its powers can leave the float range."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(theta=st.floats(1.0, 5.0), q=st.floats(0.0, 3.0), gap=st.floats(0.005, 0.05),
+           N=st.sampled_from([12, 14, 16]), log_f=st.floats(-5.0, 5.0), amp=st.floats(0.0, 0.5),
+           m=st.integers(0, 3))
+    def test_solve_and_verify_return_or_raise_capillary_error(self, theta, q, gap, N,
+                                                              log_f, amp, m):
+        spec = cm.CapSpec(theta=np.radians(theta))
+        grid = cm.PolarGrid(spec, N, N)
+        R, PHI = grid.mesh()
+        f = np.exp(log_f) * (1.0 + amp * (np.sin(R) / spec.sin_theta) ** m * np.cos(m * PHI))
+        prob = ProblemSpec(grid=grid, pq=cm.ExponentPair(p=q + gap, q=q), f=f)
+        try:
+            sf, _ = cm.continuation_solve(prob)
+            cm.verify(sf, prob)
+        except cm.errors.CapillaryError:
+            pass
 
 
 class TestUniqueness:
