@@ -95,9 +95,15 @@ def c0_bounds(prob: ProblemSpec) -> BoundSet:
 
 
 def gradient_bound(sf: SupportField) -> tuple[float, float]:
-    """(computed, bound): max frame |grad h| against (1/sin theta) * max h."""
-    computed = float(grad(sf.h, sf.grid).norm().max())
-    bound = float(sf.h.max()) / sf.spec.sin_theta
+    """(computed, bound): max frame |grad h| against (1/sin theta) * max h.
+
+    Both are homogeneous of degree 1 in h, so the gradient is taken of h / max h
+    and scaled back by max h: the norm squares the gradient, which overflows for
+    h beyond about 1e154 (with 1/(p - q) near 100, h can reach 1e238).
+    """
+    scale = float(sf.h.max())
+    computed = float(grad(sf.h / scale, sf.grid).norm().max()) * scale
+    bound = scale / sf.spec.sin_theta
     return computed, bound
 
 

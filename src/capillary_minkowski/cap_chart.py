@@ -20,9 +20,10 @@ order is what keeps gradient/Hessian errors O(max spacing^2) in the max norm.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -101,13 +102,16 @@ class FrameOps:
     None for n = 1.  Rows are grid nodes in C order on a grid of ``shape``
     (Nr, Nphi); ring Nr - 1 is the rim.  ``combination`` and its siblings take
     sum_k diag(c_k) op_k over every row, so the coefficient fields alone
-    (``ma_system.jacobian_coefficients``) say what a row is.
+    (``ma_system.jacobian_coefficients``) say what a row is.  ``layout`` is
+    the tables' integer structure, shared by every grid of the shape with the
+    same tables (``shape_layout``); only the weights are this grid's.
     """
 
     D1: sp.csr_matrix
     H11: sp.csr_matrix
     shape: tuple
     stencils: dict
+    layout: TableLayout
     Dphi: sp.csr_matrix | None = None
     Dphiphi: sp.csr_matrix | None = None
     inv_sin: np.ndarray | None = None  # 1/sin r, 1/sin^2 r and cot r at every node, flattened
@@ -142,22 +146,20 @@ class FrameOps:
         """sum_k diag(c_k) op_k, for ``coeffs`` mapping operator names to per-node fields c_k.
 
         Each table of ``stencils`` named in ``coeffs`` adds c_k times its
-        weights to the union of all the tables' entries, in the order of
-        ``coeffs``; the union expanded over phi is the pattern, so it does not
-        depend on the coefficients (entries that cancel are stored zeros).
-        Only the SuperLU steps of a grid without a coarser level need it;
-        GMRES applies the operator through ``combination_product`` instead.
+        weights into its slots of the union of all the tables' entries, in the
+        order of ``coeffs``; the union expanded over phi is the pattern, so it
+        does not depend on the coefficients (entries that cancel are stored
+        zeros).  The pattern and the CSC order of its values come from
+        ``layout.union``, so a call sums and gathers, nothing else.  Only the
+        SuperLU steps of a grid without a coarser level need it; GMRES applies
+        the operator through ``combination_product`` instead.
         """
-        Nr, Nphi = self.shape
-        key = {name: (t.ring * Nr + t.src) * Nphi + t.shift for name, t in self.stencils.items()}
-        union = np.unique(np.concatenate(list(key.values())))
-        values = np.zeros((union.size, Nphi))
+        slots, size, pattern = self.layout.union
+        values = np.zeros((size, self.shape[1]))
         for name, c in coeffs.items():
             t = self.stencils[name]
-            c = np.reshape(c, self.shape)[t.ring]
-            values[np.searchsorted(union, key[name])] += c * t.weight[:, None]
-        ring_src, shift = np.divmod(union, Nphi)
-        return _expand(Stencil(*np.divmod(ring_src, Nr), shift, None), Nr, Nphi, values).tocsc()
+            values[slots[name]] += np.reshape(c, self.shape)[t.ring] * t.weight[:, None]
+        return _with_data(pattern, values.ravel()[pattern.data])
 
     def combination_product(self, **coeffs: np.ndarray):
         """x -> combination(**coeffs) @ x, applied without assembly as the sum of
@@ -181,29 +183,29 @@ class FrameOps:
         the radial block of angular mode k: with the weights of one (i, j)
         scattered by shift into a row (a table has one entry per (i, j, s)), the
         symbols are conj(rfft(row)).  A ghost's shift Nphi/2 makes its phase (-1)^k.
+        Where each entry goes in those rows, and the band layout, are
+        ``layout.modes``; only the weights and their FFT are this grid's.
         """
-        Nr, Nphi = self.shape
-        parts = {}
+        band, bounds, rows = self.layout.modes
+        Nphi = self.shape[1]
+        terms = {}
         for name, t in self.stencils.items():
-            pos, inv = np.unique(t.ring * Nr + t.src, return_inverse=True)
-            rows = np.zeros((pos.size, Nphi))
-            rows[inv, t.shift] = t.weight
-            parts[name] = pos, np.conj(np.fft.rfft(rows, axis=1)).T  # (modes, entries)
-        keys = np.unique(np.concatenate([pos for pos, _ in parts.values()]))
-        row, col = np.divmod(keys, Nr)
-        kl, ku = int(np.max(row - col)), int(np.max(col - row))
-        terms = {name: (np.searchsorted(keys, pos), pos // Nr, sym)
-                 for name, (pos, sym) in parts.items()}
-        layout = (kl + ku + row - col, col)  # LAPACK gbtrf band storage of entry (row, col)
-        return layout, (kl, ku), terms
+            slots, ring, scatter = rows[name]
+            row = np.zeros(slots.size * Nphi)
+            row[scatter] = t.weight
+            terms[name] = slots, ring, np.conj(np.fft.rfft(row.reshape(-1, Nphi), axis=1)).T
+        return band, bounds, terms
 
     def mode_system(self, **coeffs: np.ndarray) -> ModeFactor:
         """LU factors of ``combination(**coeffs)`` with every c_k replaced by its
         mean over each ring.
 
         That operator commutes with rotations in phi, so an FFT in phi splits
-        it into Nphi/2 + 1 banded radial blocks, one per angular mode; each
-        block is factored by LAPACK's banded LU with partial pivoting.  A
+        it into Nphi/2 + 1 banded radial blocks, one per angular mode.  They
+        stand on the diagonal of one banded matrix, mode k in rows k Nr to
+        (k + 1) Nr - 1, which one call of LAPACK's banded LU with partial
+        pivoting factors: no entry couples two blocks, so each block's pivots
+        stay inside it and its factors are those of the block alone.  A
         singular block leaves ``ModeFactor.solve`` non-finite, which GMRES
         reports as a miss: the Newton step raises SingularSystemError.
         """
@@ -213,27 +215,31 @@ class FrameOps:
         for name, c in coeffs.items():
             slots, ring, sym = terms[name]
             data[:, slots] += np.reshape(c, self.shape).mean(axis=1)[ring] * sym
-        bands = np.zeros((data.shape[0], 2 * kl + ku + 1, Nr), dtype=complex)
-        bands[:, brow, bcol] = data
-        factors = [lapack.zgbtrf(band, kl, ku)[:2] for band in bands]
-        return ModeFactor(factors, kl, ku, self.shape)
+        # the band storage of mode k's columns, column-major as LAPACK reads it
+        bands = np.zeros((data.shape[0], Nr, 2 * kl + ku + 1), dtype=complex)
+        bands[:, bcol, brow] = data
+        lu, piv, _ = lapack.zgbtrf(bands.reshape(-1, bands.shape[2]).T, kl, ku, overwrite_ab=True)
+        return ModeFactor(lu, piv, kl, ku, self.shape)
 
 
 @dataclass(frozen=True)
 class ModeFactor:
-    """Banded LU factors (lu, piv) of the angular-mode blocks from ``FrameOps.mode_system``."""
+    """Banded LU factors (lu, piv) of the stacked angular-mode blocks from
+    ``FrameOps.mode_system``."""
 
-    factors: list
+    lu: np.ndarray
+    piv: np.ndarray
     kl: int
     ku: int
     shape: tuple  # (Nr, Nphi)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Apply the inverse of the ring-mean operator to a flattened real field."""
+        """Apply the inverse of the ring-mean operator to a flattened real field:
+        every mode's radial column, stacked in mode order, in one banded solve."""
+        Nr, Nphi = self.shape
         modes = np.fft.rfft(np.reshape(b, self.shape), axis=1)
-        for k, (lu, piv) in enumerate(self.factors):
-            modes[:, k] = lapack.zgbtrs(lu, self.kl, self.ku, modes[:, k], piv)[0]
-        return np.fft.irfft(modes, n=self.shape[1], axis=1).ravel()
+        x = lapack.zgbtrs(self.lu, self.kl, self.ku, modes.T.ravel(), self.piv, overwrite_b=True)[0]
+        return np.fft.irfft(x.reshape(-1, Nr).T, n=Nphi, axis=1).ravel()
 
 
 class Stencil(NamedTuple):
@@ -250,11 +256,24 @@ class Stencil(NamedTuple):
     def merged(self) -> Stencil:
         """The entries sorted by (ring, source ring, shift), those of one key summed
         in order; sums of exactly 0.0 go, as in sparse products."""
+        return Stencil.summed(self.merge_order(), self.weight)
+
+    def merge_order(self) -> tuple:
+        """(inv, ring, src, shift): the distinct (ring, source ring, shift) keys of
+        the entries, sorted, and the index of each entry's key among them."""
         m = int(max(self.ring.max(), self.src.max(), self.shift.max())) + 1
         key, inv = np.unique((self.ring * m + self.src) * m + self.shift, return_inverse=True)
-        weight = np.bincount(inv, weights=self.weight)
-        ring_src, shift = np.divmod(key[weight != 0.0], m)
-        return Stencil(*np.divmod(ring_src, m), shift, weight[weight != 0.0])
+        ring_src, shift = np.divmod(key, m)
+        return (inv, *np.divmod(ring_src, m), shift)
+
+    @staticmethod
+    def summed(order: tuple, weight: np.ndarray) -> Stencil:
+        """The table of the keys of ``merge_order`` ``order``, with the weights of
+        each key summed in order and the sums of exactly 0.0 left out."""
+        inv, *keys = order
+        weight = np.bincount(inv, weights=weight)
+        keep = weight != 0.0
+        return Stencil(*(a[keep] for a in keys), weight[keep])
 
     def __mul__(self, x: np.ndarray) -> Stencil:
         return self._replace(weight=self.weight * x[self.ring])
@@ -332,13 +351,12 @@ class PolarGrid:
     def _stencil(self, offsets, w_r, shifts=(0,), w_phi=(1.0,)) -> Stencil:
         """Merged table of a radial stencil (offsets, weights w_r[ring, m] or w_r[m])
         times an angular one (shifts, w_phi); zero weights pad rows and add nothing.
-        A source ring j < 0 is the ghost across the pole: ring -1 - j at ``pole_map``."""
-        ring = np.arange(self.Nr)
+        A source ring j < 0 is the ghost across the pole: ring -1 - j at ``pole_map``.
+        Which entries merge comes from ``shape_layout``; only the sums are this grid's."""
         w = np.broadcast_to(w_r, (self.Nr, len(offsets)))[:, :, None] * np.asarray(w_phi)
-        src = np.repeat(ring[:, None] + offsets, len(shifts))
-        shift = (np.resize(shifts, w.size) + (src < 0) * int(self.pole_map[0])) % self.Nphi
-        return Stencil(np.repeat(ring, w[0].size), np.where(src < 0, -1 - src, src), shift,
-                       w.ravel()).merged()
+        order = shape_layout(self.Nr, self.Nphi).merge_order(tuple(offsets), tuple(shifts),
+                                                             int(self.pole_map[0]))
+        return Stencil.summed(order, w.ravel())
 
     # -- conveniences ----------------------------------------------------------
 
@@ -373,7 +391,13 @@ class PolarGrid:
     def ops(self) -> FrameOps:
         """The frame operators of this grid, built on first use: a Jacobian
         assembly only fills its coefficients into ``FrameOps.combination``,
-        and building them lazily keeps grid construction cheap."""
+        and building them lazily keeps grid construction cheap.
+
+        Only the weights are computed here.  The integer structure of the
+        tables and matrices is the ``TableLayout`` that ``shape_layout`` keeps
+        for every grid of this shape: each matrix gathers its ``data`` from its
+        table's weights through the layout's entry map and shares the layout's
+        read-only ``indices`` and ``indptr``."""
         Nr, Nphi, dr = self.Nr, self.Nphi, self.dr
         # fourth-order, second-order and one-sided rim rows; zero weights pad them
         kind = np.where((self.r <= 0.5 * self.spec.theta) & (np.arange(Nr) <= Nr - 3), 0, 1)
@@ -396,8 +420,11 @@ class PolarGrid:
             expanded.update(Dphi=Dphi, Dphiphi=Dphiphi)
             scalings = dict(inv_sin=np.repeat(inv_sin, Nphi),
                             inv_sin_sq=np.repeat(inv_sin**2, Nphi), cot=np.repeat(cot, Nphi))
-        matrices = {name: _expand(t, Nr, Nphi, t.weight[:, None]) for name, t in expanded.items()}
-        return FrameOps(**matrices, **scalings, shape=self.shape, stencils=stencils)
+        layout = shape_layout(Nr, Nphi).table_layout(stencils, expanded)
+        weights = np.concatenate([expanded[name].weight for name in layout.csr])
+        matrices = {name: _with_data(pattern, weights[pattern.data])
+                    for name, pattern in layout.csr.items()}
+        return FrameOps(**matrices, **scalings, shape=self.shape, stencils=stencils, layout=layout)
 
     @cached_property
     def stencil_amplification(self) -> float:
@@ -412,21 +439,184 @@ class PolarGrid:
         return float(max(np.bincount(t.ring, weights=np.abs(t.weight)).max() for t in hess))
 
 
-def _expand(t: Stencil, Nr: int, Nphi: int, values: np.ndarray) -> sp.csr_matrix:
+def _expand(t: Stencil, Nr: int, Nphi: int, values: np.ndarray, blocks: int = 1) -> sp.csr_matrix:
     """A table sorted by ring expanded over phi, as a CSR matrix with sorted rows:
     entry e = (i, j, s, w) puts values[e, k] (``values`` broadcast to (entries,
-    Nphi)) in row (i, k), column (j, k + s mod Nphi)."""
-    k, N = np.arange(Nphi), Nr * Nphi
-    count = np.bincount(t.ring, minlength=Nr)
+    Nphi)) in row (i, k), column (j, k + s mod Nphi).  With the entries' own
+    places as ``values``, the matrix's data is the layout's entry map.  Rings
+    i >= Nr give ``blocks`` square matrices one below the other: ``blocks``
+    tables expand in one pass when table b's rings are raised by b Nr."""
+    k, N = np.arange(Nphi, dtype=np.int32), Nr * Nphi
+    count = np.bincount(t.ring, minlength=blocks * Nr).astype(np.int32)
     first = (np.cumsum(count) - count)[t.ring]  # row (i, k): data[first * Nphi + k * count:]
-    dest = (first * (Nphi - 1) + np.arange(t.ring.size))[:, None] + count[t.ring][:, None] * k
-    indices, data = np.empty(dest.size, dtype=np.int32), np.empty(dest.size)
-    indices[dest] = (t.src * Nphi)[:, None] + (t.shift[:, None] + k) % Nphi
-    data[dest] = values
-    mat = sp.csr_matrix((data, indices, np.append(0, np.cumsum(np.repeat(count, Nphi)))),
-                        shape=(N, N))
+    dest = (first * (Nphi - 1) + np.arange(t.ring.size, dtype=np.int32))[:, None] \
+        + count[t.ring][:, None] * k
+    col = t.shift.astype(np.int32)[:, None] + k  # below 2 Nphi: mod Nphi is one subtraction
+    np.subtract(col, Nphi, out=col, where=col >= Nphi)
+    col += (t.src * Nphi).astype(np.int32)[:, None]
+    indices, data = np.empty(dest.size, dtype=np.int32), np.empty(dest.size, dtype=values.dtype)
+    indices[dest], data[dest] = col, values
+    indptr = np.zeros(blocks * N + 1, dtype=np.int32)
+    np.cumsum(np.repeat(count, Nphi), out=indptr[1:])
+    mat = sp.csr_matrix((data, indices, indptr), shape=(blocks * N, N))
     mat.sort_indices()  # one entry per column in a row, so this only orders them
     return mat
+
+
+def _with_data(pattern, data: np.ndarray):
+    """The sparse matrix of a layout's ``pattern``, whose data are places, with
+    ``data`` instead: it shares the pattern's read-only indices and indptr."""
+    mat = copy.copy(pattern)
+    mat.data = data
+    return mat
+
+
+def _read_only(*arrays: np.ndarray) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _frozen(pattern):
+    """A sparse matrix whose arrays are made read-only."""
+    _read_only(pattern.data, pattern.indices, pattern.indptr)
+    return pattern
+
+
+def _entry_dtype(count: int) -> np.dtype:
+    """The smallest unsigned type that numbers ``count`` entries."""
+    return np.min_scalar_type(max(count - 1, 0))
+
+
+class TableLayout:
+    """The integer structure of one set of tables on one grid shape: all of a
+    grid's frame operators that its weights do not change.  ``key`` holds the
+    tables' (ring, src, shift) arrays as bytes.  Each part is built on first
+    use, and every array in it is read-only:
+
+    - ``csr``: for each table expanded to a ``FrameOps`` matrix, that matrix
+      with, as its data, the place of each stored entry's weight among the
+      tables' weights concatenated in ``csr`` order (its CSR ``indices`` and
+      ``indptr`` are shared by the grids' matrices);
+    - ``modes``: the band layout of ``FrameOps.mode_system``, (kl, ku), and
+      for each ``stencils`` table its entries' band slots, their rings, and
+      their places in the rows that ``FrameOps._modes`` transforms;
+    - ``union``: for each ``stencils`` table its slots in the union of all
+      their entries, the union's size, and the CSC matrix of
+      ``FrameOps.combination`` with, as its data, the place (union entry,
+      angle) of each stored entry in the summed values.
+    """
+
+    def __init__(self, shape: tuple, key: tuple, stencils: tuple, matrices: tuple):
+        self.shape, self.key, self._stencils, self._matrices = shape, key, stencils, matrices
+
+    def _tables(self, names: tuple) -> dict:
+        """The tables ``names`` without weights, read from ``key``."""
+        return {name: Stencil(*np.frombuffer(b, dtype=np.intp).reshape(3, -1), None)
+                for name, b in self.key if name in names}
+
+    @cached_property
+    def csr(self) -> dict:
+        Nr, Nphi = self.shape
+        tables = self._tables(self._matrices)
+        stacked = Stencil(*map(np.concatenate, zip(*((t.ring + b * Nr, t.src, t.shift)
+                                                     for b, t in enumerate(tables.values())))), None)
+        size, N = stacked.ring.size, Nr * Nphi
+        mat = _expand(stacked, Nr, Nphi, np.arange(size, dtype=_entry_dtype(size))[:, None],
+                      blocks=len(tables))
+        out = {}
+        for b, name in enumerate(tables):
+            lo, hi = mat.indptr[b * N], mat.indptr[(b + 1) * N]
+            out[name] = sp.csr_matrix((mat.data[lo:hi], mat.indices[lo:hi],
+                                       mat.indptr[b * N:(b + 1) * N + 1] - lo), shape=(N, N))
+            out[name].has_sorted_indices = True
+            _frozen(out[name])
+        return out
+
+    @cached_property
+    def modes(self) -> tuple:
+        Nr, Nphi = self.shape
+        parts = {}
+        for name, t in self._tables(self._stencils).items():
+            pairs = t.ring * Nr + t.src  # a table is sorted by (ring, src, shift)
+            new = np.empty(pairs.size, dtype=bool)
+            new[0] = True
+            np.not_equal(pairs[1:], pairs[:-1], out=new[1:])
+            parts[name] = pairs[new], (np.cumsum(new) - 1) * Nphi + t.shift
+        keys = np.unique(np.concatenate([pos for pos, _ in parts.values()]))
+        row, col = np.divmod(keys, Nr)
+        kl, ku = int(np.max(row - col)), int(np.max(col - row))
+        rows = {name: _read_only(np.searchsorted(keys, pos), pos // Nr, scatter)
+                for name, (pos, scatter) in parts.items()}
+        band = _read_only(kl + ku + row - col, col)  # LAPACK gbtrf band storage of entry (row, col)
+        return band, (kl, ku), rows
+
+    @cached_property
+    def union(self) -> tuple:
+        Nr, Nphi = self.shape
+        key = {name: (t.ring * Nr + t.src) * Nphi + t.shift
+               for name, t in self._tables(self._stencils).items()}
+        union = np.unique(np.concatenate(list(key.values())))
+        slots = {name: np.searchsorted(union, k) for name, k in key.items()}
+        _read_only(*slots.values())
+        ring_src, shift = np.divmod(union, Nphi)
+        place = np.arange(union.size * Nphi, dtype=_entry_dtype(union.size * Nphi))
+        pattern = _expand(Stencil(*np.divmod(ring_src, Nr), shift, None), Nr, Nphi,
+                          place.reshape(-1, Nphi)).tocsc()
+        return slots, union.size, _frozen(pattern)
+
+
+class ShapeLayout:
+    """What the frame operators of all grids of one shape (Nr, Nphi) share,
+    whatever their theta (n is 1 exactly when Nphi is 1): the ``merge_order``
+    of each product that ``PolarGrid._stencil`` merges, and the
+    ``TableLayout`` of the tables asked for last.  A merged table leaves out
+    the entries whose weights sum to exactly 0.0, which depends on the
+    weights, so tables that differ from the kept ones replace them; a grid's
+    ``FrameOps`` keeps the layout it was built on."""
+
+    def __init__(self, Nr: int, Nphi: int):
+        self.shape = (Nr, Nphi)
+        self._merges = {}
+        self._last = None
+
+    def merge_order(self, offsets: tuple, shifts: tuple, ghost_shift: int) -> tuple:
+        """``Stencil.merge_order`` of the entries of the radial ``offsets`` times
+        the angular ``shifts`` on every ring, ghosts read ``ghost_shift`` away."""
+        key = offsets, shifts, ghost_shift
+        if key not in self._merges:
+            Nr, Nphi = self.shape
+            ring = np.arange(Nr)
+            src = np.repeat(ring[:, None] + offsets, len(shifts))
+            shift = (np.resize(shifts, src.size) + (src < 0) * ghost_shift) % Nphi
+            rows = Stencil(np.repeat(ring, src.size // Nr), np.where(src < 0, -1 - src, src), shift,
+                           None)
+            self._merges[key] = _read_only(*rows.merge_order())
+        return self._merges[key]
+
+    def table_layout(self, stencils: dict, matrices: dict) -> TableLayout:
+        """The ``TableLayout`` of the ``stencils`` tables and of the ``matrices``
+        tables that ``FrameOps`` holds expanded."""
+        key = tuple((name, np.concatenate(t[:3]).tobytes())
+                    for name, t in {**stencils, **matrices}.items())
+        if self._last is None or self._last.key != key:
+            self._last = TableLayout(self.shape, key, tuple(stencils), tuple(matrices))
+        return self._last
+
+
+# Grid shapes whose ShapeLayout is kept.  A benchmark process meets at most
+# five, warm-up included: sweep-small's 16^2, 24^2, 32^2 and 40^2 with its
+# coarse 20^2 level, and aniso-96's 16^2, 96^2, 48^2, 24^2 and the 32^2
+# reference (harmonic-128: four).  With fewer, every pass of those workloads
+# would rebuild some layout; a 512^2 solve's five levels fit as well.
+LAYOUT_SHAPES = 5
+
+
+@lru_cache(maxsize=LAYOUT_SHAPES)
+def shape_layout(Nr: int, Nphi: int) -> ShapeLayout:
+    """The ``ShapeLayout`` of grids of shape (Nr, Nphi), one per shape for the
+    LAYOUT_SHAPES shapes used last."""
+    return ShapeLayout(Nr, Nphi)
 
 
 @dataclass

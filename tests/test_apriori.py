@@ -6,7 +6,9 @@ extrema, transported to h by the range of l) rather than the collected
 closed forms, so the two expression trees share no structure.
 """
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capillary_minkowski as cm
+from capillary_minkowski import cli
 from capillary_minkowski.continuation import start_density
 from capillary_minkowski.errors import InvalidExponentsError
 from capillary_minkowski.ma_system import ProblemSpec
@@ -198,6 +201,36 @@ class TestVerify:
                               scaled)["measure_consistency"].value
         assert check.passed
         assert abs(lam_value - check.value) <= 1e-12
+
+    @pytest.mark.parametrize("lam", [1e-200, 1e100, 1e200])
+    def test_gradient_bound_is_scale_invariant(self, grid32, lam):
+        # max |grad h| and (1/sin theta) max h are both homogeneous of degree 1
+        # in h; the squared gradient of lam h overflows for lam = 1e200 and
+        # underflows for lam = 1e-200 unless h is rescaled first
+        R, PHI = grid32.mesh()
+        h = cm.l_field(grid32) * (1.0 + 0.1 * (np.sin(R) / grid32.spec.sin_theta) ** 2
+                                  * np.cos(2 * PHI))
+        computed, bound = cm.gradient_bound(cm.SupportField(h=h, grid=grid32))
+        lam_computed, lam_bound = cm.gradient_bound(cm.SupportField(h=lam * h, grid=grid32))
+        assert lam_computed == pytest.approx(lam * computed, rel=1e-12, abs=0.0)
+        assert lam_bound == pytest.approx(lam * bound, rel=1e-12, abs=0.0)
+
+    def test_gradient_of_a_huge_solution_is_finite(self, tmp_path, capsys):
+        # theta 3.03 deg with p - q = 0.0212 solves to max h near 3.4e238,
+        # whose squared frame gradient overflowed: verify warned and read inf
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({
+            "theta": 3.03, "theta_unit": "deg", "p": 1.7639, "q": 1.7427,
+            "grid": {"Nr": 16, "Nphi": 16}, "f": {"type": "constant", "value": 0.08}}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cli.main(["solve", "--config", str(cfg)])
+            capsys.readouterr()
+            cli.main(["verify", "--solution", str(tmp_path / "huge.solution.json")])
+        assert caught == []
+        row = next(line.split() for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("gradient "))
+        assert float(row[1]) > 1e238 and math.isfinite(float(row[1])) and row[-1] == "pass"
 
     def test_table_rendering(self, grid32, pq31):
         prob = ProblemSpec(grid=grid32, pq=pq31, f=start_density(grid32, pq31))

@@ -17,6 +17,7 @@ from scipy.integrate import quad
 
 import capillary_minkowski as cm
 from capillary_minkowski import CapSpec, ExponentPair, PolarGrid, cli
+from capillary_minkowski import cap_chart as chart
 from capillary_minkowski.cap_chart import _expand
 from capillary_minkowski.continuation import start_density
 from capillary_minkowski.ma_system import (ProblemSpec, jacobian, jacobian_coefficients,
@@ -465,6 +466,86 @@ class TestFrameOps:
             for subset in subsets:
                 for name, got in zip(subset, grid.ops.apply(x, *subset)):
                     assert np.array_equal(got, full[name]), (subset, name)
+
+
+def operator_outputs(grid):
+    """Every array a grid's operators give: the FrameOps matrices, the tables,
+    a combination and a mode solve at a non-axisymmetric v, and the noise floor."""
+    ops, out = grid.ops, {"amplification": np.array(grid.stencil_amplification)}
+    for name in ("D1", "H11", "Dphi", "Dphiphi"):
+        for attr in ("data", "indices", "indptr") if getattr(ops, name) is not None else ():
+            out[f"{name}.{attr}"] = getattr(getattr(ops, name), attr)
+    for name, t in ops.stencils.items():
+        out.update({f"{name}.{field}": a for field, a in zip(t._fields, t)})
+    pq = ExponentPair(p=3.0, q=1.0)
+    prob = ProblemSpec(grid=grid, pq=pq, f=start_density(grid, pq))
+    R, PHI = grid.mesh()
+    s = np.sin(R) / grid.spec.sin_theta
+    v = np.log(cm.l_field(grid)) + 0.05 * s**2 * np.cos(2 * PHI) + 0.02 * s**3
+    coeffs = jacobian_coefficients(residual(v, prob), prob)
+    J = ops.combination(**coeffs)
+    out.update({f"J.{attr}": getattr(J, attr) for attr in ("data", "indices", "indptr")})
+    out["mode solve"] = ops.mode_system(**coeffs).solve(
+        np.random.default_rng(grid.size).standard_normal(grid.size))
+    return out
+
+
+class TestShapeLayout:
+    """The tables' integer structure is shared by every grid of one shape
+    (``cap_chart.shape_layout``); only the weights are a grid's own."""
+
+    @pytest.mark.parametrize("n, Nr, Nphi", [(2, 16, 10), (2, 27, 26), (2, 48, 48),
+                                             (1, 16, 1), (1, 27, 1), (1, 48, 1)])
+    def test_grids_of_one_shape_share_it_and_equal_a_cold_build(self, n, Nr, Nphi):
+        # grids of neighbouring shapes come first, so a layout keyed by less
+        # than the shape would hand one of theirs to the grids under test
+        chart.shape_layout.cache_clear()
+        for other in ((Nr, 1), (Nr, Nphi + 2 if n == 2 else 6), (Nr + 2, Nphi), (Nr - 2, Nphi)):
+            PolarGrid(CapSpec(theta=1.047, n=1 if other[1] == 1 else 2), *other).ops._modes
+        warm = [PolarGrid(CapSpec(theta=theta, n=n), Nr, Nphi) for theta in (0.3, 1.4)]
+        got = [operator_outputs(grid) for grid in warm]
+        a, b = (grid.ops for grid in warm)
+        assert a.layout is b.layout
+        for name in ("D1", "H11", "Dphi", "Dphiphi"):
+            if getattr(a, name) is not None:
+                assert getattr(a, name).indices is getattr(b, name).indices, name
+                assert getattr(a, name).indptr is getattr(b, name).indptr, name
+        for grid, warm_out in zip(warm, got):
+            chart.shape_layout.cache_clear()
+            cold = operator_outputs(PolarGrid(grid.spec, Nr, Nphi))
+            assert cold.keys() == warm_out.keys()
+            for key, value in cold.items():
+                assert value.dtype == warm_out[key].dtype, key
+                assert value.tobytes() == warm_out[key].tobytes(), (grid.spec.theta, key)
+
+    def test_shared_arrays_are_read_only(self):
+        grid = PolarGrid(CapSpec(theta=THETA), 16, 10)
+        operator_outputs(grid)
+        layout = grid.ops.layout
+        band, _, rows = layout.modes
+        slots, _, pattern = layout.union
+        shared = [*band, *(a for arrays in rows.values() for a in arrays), *slots.values(),
+                  pattern.data, pattern.indices, pattern.indptr]
+        for matrix in layout.csr.values():
+            shared += [matrix.data, matrix.indices, matrix.indptr]
+        shared += [a for order in chart.shape_layout(16, 10)._merges.values() for a in order]
+        for name in ("D1", "H11", "Dphi", "Dphiphi"):
+            shared += [getattr(grid.ops, name).indices, getattr(grid.ops, name).indptr]
+        for a in shared:
+            with pytest.raises(ValueError):
+                a[0] = a[0]
+
+    def test_cache_holds_at_most_the_bound(self):
+        chart.shape_layout.cache_clear()
+        shapes = [(N, N) for N in range(6, 6 + 2 * (chart.LAYOUT_SHAPES + 3), 2)]
+        for Nr, Nphi in shapes:
+            PolarGrid(CapSpec(theta=THETA), Nr, Nphi).ops
+            assert chart.shape_layout.cache_info().currsize <= chart.LAYOUT_SHAPES
+        assert chart.shape_layout.cache_info().currsize == chart.LAYOUT_SHAPES
+        hits = chart.shape_layout.cache_info().hits
+        PolarGrid(CapSpec(theta=0.3), *shapes[-1]).ops  # the latest shape is still kept
+        assert chart.shape_layout.cache_info().misses == len(shapes)
+        assert chart.shape_layout.cache_info().hits > hits
 
 
 class TestNormalDerivative:
