@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.interpolate import CubicSpline
 from scipy.linalg import lapack
 
@@ -70,9 +71,10 @@ def _mixed(want, inv_sin, inv_sin_sq, cot, D1, Dphi, Dphiphi, D1_Dphi) -> dict:
       D2  = Dphi / sin r
       H12 = (D1 Dphi - cot r Dphi) / sin r
       H22 = Dphiphi / sin^2 r + cot r D1
-    on fields (with 1/sin r, 1/sin^2 r and cot r at every node) or on ``Stencil``
-    tables (with them on every ring).  Only the terms of the operators in ``want``
-    are read; on fields, the terms D1_Dphi, Dphiphi and Dphi are updated in place.
+    on fields (with 1/sin r, 1/sin^2 r and cot r at every node) or on tables
+    (``_LaidTable``, with them on every ring).  Only the terms of the operators
+    in ``want`` are read; on fields, the terms D1_Dphi, Dphiphi and Dphi are
+    updated in place.
     """
     out = {}
     if "H12" in want:
@@ -161,6 +163,15 @@ class FrameOps:
             values[slots[name]] += np.reshape(c, self.shape)[t.ring] * t.weight[:, None]
         return _with_data(pattern, values.ravel()[pattern.data])
 
+    def ordered(self, J: sp.csc_matrix) -> sp.csc_matrix:
+        """P^T J P for a J that ``combination`` assembled, P the fill-reducing
+        order of ``layout.ordering``: one gather of J.data into the permuted
+        pattern, which shares the layout's read-only indices and indptr."""
+        if J.indices is not self.layout.union[2].indices:
+            raise ValueError("J was not assembled on this grid's Jacobian pattern")
+        pattern = self.layout.ordering[2]
+        return _with_data(pattern, J.data[pattern.data])
+
     def combination_product(self, **coeffs: np.ndarray):
         """x -> combination(**coeffs) @ x, applied without assembly as the sum of
         c_k (op_k x) in the order of ``coeffs``, the op_k x from one ``apply``.
@@ -244,19 +255,13 @@ class ModeFactor:
 
 class Stencil(NamedTuple):
     """Per-ring table of a frame operator: entry (i, j, s, w) gives every node
-    (i, k) the weight w at node (j, k + s mod Nphi), 0 <= s < Nphi.  Tables take
-    the arithmetic of ``_mixed``: t * x scales ring i's rows by x[i], and t + u
-    and t - u are ``merged``."""
+    (i, k) the weight w at node (j, k + s mod Nphi), 0 <= s < Nphi.  A table
+    times x scales ring i's rows by x[i]; ``ShapeLayout.sum`` adds two."""
 
     ring: np.ndarray
     src: np.ndarray
     shift: np.ndarray
     weight: np.ndarray
-
-    def merged(self) -> Stencil:
-        """The entries sorted by (ring, source ring, shift), those of one key summed
-        in order; sums of exactly 0.0 go, as in sparse products."""
-        return Stencil.summed(self.merge_order(), self.weight)
 
     def merge_order(self) -> tuple:
         """(inv, ring, src, shift): the distinct (ring, source ring, shift) keys of
@@ -278,11 +283,23 @@ class Stencil(NamedTuple):
     def __mul__(self, x: np.ndarray) -> Stencil:
         return self._replace(weight=self.weight * x[self.ring])
 
-    def __add__(self, other: Stencil) -> Stencil:
-        return Stencil(*map(np.concatenate, zip(self, other))).merged()
 
-    def __sub__(self, other: Stencil) -> Stencil:
-        return self + other._replace(weight=-other.weight)
+class _LaidTable(NamedTuple):
+    """A table with the arithmetic of ``_mixed``: t * x as a ``Stencil``, and
+    t + u and t - u by ``layout.sum``, which keeps the merge order of each
+    sum for every grid of the shape."""
+
+    table: Stencil
+    layout: ShapeLayout
+
+    def __mul__(self, x: np.ndarray) -> _LaidTable:
+        return self._replace(table=self.table * x)
+
+    def __add__(self, other: _LaidTable) -> _LaidTable:
+        return self._replace(table=self.layout.sum(self.table, other.table))
+
+    def __sub__(self, other: _LaidTable) -> _LaidTable:
+        return self + other._replace(table=other.table._replace(weight=-other.table.weight))
 
 
 class PolarGrid:
@@ -415,8 +432,10 @@ class PolarGrid:
                 np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12 * self.dphi**2)
             Dphi, Dphiphi = self._stencil([0], [1.0], *d_phi), self._stencil([0], [1.0], *d_phiphi)
             inv_sin, cot = 1.0 / self.sin_r, self.cot_r
-            stencils.update(_mixed({"D2", "H12", "H22"}, inv_sin, inv_sin**2, cot, stencils["D1"],
-                                   Dphi, Dphiphi, self._stencil(*d_r, *d_phi)))
+            tables = (_LaidTable(t, shape_layout(Nr, Nphi))
+                      for t in (stencils["D1"], Dphi, Dphiphi, self._stencil(*d_r, *d_phi)))
+            mixed = _mixed({"D2", "H12", "H22"}, inv_sin, inv_sin**2, cot, *tables)
+            stencils.update((name, t.table) for name, t in mixed.items())
             expanded.update(Dphi=Dphi, Dphiphi=Dphiphi)
             scalings = dict(inv_sin=np.repeat(inv_sin, Nphi),
                             inv_sin_sq=np.repeat(inv_sin**2, Nphi), cot=np.repeat(cot, Nphi))
@@ -504,7 +523,12 @@ class TableLayout:
     - ``union``: for each ``stencils`` table its slots in the union of all
       their entries, the union's size, and the CSC matrix of
       ``FrameOps.combination`` with, as its data, the place (union entry,
-      angle) of each stored entry in the summed values.
+      angle) of each stored entry in the summed values;
+    - ``ordering``: the minimum-degree order ``perm`` of the ``union``
+      pattern on J^T + J (SuperLU's ``MMD_AT_PLUS_A``), its inverse, and
+      the CSC matrix of the permuted Jacobian P^T J P, whose entry
+      (perm[i], perm[j]) is J[i, j], with, as its data, the place of each
+      stored entry in J.data.
     """
 
     def __init__(self, shape: tuple, key: tuple, stencils: tuple, matrices: tuple):
@@ -565,15 +589,41 @@ class TableLayout:
                           place.reshape(-1, Nphi)).tocsc()
         return slots, union.size, _frozen(pattern)
 
+    @cached_property
+    def ordering(self) -> tuple:
+        """Ordered from the pattern alone, by one SuperLU call that orders and
+        factors nothing: ``spilu`` that drops every entry, in the symmetric
+        mode of the Newton steps' factors, of a diagonally dominant matrix
+        with this pattern.  Its order is the one ``splu`` computes for a
+        Jacobian of the pattern, whatever the values."""
+        pattern = self.union[2]
+        N, nnz = pattern.shape[0], pattern.nnz
+        row, col = pattern.indices, np.repeat(np.arange(N), np.diff(pattern.indptr))
+        degree = np.bincount(row, minlength=N)
+        dominant = _with_data(pattern, np.where(row == col, 2.0 * degree[row], -1.0))
+        # relax and panel_size 1: no supernodes for a factor that is thrown
+        # away; a copy, as perm_c is a view that keeps the whole factor alive
+        perm = spla.spilu(dominant, drop_tol=1e300, permc_spec="MMD_AT_PLUS_A", relax=1,
+                          panel_size=1, options=dict(SymmetricMode=True)).perm_c.copy()
+        place = np.argsort(perm[col] * np.int64(N) + perm[row])  # CSC order of P^T J P
+        indptr = np.zeros(N + 1, dtype=pattern.indptr.dtype)
+        np.cumsum(np.bincount(perm[col], minlength=N), out=indptr[1:])
+        permuted = sp.csc_matrix((place.astype(_entry_dtype(nnz)),
+                                  perm[row][place].astype(pattern.indices.dtype), indptr),
+                                 shape=(N, N))
+        permuted.has_sorted_indices = True
+        return *_read_only(perm, np.argsort(perm).astype(perm.dtype)), _frozen(permuted)
+
 
 class ShapeLayout:
     """What the frame operators of all grids of one shape (Nr, Nphi) share,
     whatever their theta (n is 1 exactly when Nphi is 1): the ``merge_order``
-    of each product that ``PolarGrid._stencil`` merges, and the
-    ``TableLayout`` of the tables asked for last.  A merged table leaves out
-    the entries whose weights sum to exactly 0.0, which depends on the
-    weights, so tables that differ from the kept ones replace them; a grid's
-    ``FrameOps`` keeps the layout it was built on."""
+    of each product that ``PolarGrid._stencil`` merges and of each ``sum``
+    of tables that ``_mixed`` forms, and the ``TableLayout`` of the tables
+    asked for last.  A merged table leaves out the entries whose weights sum
+    to exactly 0.0, which depends on the weights, so tables that differ from
+    the kept ones replace them; a grid's ``FrameOps`` keeps the layout it was
+    built on."""
 
     def __init__(self, Nr: int, Nphi: int):
         self.shape = (Nr, Nphi)
@@ -593,6 +643,17 @@ class ShapeLayout:
                            None)
             self._merges[key] = _read_only(*rows.merge_order())
         return self._merges[key]
+
+    def sum(self, a: Stencil, b: Stencil) -> Stencil:
+        """The table of a's and b's entries merged as by ``Stencil.merge_order``:
+        sorted by key, the weights of one key summed a's first, and sums of
+        exactly 0.0 left out, as in sparse sums.  The merge order is kept for
+        the (ring, src, shift) arrays of a and b."""
+        key = tuple(x.tobytes() for x in (*a[:3], *b[:3]))
+        if key not in self._merges:
+            both = Stencil(*map(np.concatenate, zip(a[:3], b[:3])), None)
+            self._merges[key] = _read_only(*both.merge_order())
+        return Stencil.summed(self._merges[key], np.concatenate((a.weight, b.weight)))
 
     def table_layout(self, stencils: dict, matrices: dict) -> TableLayout:
         """The ``TableLayout`` of the ``stencils`` tables and of the ``matrices``

@@ -323,14 +323,30 @@ def _trial(v: np.ndarray, delta: np.ndarray, prob: ProblemSpec,
     return v_new, R_new, R_new.max_norm() if lo >= cfg.convexity_floor_rel * hi else np.inf
 
 
+@dataclass(frozen=True)
+class OrderedFactor:
+    """The SuperLU factor ``lu`` of P^T J P, P the grid's fill-reducing order
+    (``TableLayout.ordering``: entry (perm[i], perm[j]) is J[i, j]); ``solve``
+    solves J x = b with it."""
+
+    lu: object
+    perm: np.ndarray
+    inverse: np.ndarray
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return self.lu.solve(b[self.inverse])[self.perm]
+
+
 def _newton_direction(v: np.ndarray, R: ResidualVector, prob: ProblemSpec,
                       stage: NewtonStage) -> tuple[np.ndarray, object]:
     """(delta, factor): delta solves J delta = -R with the exact J at v.  On a
     grid with a coarser level GMRES solves it, applying J matrix-free, only
     until ||J delta + R||_2 <= max(KRYLOV_RTOL * ||R||_2, KRYLOV_TOL_SHARE *
     stage.tol), and a miss raises SingularSystemError naming that bound;
-    factor is then None.  Else factor is the SuperLU factor of the assembled
-    J (``jacobian``) that solved it."""
+    factor is then None.  Else factor is the ``OrderedFactor`` of the
+    assembled J (``jacobian``) that solved it: SuperLU factors J permuted
+    into the grid shape's fill-reducing order, which is computed once per
+    layout, not per factorization."""
     rhs = -R.full.ravel()
     lu = None
     if _coarse_shape(prob.grid) is not None:
@@ -342,12 +358,14 @@ def _newton_direction(v: np.ndarray, R: ResidualVector, prob: ProblemSpec,
                 f"{KRYLOV_RTOL:g} times ||R||_2 and atol {atol:.3e}) in {iters} iterations",
                 best_v=v, report=stage)
     else:
+        ops = prob.grid.ops
+        J = ops.ordered(jacobian(R, prob))
         try:
-            lu = spla.splu(jacobian(R, prob), permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=DIAG_PIVOT_THRESH,
+            lu = spla.splu(J, permc_spec="NATURAL", diag_pivot_thresh=DIAG_PIVOT_THRESH,
                            options=dict(SymmetricMode=True))
         except RuntimeError as exc:  # SuperLU signals exact singularity this way
             raise SingularSystemError(str(exc), best_v=v, report=stage) from exc
+        lu = OrderedFactor(lu, *ops.layout.ordering[:2])
         stage.factorizations += 1
         delta, iters = lu.solve(rhs), 0
     stage.krylov_iters.append(iters)

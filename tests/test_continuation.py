@@ -427,7 +427,8 @@ def harmonic_problem(theta_deg, N, amplitude):
 
 class TestSymmetricPivoting:
     """SuperLU factors J in symmetric mode: diagonal pivots unless one falls
-    below DIAG_PIVOT_THRESH of its column's largest entry."""
+    below DIAG_PIVOT_THRESH of its column's largest entry.  It factors J in
+    the fill-reducing order of the grid shape's layout."""
 
     @pytest.mark.parametrize("N", [16, 24, 32])
     @pytest.mark.parametrize("theta_deg", [5.0, 45.0, 85.0])
@@ -440,26 +441,68 @@ class TestSymmetricPivoting:
             R = ma_system.residual(v, replace(prob, f=start_density(prob.grid, prob.pq)))
             delta, lu = continuation._newton_direction(v, R, prob,
                                                        continuation.NewtonStage(t=1.0))
-            ref = continuation.spla.splu(ma_system.jacobian(R, prob),
-                                         permc_spec="MMD_AT_PLUS_A").solve(-R.full.ravel())
+            J = ma_system.jacobian(R, prob)
+            ref = continuation.spla.splu(J, permc_spec="MMD_AT_PLUS_A").solve(-R.full.ravel())
             assert np.abs(delta.ravel() - ref).max() <= 1e-12 * np.abs(ref).max()
-            assert np.array_equal(lu.perm_r, lu.perm_c)  # every pivot diagonal
+            assert np.array_equal(lu.lu.perm_r, lu.lu.perm_c)  # every pivot diagonal
+            # the layout's order is the one SuperLU computes for J: same fill and,
+            # to roundoff, the same direction as ordering J on every call
+            own = continuation.spla.splu(J, permc_spec="MMD_AT_PLUS_A",
+                                         diag_pivot_thresh=continuation.DIAG_PIVOT_THRESH,
+                                         options=dict(SymmetricMode=True))
+            assert lu.lu.nnz == own.nnz
+            own_delta = own.solve(-R.full.ravel())
+            assert np.abs(delta.ravel() - own_delta).max() <= 1e-12 * np.abs(own_delta).max()
 
     def test_small_diagonal_pivots_off_the_diagonal(self, grid32, prob_harmonic, monkeypatch):
-        # a hand-built J whose last two unknowns couple through a 2x2 block
-        # with diagonal 1e-8 against off-diagonal 5: the factor pivots off the
-        # diagonal there and the step still solves J delta = -R
-        N = grid32.size
-        J = sp.block_diag([sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(N - 2, N - 2)),
-                           np.array([[1e-8, 5.0], [5.0, 1e-8]])], format="csc")
+        # a hand-built J on the grid's Jacobian pattern: 4 on the diagonal, but
+        # the first two unknowns (neighbours on the innermost ring) couple
+        # through a 2x2 block with diagonal 1e-8 against off-diagonal 5, and
+        # every other stored entry is 0.  The factor pivots off the diagonal
+        # there and the step still solves J delta = -R
+        pattern = grid32.ops.layout.union[2]
+        row = pattern.indices
+        col = np.repeat(np.arange(grid32.size), np.diff(pattern.indptr))
+        block = (row < 2) & (col < 2)
+        J = cm.cap_chart._with_data(pattern, np.where(row == col, np.where(block, 1e-8, 4.0),
+                                                      np.where(block, 5.0, 0.0)))
+        assert np.array_equal(J[:2, :2].toarray(), [[1e-8, 5.0], [5.0, 1e-8]])
         assert 1e-8 < continuation.DIAG_PIVOT_THRESH * 5.0
         monkeypatch.setattr(continuation, "jacobian", lambda R, prob: J)
         rhs = np.random.default_rng(3).normal(size=grid32.shape)
         R = ma_system.ResidualVector(full=rhs, bad_nodes=np.array([], dtype=int))
         delta, lu = continuation._newton_direction(np.zeros(grid32.shape), R, prob_harmonic,
                                                    continuation.NewtonStage(t=1.0))
-        assert not np.array_equal(lu.perm_r, lu.perm_c)
+        assert not np.array_equal(lu.lu.perm_r, lu.lu.perm_c)
         assert np.abs(J @ delta.ravel() + rhs.ravel()).max() <= 1e-12 * np.abs(rhs).max()
+
+    def test_solve_does_not_depend_on_what_the_process_solved_before(self):
+        # the factor's order comes from the layout's pattern alone, so a 32^2
+        # solve writes the same h with no layout kept, after solves at other
+        # theta on its shape, and after LAYOUT_SHAPES other shapes evicted its
+        # layout; each solve builds its own grid
+        cm.cap_chart.shape_layout.cache_clear()
+        fresh = cm.continuation_solve(harmonic_problem(60.0, 32, 0.3))[0].h
+        for theta_deg in (30.0, 75.0):
+            cm.continuation_solve(harmonic_problem(theta_deg, 32, 0.3))
+        after_thetas = cm.continuation_solve(harmonic_problem(60.0, 32, 0.3))[0].h
+        kept = cm.cap_chart.shape_layout(32, 32)
+        for N in range(12, 12 + 2 * cm.cap_chart.LAYOUT_SHAPES, 2):
+            cm.continuation_solve(harmonic_problem(45.0, N, 0.3))
+        assert cm.cap_chart.shape_layout(32, 32) is not kept
+        evicted = cm.continuation_solve(harmonic_problem(60.0, 32, 0.3))[0].h
+        assert fresh.tobytes() == after_thetas.tobytes() == evicted.tobytes()
+
+    def test_jacobian_off_the_layout_pattern_is_refused(self, grid32, prob_harmonic,
+                                                        monkeypatch):
+        # the factor gathers J.data through the layout's places, which only
+        # mean something for a J assembled on the layout's own pattern
+        J = sp.identity(grid32.size, format="csc")
+        monkeypatch.setattr(continuation, "jacobian", lambda R, prob: J)
+        R = ma_system.residual(np.log(cm.l_field(grid32)), prob_harmonic)
+        with pytest.raises(ValueError, match="Jacobian pattern"):
+            continuation._newton_direction(np.log(cm.l_field(grid32)), R, prob_harmonic,
+                                           continuation.NewtonStage(t=1.0))
 
 
 class TestNested:
