@@ -209,7 +209,8 @@ class FrameOps:
 
     def mode_system(self, **coeffs: np.ndarray) -> ModeFactor:
         """LU factors of ``combination(**coeffs)`` with every c_k replaced by its
-        mean over each ring.
+        mean over each ring: of ``combination(**coeffs)`` itself exactly when
+        every c_k is constant on its ring.
 
         That operator commutes with rotations in phi, so an FFT in phi splits
         it into Nphi/2 + 1 banded radial blocks, one per angular mode.  They
@@ -218,7 +219,8 @@ class FrameOps:
         pivoting factors: no entry couples two blocks, so each block's pivots
         stay inside it and its factors are those of the block alone.  A
         singular block leaves ``ModeFactor.solve`` non-finite, which GMRES
-        reports as a miss: the Newton step raises SingularSystemError.
+        reports as a miss and a factoring Newton step as a non-finite step:
+        either raises SingularSystemError.
         """
         (brow, bcol), (kl, ku), terms = self._modes
         Nr, Nphi = self.shape
@@ -236,7 +238,8 @@ class FrameOps:
 @dataclass(frozen=True)
 class ModeFactor:
     """Banded LU factors (lu, piv) of the stacked angular-mode blocks from
-    ``FrameOps.mode_system``."""
+    ``FrameOps.mode_system``: the GMRES preconditioner, and the factor of J
+    itself when every coefficient is constant on its ring."""
 
     lu: np.ndarray
     piv: np.ndarray

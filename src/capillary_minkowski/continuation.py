@@ -9,8 +9,9 @@ t-step, so the march along f_t is the fallback, and easy stages double it.
 On a grid with a coarser level the homotopy runs only on the coarsest level,
 and each finer level starts one Newton solve at t = 1 from the resampled
 solution.  The grid picks the linear solve: preconditioned GMRES where a
-coarser level exists, else SuperLU, whose factor one Newton solve keeps for
-chord steps while these contract fast enough.
+coarser level exists, else a factorization (the angular-mode blocks at a v
+constant on every ring, SuperLU at any other), which one Newton solve keeps
+for chord steps while these contract fast enough.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ class NewtonStage:
     grid: list = field(default_factory=list)  # [Nr, Nphi] of the grid it ran on
     tol: float = float("nan")  # the effective tolerance it had to meet
     krylov_iters: list = field(default_factory=list)  # per linear solve; 0 for an LU solve
-    factorizations: int = 0  # SuperLU factorizations it made
+    factorizations: int = 0  # factorizations it made, SuperLU's and mode blocks' alike
 
 
 @dataclass
@@ -343,10 +344,14 @@ def _newton_direction(v: np.ndarray, R: ResidualVector, prob: ProblemSpec,
     grid with a coarser level GMRES solves it, applying J matrix-free, only
     until ||J delta + R||_2 <= max(KRYLOV_RTOL * ||R||_2, KRYLOV_TOL_SHARE *
     stage.tol), and a miss raises SingularSystemError naming that bound;
-    factor is then None.  Else factor is the ``OrderedFactor`` of the
-    assembled J (``jacobian``) that solved it: SuperLU factors J permuted
-    into the grid shape's fill-reducing order, which is computed once per
-    layout, not per factorization."""
+    factor is then None.  Else factor is the factor that solved it, kept for
+    chord steps.  At a v constant on every ring (bit for bit: every homotopy
+    start h = l, every n = 1 grid, axisymmetric solves) J commutes with
+    rotations in phi, so it is the ``ModeFactor`` of ``mode_system``, the
+    banded LU of J's angular-mode blocks.  At any other v it is the
+    ``OrderedFactor`` of the assembled J (``jacobian``): SuperLU factors J
+    permuted into the grid shape's fill-reducing order, which is computed
+    once per layout, not per factorization."""
     rhs = -R.full.ravel()
     lu = None
     if _coarse_shape(prob.grid) is not None:
@@ -359,13 +364,16 @@ def _newton_direction(v: np.ndarray, R: ResidualVector, prob: ProblemSpec,
                 best_v=v, report=stage)
     else:
         ops = prob.grid.ops
-        J = ops.ordered(jacobian(R, prob))
-        try:
-            lu = spla.splu(J, permc_spec="NATURAL", diag_pivot_thresh=DIAG_PIVOT_THRESH,
-                           options=dict(SymmetricMode=True))
-        except RuntimeError as exc:  # SuperLU signals exact singularity this way
-            raise SingularSystemError(str(exc), best_v=v, report=stage) from exc
-        lu = OrderedFactor(lu, *ops.layout.ordering[:2])
+        if np.all(v == v[:, :1]):
+            lu = ops.mode_system(**jacobian_coefficients(R, prob))
+        else:
+            J = ops.ordered(jacobian(R, prob))
+            try:
+                lu = spla.splu(J, permc_spec="NATURAL", diag_pivot_thresh=DIAG_PIVOT_THRESH,
+                               options=dict(SymmetricMode=True))
+            except RuntimeError as exc:  # SuperLU signals exact singularity this way
+                raise SingularSystemError(str(exc), best_v=v, report=stage) from exc
+            lu = OrderedFactor(lu, *ops.layout.ordering[:2])
         stage.factorizations += 1
         delta, iters = lu.solve(rhs), 0
     stage.krylov_iters.append(iters)
@@ -379,8 +387,8 @@ def newton_solve(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
                  R0: ResidualVector | None = None) -> tuple[np.ndarray, NewtonStage]:
     """Damped Newton on the log-variable residual with a convexity safeguard.
 
-    While the solve holds ``lu``, the SuperLU factor of an earlier iterate's
-    J, a step is first the full chord step with it, kept when its merit is at
+    While the solve holds ``lu``, the factor of an earlier iterate's J, a
+    step is first the full chord step with it, kept when its merit is at
     most CHORD_CONTRACTION times the residual max-norm; a refused one drops
     the factor before any other is built.  Otherwise the exact direction at v
     is line-searched by step halving until the merit falls strictly below the
@@ -389,9 +397,10 @@ def newton_solve(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
     every accepted iterate therefore keeps.  The grid picks how the exact J
     is solved: by GMRES preconditioned by the ring-mean mode blocks on a grid
     with a coarser level (``_coarse_shape``), where a miss of its stop rule
-    raises SingularSystemError, else by a SuperLU factor, which becomes
-    ``lu`` and dies with the call.  ``R0``, when given, is the residual at v0
-    against prob.f, which the solve then does not evaluate again.
+    raises SingularSystemError, else by a factor (``_newton_direction``),
+    which becomes ``lu`` and dies with the call.  ``R0``, when given, is the
+    residual at v0 against prob.f, which the solve then does not evaluate
+    again.
     """
     grid = prob.grid
     v = np.asarray(v0, dtype=float).copy()
@@ -399,7 +408,7 @@ def newton_solve(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
         raise ValueError("initial guess must be finite")
     t0 = time.perf_counter()
     R = residual(v, prob) if R0 is None else R0
-    lu = None  # SuperLU factor of an earlier iterate's J, for chord steps
+    lu = None  # factor of an earlier iterate's J, for chord steps
     eig_lo = R.eig_range[0]
     if eig_lo <= 0.0:
         raise NonConvexError(

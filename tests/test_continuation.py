@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capillary_minkowski as cm
-from capillary_minkowski import continuation, ma_system
+from capillary_minkowski import cli, continuation, ma_system
 from capillary_minkowski.continuation import SolveReport, start_density
 from capillary_minkowski.errors import (
     ContinuationStallError,
@@ -34,6 +34,17 @@ def prob_harmonic(grid32, pq31):
     R, PHI = grid32.mesh()
     f = 1.0 + 0.3 * (np.sin(R) / grid32.spec.sin_theta) ** 2 * np.cos(2 * PHI) * np.cos(R)
     return ProblemSpec(grid=grid32, pq=pq31, f=f)
+
+
+@pytest.fixture(scope="module")
+def v_off_ring(grid32):
+    """A convex start that is not constant on its rings, so every Newton
+    direction from it on grid32 is a SuperLU one."""
+    R, PHI = grid32.mesh()
+    s = np.sin(R) / grid32.spec.sin_theta
+    v0 = np.log(cm.l_field(grid32)) + 0.05 * s**2 * np.cos(2 * PHI) + 0.01 * s**3 * np.sin(3 * PHI)
+    assert not np.all(v0 == v0[:, :1])
+    return v0
 
 
 class _NanFactor:
@@ -122,12 +133,13 @@ class TestNewton:
         assert calls["residual"] > stage.iterations
         assert len(set(calls.values())) == 1, calls
 
-    def test_singular_factorization_reports_the_start(self, grid32, prob_harmonic, monkeypatch):
+    def test_singular_factorization_reports_the_start(self, prob_harmonic, v_off_ring,
+                                                      monkeypatch):
         def splu(J, **kwargs):
             raise RuntimeError("Factor is exactly singular")
 
         monkeypatch.setattr(continuation.spla, "splu", splu)
-        v0 = np.log(cm.l_field(grid32))
+        v0 = v_off_ring
         with pytest.raises(SingularSystemError, match="exactly singular") as exc:
             cm.newton_solve(v0, prob_harmonic, cm.SolverConfig())
         assert np.array_equal(exc.value.best_v, v0)
@@ -135,13 +147,25 @@ class TestNewton:
         assert isinstance(stage, continuation.NewtonStage)
         assert stage.iterations == 0 and len(stage.residuals) == 1
 
-    def test_non_finite_step_raises_singular(self, grid32, prob_harmonic, monkeypatch):
+    def test_non_finite_step_raises_singular(self, prob_harmonic, v_off_ring, monkeypatch):
         monkeypatch.setattr(continuation.spla, "splu", lambda J, **kwargs: _NanFactor())
-        v0 = np.log(cm.l_field(grid32))
+        v0 = v_off_ring
         with pytest.raises(SingularSystemError, match="non-finite step") as exc:
             cm.newton_solve(v0, prob_harmonic, cm.SolverConfig())
         assert np.array_equal(exc.value.best_v, v0)
         assert exc.value.report.iterations == 0
+
+    def test_non_finite_mode_step_raises_singular(self, grid32, prob_harmonic, monkeypatch):
+        # h = l is constant on every ring, so the first step solves with the
+        # mode blocks; a non-finite solve (a singular block) is refused there too
+        monkeypatch.setattr(cm.cap_chart.ModeFactor, "solve",
+                            lambda self, b: np.full_like(b, np.nan))
+        v0 = np.log(cm.l_field(grid32))
+        with pytest.raises(SingularSystemError, match="non-finite step") as exc:
+            cm.newton_solve(v0, prob_harmonic, cm.SolverConfig())
+        assert np.array_equal(exc.value.best_v, v0)
+        stage = exc.value.report
+        assert stage.iterations == 0 and len(stage.residuals) == 1
 
     def test_convexity_margins_recorded_positive(self, grid32, prob_harmonic):
         _, stage = cm.newton_solve(np.log(cm.l_field(grid32)), prob_harmonic,
@@ -268,7 +292,7 @@ class TestContinuation:
 
 
 class TestChord:
-    """One Newton solve keeps the SuperLU factor of an earlier iterate's J for chord steps."""
+    """One Newton solve keeps the factor of an earlier iterate's J for chord steps."""
 
     @staticmethod
     def exact_newton(monkeypatch):
@@ -278,8 +302,11 @@ class TestChord:
                             lambda *args: (real(*args)[0], None))
 
     def test_fewer_factorizations_than_steps(self, prob_harmonic, monkeypatch):
-        calls = {"splu": 0, "jacobian": 0}
+        # the report counts the mode-block factors of ring-constant iterates
+        # (h = l) and SuperLU's, each of which assembles J once
+        calls = {"splu": 0, "jacobian": 0, "mode_system": 0}
         real_splu, real_jacobian = continuation.spla.splu, continuation.jacobian
+        real_modes = cm.cap_chart.FrameOps.mode_system
 
         def splu(J, **kwargs):
             calls["splu"] += 1
@@ -289,13 +316,20 @@ class TestChord:
             calls["jacobian"] += 1
             return real_jacobian(R, prob)
 
+        def mode_system(ops, **coeffs):
+            calls["mode_system"] += 1
+            return real_modes(ops, **coeffs)
+
         monkeypatch.setattr(continuation.spla, "splu", splu)
         monkeypatch.setattr(continuation, "jacobian", jac)
+        monkeypatch.setattr(cm.cap_chart.FrameOps, "mode_system", mode_system)
         _, rep = cm.continuation_solve(prob_harmonic)
         doc = rep.to_json_dict()
         assert rep.t_steps == [1.0] and doc["rejected"] == []
-        assert calls["splu"] == calls["jacobian"] == sum(doc["factorizations"])
-        assert calls["splu"] < sum(doc["newton_iters"])
+        assert calls["mode_system"] >= 1 and calls["splu"] >= 1
+        superlu = sum(doc["factorizations"]) - calls["mode_system"]
+        assert calls["splu"] == calls["jacobian"] == superlu
+        assert sum(doc["factorizations"]) < sum(doc["newton_iters"])
         assert len(doc["factorizations"]) == len(doc["newton_iters"])
 
     def test_refused_chord_steps_give_exact_newton(self, prob_harmonic, monkeypatch):
@@ -312,11 +346,11 @@ class TestChord:
         assert rep.newton_iters == rep_exact.newton_iters
         assert [s.factorizations for s in rep.stages] == rep.newton_iters
 
-    def test_non_finite_chord_step_is_refused(self, grid32, prob_harmonic, monkeypatch):
+    def test_non_finite_chord_step_is_refused(self, prob_harmonic, v_off_ring, monkeypatch):
         # a factor whose later solves (the chord steps) are all NaN: each chord
         # step is refused and the solve is the exact-Newton one
         real_splu = continuation.spla.splu
-        v0, cfg = np.log(cm.l_field(grid32)), cm.SolverConfig()
+        v0, cfg = v_off_ring, cm.SolverConfig()
         with monkeypatch.context() as m:
             self.exact_newton(m)
             v_ref, stage_ref = cm.newton_solve(v0, prob_harmonic, cfg)
@@ -340,7 +374,7 @@ class TestChord:
         assert np.array_equal(v, v_ref)
         assert stage.iterations == stage_ref.iterations == stage.factorizations
 
-    def test_one_factor_at_a_time(self, grid32, prob_harmonic, monkeypatch):
+    def test_one_factor_at_a_time(self, prob_harmonic, v_off_ring, monkeypatch):
         # a refused chord step frees the solve's factor before the next one is
         # built, so a Newton solve never holds two factors at once
         real_splu, live, held = continuation.spla.splu, weakref.WeakSet(), []
@@ -359,7 +393,7 @@ class TestChord:
             return factor
 
         monkeypatch.setattr(continuation.spla, "splu", splu)
-        _, stage = cm.newton_solve(np.log(cm.l_field(grid32)), prob_harmonic, cm.SolverConfig())
+        _, stage = cm.newton_solve(v_off_ring, prob_harmonic, cm.SolverConfig())
         assert len(held) == stage.factorizations >= 2
         assert held == [0] * len(held)
         assert len(live) == 0  # the factor dies with the call
@@ -454,7 +488,8 @@ class TestSymmetricPivoting:
             own_delta = own.solve(-R.full.ravel())
             assert np.abs(delta.ravel() - own_delta).max() <= 1e-12 * np.abs(own_delta).max()
 
-    def test_small_diagonal_pivots_off_the_diagonal(self, grid32, prob_harmonic, monkeypatch):
+    def test_small_diagonal_pivots_off_the_diagonal(self, grid32, prob_harmonic, v_off_ring,
+                                                    monkeypatch):
         # a hand-built J on the grid's Jacobian pattern: 4 on the diagonal, but
         # the first two unknowns (neighbours on the innermost ring) couple
         # through a 2x2 block with diagonal 1e-8 against off-diagonal 5, and
@@ -471,7 +506,7 @@ class TestSymmetricPivoting:
         monkeypatch.setattr(continuation, "jacobian", lambda R, prob: J)
         rhs = np.random.default_rng(3).normal(size=grid32.shape)
         R = ma_system.ResidualVector(full=rhs, bad_nodes=np.array([], dtype=int))
-        delta, lu = continuation._newton_direction(np.zeros(grid32.shape), R, prob_harmonic,
+        delta, lu = continuation._newton_direction(v_off_ring, R, prob_harmonic,
                                                    continuation.NewtonStage(t=1.0))
         assert not np.array_equal(lu.lu.perm_r, lu.lu.perm_c)
         assert np.abs(J @ delta.ravel() + rhs.ravel()).max() <= 1e-12 * np.abs(rhs).max()
@@ -493,16 +528,82 @@ class TestSymmetricPivoting:
         evicted = cm.continuation_solve(harmonic_problem(60.0, 32, 0.3))[0].h
         assert fresh.tobytes() == after_thetas.tobytes() == evicted.tobytes()
 
-    def test_jacobian_off_the_layout_pattern_is_refused(self, grid32, prob_harmonic,
+    def test_jacobian_off_the_layout_pattern_is_refused(self, grid32, prob_harmonic, v_off_ring,
                                                         monkeypatch):
         # the factor gathers J.data through the layout's places, which only
         # mean something for a J assembled on the layout's own pattern
         J = sp.identity(grid32.size, format="csc")
         monkeypatch.setattr(continuation, "jacobian", lambda R, prob: J)
-        R = ma_system.residual(np.log(cm.l_field(grid32)), prob_harmonic)
+        R = ma_system.residual(v_off_ring, prob_harmonic)
         with pytest.raises(ValueError, match="Jacobian pattern"):
-            continuation._newton_direction(np.log(cm.l_field(grid32)), R, prob_harmonic,
+            continuation._newton_direction(v_off_ring, R, prob_harmonic,
                                            continuation.NewtonStage(t=1.0))
+
+
+class TestModeSteps:
+    """At a v constant on every ring J commutes with rotations in phi, so a
+    grid without a coarser level factors its angular-mode blocks instead of
+    calling SuperLU."""
+
+    @pytest.mark.parametrize("n, Nr, Nphi", [(2, 12, 12), (2, 16, 16), (2, 24, 24), (2, 25, 24),
+                                             (2, 32, 32), (2, 38, 38), (2, 16, 36),
+                                             (1, 16, 1), (1, 64, 1)])
+    @pytest.mark.parametrize("theta_deg", [1.0, 5.0, 45.0, 85.0])
+    def test_direction_matches_superlu_at_the_start(self, theta_deg, n, Nr, Nphi):
+        # at v = log l against a density with angular modes, so that every
+        # mode block carries a right-hand side
+        spec = cm.CapSpec(theta=np.radians(theta_deg), n=n)
+        grid = cm.PolarGrid(spec, Nr, Nphi) if n == 2 else cm.PolarGrid(spec, Nr)
+        R, PHI = grid.mesh()
+        f = 1.0 + 0.5 * (np.sin(R) / spec.sin_theta) ** 2 * np.cos(2 * PHI) * np.cos(R)
+        prob = ProblemSpec(grid=grid, pq=cm.ExponentPair(p=3.0, q=1.0), f=f)
+        v = np.log(cm.l_field(grid))
+        Rv = ma_system.residual(v, prob)
+        stage = continuation.NewtonStage(t=1.0)
+        delta, factor = continuation._newton_direction(v, Rv, prob, stage)
+        assert isinstance(factor, cm.cap_chart.ModeFactor) and stage.factorizations == 1
+        J = ma_system.jacobian(Rv, prob)
+        ref = continuation.spla.splu(J, permc_spec="MMD_AT_PLUS_A").solve(-Rv.full.ravel())
+        assert np.abs(delta.ravel() - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("f_spec, counts", [
+        ({"type": "constant", "value": 1.7}, ([8], [2])),
+        ({"type": "radial", "coeffs": [1.0, -0.2]}, ([8], [2])),
+    ])
+    def test_axisymmetric_solve_never_assembles(self, grid32, pq31, f_spec, counts, monkeypatch):
+        # a radial density keeps every iterate constant on its rings bit for
+        # bit, so every factor is the mode blocks'; the Newton steps and
+        # factorizations are as many as with SuperLU factors
+        def refuse(*args, **kwargs):
+            raise AssertionError("J assembled or factored by SuperLU")
+
+        monkeypatch.setattr(continuation, "jacobian", refuse)
+        monkeypatch.setattr(continuation.spla, "splu", refuse)
+        f = cli.density_from_spec(f_spec, grid32, pq31)
+        sf, rep = cm.continuation_solve(ProblemSpec(grid=grid32, pq=pq31, f=f))
+        assert np.all(sf.h == sf.h[:, :1])
+        assert (rep.newton_iters, [s.factorizations for s in rep.stages]) == counts
+
+    def test_mode_factor_first_then_superlu(self, prob_harmonic, monkeypatch):
+        # the harmonic solve starts at h = l, constant on every ring, so its
+        # first factor is the mode blocks' and every later one SuperLU's; a
+        # factor of either kind is freed before the next one is built
+        real, refs, kinds, held = continuation._newton_direction, [], [], []
+
+        def direction(*args):
+            held.append(sum(ref() is not None for ref in refs))
+            delta, factor = real(*args)
+            kinds.append(type(factor))
+            refs.append(weakref.ref(factor))  # a ModeFactor is unhashable, so no WeakSet
+            return delta, factor
+
+        monkeypatch.setattr(continuation, "_newton_direction", direction)
+        _, rep = cm.continuation_solve(prob_harmonic)
+        assert rep.t_steps == [1.0] and len(refs) == sum(s.factorizations for s in rep.stages)
+        assert len(kinds) >= 2 and kinds[0] is cm.cap_chart.ModeFactor
+        assert set(kinds[1:]) == {continuation.OrderedFactor}
+        assert held == [0] * len(held)
+        assert all(ref() is None for ref in refs)  # the last factor dies with the solve
 
 
 class TestNested:
