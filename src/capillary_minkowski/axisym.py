@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import LinAlgError, solve_banded
 
-from .cap_chart import CapSpec
+from .cap_chart import CapSpec, not_a_knot
 from .capillary_body import ExponentPair, SupportField
 from .errors import (
     LineSearchStallError,
@@ -259,11 +258,11 @@ def oracle_compare(
 
     num = max(int(np.ceil(resolution_factor * grid.spec.theta / grid.dr)) + 1, 64)
     if f_radial is None:
-        prof = CubicSpline(grid.r, f.mean(axis=1))
-        f_radial = prof
+        def f_radial(r):
+            return not_a_knot(grid.r, f.mean(axis=1), r)
     rp = RadialProblem.from_callable(grid.spec, prob.pq, f_radial, num)
     h1d = radial_solve(rp, tol=tol)
-    h_on_rings = CubicSpline(rp.r, h1d)(grid.r)
+    h_on_rings = not_a_knot(rp.r, h1d, grid.r)
 
     diff = h2d.h - h_on_rings[:, None]
     max_abs = float(np.max(np.abs(diff)))

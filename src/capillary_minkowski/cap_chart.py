@@ -29,8 +29,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.interpolate import CubicSpline
-from scipy.linalg import lapack
+from scipy.linalg import lapack, solve_banded
 
 
 @dataclass(frozen=True)
@@ -800,8 +799,49 @@ def resample(u: np.ndarray, src: PolarGrid, dst: PolarGrid) -> np.ndarray:
         out[:, half] *= 0.5 if dst.Nphi > src.Nphi else 2.0
         u = np.fft.irfft(out, n=dst.Nphi, axis=1) * (dst.Nphi / src.Nphi)
     across = u[::-1][:, dst.pole_map]  # ring i at -r_i, read half a turn away
-    spline = CubicSpline(np.concatenate([-src.r[::-1], src.r]), np.vstack([across, u]), axis=0)
-    return spline(dst.r)
+    return not_a_knot(np.concatenate([-src.r[::-1], src.r]), np.vstack([across, u]), dst.r)
+
+
+def not_a_knot(x: np.ndarray, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """The not-a-knot cubic spline through (x, y), y along axis 0, evaluated at xi.
+
+    The knot slopes s solve the tridiagonal system of C2 continuity, closed by
+    third-derivative continuity across x[1] and x[-2] (de Boor, A Practical
+    Guide to Splines, 1978, ch. IV).  Each piece is the cubic Hermite
+    interpolant of its end values and slopes, and points outside [x[0], x[-1]]
+    use the end pieces.  The arithmetic is scipy's CubicSpline's, operation for
+    operation, so both give the same bits.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = x.size
+    if n < 4:
+        raise ValueError(f"a not-a-knot spline needs at least 4 knots, got {n}")
+    dx = np.diff(x)
+    dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxr
+    ab = np.zeros((3, n))
+    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    ab[0, 2:] = dx[:-1]
+    ab[2, :-2] = dx[1:]
+    b = np.empty(y.shape)
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    d = x[2] - x[0]
+    ab[1, 0], ab[0, 1] = dx[1], d
+    b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0]**2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    ab[1, -1], ab[2, -2] = dx[-2], d
+    b[-1] = (dxr[-1]**2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+    s = solve_banded((1, 1), ab, b.reshape(n, -1), overwrite_ab=True, overwrite_b=True,
+                     check_finite=False).reshape(y.shape)
+
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    xi = np.asarray(xi, dtype=float)
+    i = np.clip(np.searchsorted(x, xi, "right") - 1, 0, n - 2)
+    z = (xi - x[i]).reshape(xi.shape + (1,) * (y.ndim - 1))
+    z2 = z * z
+    c0, c1 = (t / dxr)[i], ((slope - s[:-1]) / dxr - t)[i]
+    return y[:-1][i] + s[:-1][i] * z + c1 * z2 + c0 * (z2 * z)
 
 
 def integrate(f: np.ndarray, grid: PolarGrid) -> float:

@@ -9,6 +9,7 @@ A > 0 at every point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -237,15 +238,23 @@ def boundary_identity_check(sf: SupportField) -> BoundaryIdentityReport:
     stack (one-sided in r on the rim); no special boundary calculus.  The
     Robin flag uses the discretization threshold 10 * spacing^2, since even
     exact solutions satisfy the discrete Robin stencil only to truncation.
+
+    All three deviations are linear in h, so they are evaluated on h 2^-k,
+    whose max lies in [1/2, 1), and multiplied back by 2^k.  Powers of two
+    scale exactly, so the values are those of h itself wherever h's own
+    scale does not overflow; the frame Hessian of u = h/l overflows first,
+    at max h near 1e303 on small caps.
     """
     grid = sf.grid
     b = grid.boundary_ring
     spec = grid.spec
     h_scale = float(np.max(np.abs(sf.h)))
     robin_tol = 10.0 * grid.max_spacing**2
+    k = math.frexp(h_scale)[1]
+    unit = SupportField(h=np.ldexp(sf.h, -k), grid=grid)
 
-    robin = cap_chart.normal_derivative(sf.h, grid) - spec.cot_theta * sf.h[b]
-    robin_max = float(np.max(np.abs(robin)))
+    robin = cap_chart.normal_derivative(unit.h, grid) - spec.cot_theta * unit.h[b]
+    robin_max = float(np.ldexp(np.max(np.abs(robin)), k))
 
     if spec.n == 1:
         # No tangential directions on a 0-dimensional rim; identities are void.
@@ -257,17 +266,17 @@ def boundary_identity_check(sf: SupportField) -> BoundaryIdentityReport:
             h_mixed=zeros, u_identity=zeros.copy(),
         )
 
-    h_mixed = hessian(sf.h, grid).comps[0, 1][b]
-    u = capillary_support(sf)
+    h_mixed = np.ldexp(hessian(unit.h, grid).comps[0, 1][b], k)
+    u = capillary_support(unit)
     u_mixed = hessian(u, grid).comps[0, 1][b]
     u_k = grad(u, grid).comps[1][b]
-    u_dev = u_mixed + spec.cot_theta * u_k
+    u_dev = np.ldexp(u_mixed + spec.cot_theta * u_k, k)
     return BoundaryIdentityReport(
         h_mixed_max=float(np.max(np.abs(h_mixed))),
         u_identity_max=float(np.max(np.abs(u_dev))),
         robin_residual_max=robin_max,
         robin_ok=robin_max <= robin_tol * h_scale,
-        h_mixed=h_mixed.copy(),
+        h_mixed=h_mixed,
         u_identity=u_dev,
     )
 

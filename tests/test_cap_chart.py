@@ -15,11 +15,12 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 import capillary_minkowski as cm
 from capillary_minkowski import CapSpec, ExponentPair, PolarGrid, cli
 from capillary_minkowski import cap_chart as chart
-from capillary_minkowski.cap_chart import _expand
+from capillary_minkowski.cap_chart import _expand, not_a_knot
 from capillary_minkowski.continuation import start_density
 from capillary_minkowski.ma_system import (ProblemSpec, jacobian, jacobian_coefficients,
                                             log_gauss_map_matrix, residual)
@@ -750,3 +751,48 @@ class TestResample:
             cm.resample(np.zeros(grid.shape), grid, PolarGrid(CapSpec(theta=0.5), 16, 16))
         with pytest.raises(ValueError):
             cm.resample(np.zeros((16, 8)), grid, grid)
+
+
+class TestNotAKnot:
+    """The package's spline against scipy's CubicSpline, its reference, bit for bit."""
+
+    @staticmethod
+    def _check(x, y):
+        # every knot, random points inside, and points beyond both ends
+        rng = np.random.default_rng(x.size)
+        span = x[-1] - x[0]
+        xi = np.concatenate([x, rng.uniform(x[0], x[-1], 40),
+                             [x[0] - span, x[0] - 1e-3, x[-1] + 1e-3, x[-1] + span]])
+        np.testing.assert_array_equal(not_a_knot(x, y, xi), CubicSpline(x, y, axis=0)(xi))
+
+    @pytest.mark.parametrize("n", [4, 5, 12, 64])
+    def test_uniform_knots_1d(self, n):
+        x = np.linspace(0.0, THETA, n)
+        self._check(x, np.cos(3 * x) + np.random.default_rng(n).normal(size=n))
+
+    @pytest.mark.parametrize("n", [4, 7, 30])
+    def test_non_uniform_knots_2d(self, n):
+        rng = np.random.default_rng(n)
+        x = np.sort(rng.uniform(-1.0, 2.0, n))
+        self._check(x, rng.normal(size=(n, 5)))
+
+    @pytest.mark.parametrize("Nr", [6, 20, 32])
+    def test_resample_diameter_knots(self, spec, Nr):
+        # the 2 Nr knots resample runs its splines through: -r_{Nr-1} .. r_{Nr-1}
+        grid = PolarGrid(spec, Nr, 8)
+        x = np.concatenate([-grid.r[::-1], grid.r])
+        self._check(x, np.random.default_rng(Nr).normal(size=(x.size, 8)))
+
+    def test_evaluates_on_any_point_shape(self):
+        x = np.linspace(0.0, 1.0, 6)
+        y = np.random.default_rng(1).normal(size=(6, 3))
+        xi = np.array([[0.1, 0.2], [1.5, -0.5]])
+        out = not_a_knot(x, y, xi)
+        assert out.shape == (2, 2, 3)
+        np.testing.assert_array_equal(out, CubicSpline(x, y)(xi))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_fewer_than_four_knots_rejected(self, n):
+        x = np.arange(n, dtype=float)
+        with pytest.raises(ValueError, match="at least 4 knots"):
+            not_a_knot(x, x, x)

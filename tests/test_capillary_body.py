@@ -1,6 +1,9 @@
 """Support-field operations: convexity data, curvature, measure density,
 embedding, contact angle, rim identities, OBJ export."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,6 +218,23 @@ class TestBoundaryIdentities:
         rep = boundary_identity_check(cm.SupportField(h=np.ones(grid32.shape), grid=grid32))
         assert not rep.robin_ok
         assert rep.robin_residual_max == pytest.approx(grid32.spec.cot_theta, rel=1e-10)
+
+    @pytest.mark.parametrize("theta", [math.radians(4.17), math.pi / 3])
+    def test_scaling_by_a_power_of_two_is_exact(self, theta):
+        # the deviations are linear in h and evaluated at max h in [1/2, 1),
+        # so h 2^600 gives 2^600 times the values on h, bit for bit
+        grid = cm.PolarGrid(cm.CapSpec(theta=theta), 16, 16)
+        h = cm.l_field(grid) * np.exp(0.3 * smooth_field(grid, np.random.default_rng(5)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = boundary_identity_check(cm.SupportField(h=h, grid=grid))
+            big = boundary_identity_check(cm.SupportField(h=np.ldexp(h, 600), grid=grid))
+        np.testing.assert_array_equal(big.h_mixed, np.ldexp(rep.h_mixed, 600))
+        np.testing.assert_array_equal(big.u_identity, np.ldexp(rep.u_identity, 600))
+        assert big.h_mixed_max == math.ldexp(rep.h_mixed_max, 600)
+        assert big.u_identity_max == math.ldexp(rep.u_identity_max, 600)
+        assert big.robin_residual_max == math.ldexp(rep.robin_residual_max, 600)
+        assert big.robin_ok == rep.robin_ok
 
 
 class TestObjExport:

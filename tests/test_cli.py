@@ -36,6 +36,13 @@ def no_solve(monkeypatch):
     monkeypatch.setattr(cli, "continuation_solve", fail)
 
 
+def package_env():
+    """The environment of a child interpreter that imports this package's source."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def write_config(tmp_path, name="run.json", **overrides):
     doc = json.loads(json.dumps(BASE))
     for key, val in overrides.items():
@@ -60,6 +67,20 @@ class TestSolveVerify:
         assert report["bound_verification"]["all_passed"] is True
         assert cli.main(["verify", "--solution", str(sol)]) == 0
 
+    def test_solution_near_float_limit_verifies_without_warning(self, tmp_path):
+        # max h is 1.3e303: the frame Hessian of u = h/l overflowed in the rim
+        # identities until they were evaluated at a power-of-two scale
+        cfg = write_config(tmp_path, theta=4.17, p=2.16133, q=2.14828,
+                           f={"type": "harmonic", "base": 1.0, "amplitude": 0.744,
+                              "m": 1, "radial_mode": 2})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["solve", "--config", str(cfg)]) == 0
+        doc = json.loads((tmp_path / "run.solution.json").read_text())
+        assert np.max(doc["h"]) > 1e303
+        checks = json.loads((tmp_path / "run.report.json").read_text())["bound_verification"]["checks"]
+        assert all(np.isfinite(c["value"]) for c in checks)
+
     def test_round_trip_residual(self, tmp_path):
         cfg = write_config(tmp_path)
         cli.main(["solve", "--config", str(cfg)])
@@ -73,13 +94,10 @@ class TestSolveVerify:
     def test_solution_determinism(self, tmp_path):
         # two processes, as two runs of the console script would be
         cfg = write_config(tmp_path)
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         for name in ("a.json", "b.json"):
             subprocess.run([sys.executable, "-m", "capillary_minkowski.cli", "solve",
                             "--config", str(cfg), "--solution", str(tmp_path / name)],
-                           check=True, env=env, capture_output=True)
+                           check=True, env=package_env(), capture_output=True)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_verify_bounds_recomputed_residual(self, tmp_path, capsys):
@@ -419,6 +437,27 @@ class TestConvergence:
         cfg = write_config(tmp_path)
         assert cli.main(["convergence", "--config", str(cfg), "--grids", "16,32"]) == 2
         assert "manufactured" in capsys.readouterr().err
+
+
+class TestRunTimeImports:
+    def test_solve_and_oracle_load_no_interpolate(self, tmp_path):
+        # a nested solve (40^2 resamples from 20^2) and the oracle's splines,
+        # in a fresh interpreter: neither may pull in scipy.interpolate, which
+        # would bring scipy.optimize and scipy.special with it
+        cfg = write_config(tmp_path, theta=45.0, grid={"Nr": 40, "Nphi": 40},
+                           f={"type": "radial", "coeffs": [1.0, -0.2]})
+        script = (
+            "import json, sys\n"
+            "from capillary_minkowski import cli\n"
+            f"assert cli.main(['solve', '--config', {str(cfg)!r}]) == 0\n"
+            f"assert cli.main(['oracle', '--config', {str(cfg)!r}]) == 0\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", script], check=True, env=package_env(),
+                             capture_output=True, text=True).stdout
+        loaded = set(json.loads(out.strip().splitlines()[-1]))
+        assert json.loads((tmp_path / "run.report.json").read_text())["grids"] == [[20, 20], [40, 40]]
+        assert not loaded & {"scipy.interpolate", "scipy.optimize", "scipy.special"}
 
 
 class TestOracle:
