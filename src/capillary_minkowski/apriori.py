@@ -175,6 +175,7 @@ def _measure_ratio(sf: SupportField, prob: ProblemSpec) -> np.ndarray:
                             - np.log(l_field(sf.grid)) - np.log(prob.f))
 
 
+@np.errstate(all="ignore")  # a value out of the float range fails its check, not a warning
 def verify(sf: SupportField, prob: ProblemSpec, newton_tol: float = 1e-9) -> VerificationReport:
     """Run every closed-form check on a computed solution.
 

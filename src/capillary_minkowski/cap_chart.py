@@ -341,7 +341,8 @@ class PolarGrid:
         self.phi = np.arange(Nphi) * self.dphi
         self.sin_r = np.sin(r)
         self.cos_r = np.cos(r)
-        self.cot_r = self.cos_r / self.sin_r
+        with np.errstate(over="ignore"):  # inf at a denormal sin r; the start density refuses it
+            self.cot_r = self.cos_r / self.sin_r
 
         # Pairing of angular indices across the pole: (-r, phi) ~ (r, phi+pi).
         self.pole_map = (np.arange(Nphi) + Nphi // 2) % Nphi

@@ -291,24 +291,29 @@ def cmd_verify(args) -> int:
 
 
 def grid_sizes(text: str) -> list[int]:
-    """Parse --grids: a non-empty comma-separated list of grid sizes."""
-    sizes = [int(s) for s in text.split(",") if s]
-    if not sizes:
-        raise ValueError("no grid sizes")
+    """Parse --grids: a non-empty comma-separated list of distinct grid sizes
+    (a repeated size has no convergence order against itself)."""
+    try:
+        sizes = [int(s) for s in text.split(",") if s]
+    except ValueError:
+        sizes = []
+    if not sizes or len(set(sizes)) < len(sizes):
+        raise CapillaryError(f"--grids must list distinct integer sizes, got {text!r}")
     return sizes
 
 
 def cmd_convergence(args) -> int:
+    grids = grid_sizes(args.grids)
     config = load_config(args.config)
     if config.f_spec.get("type") != "homotopy-start":
         raise ConfigError("convergence study needs a manufactured f-spec "
                           "(type 'homotopy-start', exact solution scale * l)")
     probs = [build_problem(replace(config, Nr=N, Nphi=N if config.spec.n == 2 else 1))
-             for N in args.grids]
+             for N in grids]
     scale = as_real(config.f_spec.get("scale", 1.0), "scale")
 
     rows = []
-    for N, prob in zip(args.grids, probs):
+    for N, prob in zip(grids, probs):
         sf, _ = continuation_solve(prob, config.solver, config.schedule)
         err = float(np.max(np.abs(sf.h - scale * l_field(prob.grid))))
         rows.append((N, prob.grid.max_spacing, err))
@@ -356,7 +361,7 @@ def main(argv=None) -> int:
 
     p_conv = sub.add_parser("convergence", help="manufactured-solution grid study")
     p_conv.add_argument("--config", required=True)
-    p_conv.add_argument("--grids", required=True, type=grid_sizes,
+    p_conv.add_argument("--grids", required=True,
                         help="comma-separated sizes, e.g. 16,32,64")
     p_conv.set_defaults(func=cmd_convergence)
 

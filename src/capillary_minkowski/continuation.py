@@ -4,8 +4,8 @@ h = l of the density homotopy f_t, with nested iteration across grids.
 The homotopy f_t = (1-t) f0 + t f interpolates from the start density f0
 (for which h = l solves the problem exactly) to the target f.  Each t-stage
 is solved by Newton with a backtracking line search on the max-norm of the
-residual.  By default the first stage is t = 1; stage failures halve the
-t-step, so the march along f_t is the fallback, and easy stages double it.
+residual.  By default the first stage is t = 1; each stage failure halves
+the t-step, so the march along f_t is the fallback.
 On a grid with a coarser level the homotopy runs only on the coarsest level,
 and each finer level starts one Newton solve at t = 1 from the resampled
 solution.  The grid picks the linear solve: preconditioned GMRES where a
@@ -128,18 +128,16 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class HomotopySchedule:
-    """Plan for the march in t: the explicit list t_values when given, else adaptive steps."""
+    """Plan for the march in t: the explicit list t_values when given, else
+    steps from 1 halved on failure down to min_step."""
 
-    initial_step: float = 1.0
     min_step: float = 2.0**-10
-    max_step: float = 1.0
     t_values: tuple | None = None
 
     def __post_init__(self):
-        for name in ("initial_step", "min_step", "max_step"):
-            object.__setattr__(self, name, as_real(getattr(self, name), name))
-        if not 0.0 < self.min_step <= self.initial_step <= self.max_step <= 1.0:
-            raise ValueError("need 0 < min_step <= initial_step <= max_step <= 1")
+        object.__setattr__(self, "min_step", as_real(self.min_step, "min_step"))
+        if not 0.0 < self.min_step <= 1.0:
+            raise ValueError("min_step must lie in (0, 1]")
         if self.t_values is not None:
             ts = tuple(as_real(t, "t_values entry") for t in self.t_values)
             if len(ts) < 2 or ts[0] != 0.0 or ts[-1] != 1.0 \
@@ -469,23 +467,19 @@ def _homotopy(prob: ProblemSpec, cfg: SolverConfig, sched: HomotopySchedule,
     to a stage's density, it is that stage's start residual.  It is ``R0``
     at h = l when given, and is evaluated once after each accepted stage
     below t = 1.  An explicit schedule visits its t values in order and
-    stalls on the first failed stage; an adaptive one halves the t-step on
-    failure down to the schedule minimum and doubles it after two
-    consecutive easy stages: stages with full steps only and at most two
-    factorizations.  Accepted stages go to ``report.stages``, failed
-    attempts to ``report.rejected``.
+    stalls on the first failed stage; an adaptive one starts with the t-step
+    1, halves it after each failed attempt down to the schedule minimum and
+    keeps it once a stage is accepted.  Accepted stages go to
+    ``report.stages``, failed attempts to ``report.rejected``.
     """
     grid = prob.grid
     v = np.log(l_field(grid))
     tol = effective_tolerance(cfg, grid, v)
     adaptive = sched.t_values is None
-    t, dt, easy_streak = 0.0, sched.initial_step, 0
+    t, dt = 0.0, 1.0
     R = residual(v, prob) if R0 is None else R0
     while t < 1.0 and R.max_norm() > tol:
-        if adaptive:
-            t_try = min(1.0, t + dt)
-        else:
-            t_try = next(s for s in sched.t_values if s > t)
+        t_try = min(1.0, t + dt) if adaptive else next(s for s in sched.t_values if s > t)
         stage_prob = replace(prob, f=homotopy_density(t_try, prob))
         try:
             v_new, stage = newton_solve(v, stage_prob, cfg,
@@ -506,12 +500,6 @@ def _homotopy(prob: ProblemSpec, cfg: SolverConfig, sched: HomotopySchedule,
         v, t = v_new, t_try
         if t < 1.0:
             R = residual(v, prob)
-        if adaptive:
-            easy = stage.factorizations <= 2 and all(a == 1.0 for a in stage.step_lengths)
-            easy_streak = easy_streak + 1 if easy else 0
-            if easy_streak >= 2:
-                dt = min(2.0 * dt, sched.max_step)
-                easy_streak = 0
     return v
 
 

@@ -81,6 +81,21 @@ class TestSolveVerify:
         checks = json.loads((tmp_path / "run.report.json").read_text())["bound_verification"]["checks"]
         assert all(np.isfinite(c["value"]) for c in checks)
 
+    @pytest.mark.parametrize("node", [1e308, 1e-320])
+    def test_extreme_node_verifies_to_a_table_without_warning(self, tmp_path, capsys, node):
+        # the powers of h in the measure leave the float range: checks fail, nothing warns
+        cli.main(["solve", "--config", str(write_config(tmp_path))])
+        sol = tmp_path / "run.solution.json"
+        doc = json.loads(sol.read_text())
+        doc["h"][3][4] = node
+        sol.write_text(json.dumps(doc))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["verify", "--solution", str(sol)]) == 1
+        out, err = capsys.readouterr()
+        assert err == "" and "measure_consistency" in out and "overall: FAIL" in out
+
     def test_round_trip_residual(self, tmp_path):
         cfg = write_config(tmp_path)
         cli.main(["solve", "--config", str(cfg)])
@@ -194,6 +209,7 @@ class TestValidation:
         {"grid": {"Nr": 10**18}},  # in the float range, but no array of it fits in memory
         {"f": {"type": "homotopy-start", "scale": 1e-300}},  # scale^(q-p) overflows
         {"p": 1e308, "f": {"type": "homotopy-start"}},  # the f-spec itself overflows
+        {"theta": 1e-320, "theta_unit": "rad"},  # sin r is denormal, so cot r overflows
     ])
     def test_malformed_config_one_line(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path, **overrides)
@@ -227,9 +243,9 @@ class TestValidation:
         ("solver", "tol", True), ("solver", "max_iter", True), ("solver", "min_step", True),
         ("solver", "convexity_floor_rel", False), ("solver", "tol", "1e-9"),
         ("schedule", "t_values", [False, True]), ("schedule", "t_values", ["0", "1"]),
-        ("schedule", "t_values", "01"), ("schedule", "initial_step", True),
+        ("schedule", "t_values", "01"), ("schedule", "min_step", True),
         ("schedule", "t_values", [0, float("nan"), 1]), ("solver", "tol", float("inf")),
-        ("solver", "min_step", float("nan")), ("schedule", "max_step", float("-inf")),
+        ("solver", "min_step", float("nan")), ("schedule", "min_step", float("-inf")),
     ])
     def test_non_numeric_solver_settings_refused(self, tmp_path, capsys, no_solve,
                                                  section, key, value):
@@ -238,6 +254,15 @@ class TestValidation:
         assert cli.main(["solve", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and f"{key} " in err and "must be" in err
+
+    @pytest.mark.parametrize("key", ["initial_step", "max_step"])
+    def test_retired_schedule_keys_refused(self, tmp_path, capsys, no_solve, key):
+        # the adaptive t-step starts at 1 and is only ever halved
+        cfg = write_config(tmp_path, schedule={key: 0.5})
+        assert cli.main(["solve", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and repr(key) in err
+        assert sorted(os.listdir(tmp_path)) == ["run.json"]
 
     @pytest.mark.parametrize("overrides, key", [
         ({"theta": True}, "theta"), ({"theta": "60"}, "theta"), ({"q": False}, "q"),
@@ -426,6 +451,10 @@ class TestConvergence:
     @pytest.mark.parametrize("f_spec, grids", [
         ({"type": "homotopy-start"}, "4,16"),
         ({"type": "homotopy-start", "scale": -1}, "16"),
+        ({"type": "homotopy-start"}, "16,16"),  # no convergence order against itself
+        ({"type": "homotopy-start"}, "16,32,16"),
+        ({"type": "homotopy-start"}, "16,a"),
+        ({"type": "homotopy-start"}, ","),
     ])
     def test_bad_grid_or_spec_rejected(self, tmp_path, capsys, f_spec, grids):
         cfg = write_config(tmp_path, f=f_spec)
@@ -502,7 +531,7 @@ class TestDensityFamilies:
 
 # Every leaf of a full config document, as a key path.
 FULL = dict(BASE, solver={"tol": 1e-9, "max_iter": 30},
-            schedule={"initial_step": 0.25, "t_values": [0.0, 0.5, 1.0]},
+            schedule={"min_step": 0.25, "t_values": [0.0, 0.5, 1.0]},
             output={"solution": "s.json"})
 PATHS = [(k,) for k in FULL] + [(k, sub) for k, v in FULL.items()
                                 if isinstance(v, dict) for sub in v]

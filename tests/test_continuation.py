@@ -247,6 +247,26 @@ class TestContinuation:
         assert exc.value.report.rejected == [
             {"t": 2.0**-k, "grid": [32, 32], "error": "MaxIterationsError"} for k in range(11)]
 
+    @pytest.mark.parametrize("failures, t_steps", [
+        (1, [0.5, 1.0]),  # t = 1 fails: step 1/2, kept
+        (2, [0.25, 0.5, 0.75, 1.0]),  # t = 1 and t = 1/2 fail: step 1/4, kept
+    ])
+    def test_halving_only_march(self, prob_harmonic, monkeypatch, failures, t_steps):
+        # each failed attempt halves the t-step; an accepted stage never lengthens it
+        real, attempts = continuation.newton_solve, []
+
+        def fail_first(v0, prob, cfg, **kwargs):
+            attempts.append(prob)
+            if len(attempts) <= failures:
+                raise MaxIterationsError("injected", best_v=v0)
+            return real(v0, prob, cfg, **kwargs)
+
+        monkeypatch.setattr(continuation, "newton_solve", fail_first)
+        _, rep = cm.continuation_solve(prob_harmonic)
+        assert rep.t_steps == t_steps
+        assert [r["t"] for r in rep.rejected] == [2.0**-k for k in range(failures)]
+        assert rep.final_residual <= 1e-9
+
     def test_solution_beyond_float_range_raises_with_best_iterate(self):
         # p - q = 0.0082 at theta 1 deg: the solve converges in v = log h near
         # 1383, where h = exp(v) overflows
@@ -287,8 +307,12 @@ class TestContinuation:
             cm.HomotopySchedule(t_values=(0.0, 0.6, 0.4, 1.0))
         with pytest.raises(ValueError):
             cm.HomotopySchedule(t_values=())
-        with pytest.raises(ValueError):
-            cm.HomotopySchedule(initial_step=0.0)
+        for min_step in (0.0, 1.5, -1.0):
+            with pytest.raises(ValueError, match="min_step"):
+                cm.HomotopySchedule(min_step=min_step)
+        for retired in ("initial_step", "max_step"):  # the adaptive step starts at 1 and never grows
+            with pytest.raises(TypeError, match=retired):
+                cm.HomotopySchedule(**{retired: 0.5})
 
 
 class TestChord:
@@ -418,7 +442,7 @@ class TestChord:
 
         monkeypatch.setattr(continuation, "residual", counted_residual)
         monkeypatch.setattr(continuation, "newton_solve", newton)
-        sched = cm.HomotopySchedule(initial_step=0.25, max_step=0.5)
+        sched = cm.HomotopySchedule(t_values=(0, 0.25, 0.5, 1))
         _, rep = cm.continuation_solve(prob_harmonic, sched=sched)
         assert rep.t_steps == [0.25, 0.5, 1.0]
         assert outside == [True] * 3  # h = l, then the stages at 0.25 and 0.5
