@@ -94,17 +94,25 @@ def c0_bounds(prob: ProblemSpec) -> BoundSet:
     )
 
 
+def _unit_gradient(sf: SupportField) -> tuple[float, float]:
+    """(max frame |grad(h / max h)|, max h).
+
+    The norm squares the gradient, which overflows for h beyond about 1e154
+    (with 1/(p - q) near 100, h can reach 1e238); the gradient of h / max h
+    stays below 1 / spacing.
+    """
+    scale = float(sf.h.max())
+    return float(grad(sf.h / scale, sf.grid).norm().max()), scale
+
+
 def gradient_bound(sf: SupportField) -> tuple[float, float]:
     """(computed, bound): max frame |grad h| against (1/sin theta) * max h.
 
     Both are homogeneous of degree 1 in h, so the gradient is taken of h / max h
-    and scaled back by max h: the norm squares the gradient, which overflows for
-    h beyond about 1e154 (with 1/(p - q) near 100, h can reach 1e238).
+    (``_unit_gradient``) and scaled back by max h.
     """
-    scale = float(sf.h.max())
-    computed = float(grad(sf.h / scale, sf.grid).norm().max()) * scale
-    bound = scale / sf.spec.sin_theta
-    return computed, bound
+    unit, scale = _unit_gradient(sf)
+    return unit * scale, scale / sf.spec.sin_theta
 
 
 @dataclass
@@ -204,25 +212,29 @@ def verify(sf: SupportField, prob: ProblemSpec, newton_tol: float = 1e-9) -> Ver
         bounds.h_upper - h_max,
     ))
 
-    g_computed, g_bound = gradient_bound(sf)
+    # decided on h / max h: the bound (1 + rel_tol) max h / sin(theta) overflows first
+    g_unit, scale = _unit_gradient(sf)
+    g_computed, g_bound = g_unit * scale, scale / grid.spec.sin_theta
     report.checks.append(CheckResult(
         "gradient", g_computed, g_bound,
-        g_computed <= g_bound * (1.0 + rel_tol),
+        g_unit <= (1.0 + rel_tol) / grid.spec.sin_theta,
         g_bound - g_computed,
     ))
 
-    ident = boundary_identity_check(sf)
-    id_tol_h = 10.0 * d2 * h_max
-    u_max = float(np.abs(capillary_support(sf)).max())
-    id_tol_u = 10.0 * d2 * u_max
-    report.checks.append(CheckResult(
-        "boundary_h_mixed", ident.h_mixed_max, id_tol_h,
-        ident.h_mixed_max <= id_tol_h, id_tol_h - ident.h_mixed_max,
-    ))
-    report.checks.append(CheckResult(
-        "boundary_u_identity", ident.u_identity_max, id_tol_u,
-        ident.u_identity_max <= id_tol_u, id_tol_u - ident.u_identity_max,
-    ))
+    # The rim identities are linear in h, and so are their bounds: both are
+    # decided on h 2^-k, whose max lies in [1/2, 1), and reported times 2^k,
+    # which scales exactly wherever h's own scale does not overflow.
+    k = math.frexp(h_max)[1]
+    unit = SupportField(h=np.ldexp(sf.h, -k), grid=grid)
+    ident = boundary_identity_check(unit)
+    u_max = float(np.abs(capillary_support(unit)).max())
+    for name, value, size in (("boundary_h_mixed", ident.h_mixed_max, float(unit.h.max())),
+                              ("boundary_u_identity", ident.u_identity_max, u_max)):
+        bound = 10.0 * d2 * size
+        report.checks.append(CheckResult(
+            name, float(np.ldexp(value, k)), float(np.ldexp(bound, k)),
+            value <= bound, float(np.ldexp(bound - value, k)),
+        ))
 
     robin_v = float(np.max(np.abs(normal_derivative(np.log(sf.h), grid) - grid.spec.cot_theta)))
     robin_tol = max(10.0 * newton_tol, 1e-12)

@@ -8,10 +8,12 @@ residual.  By default the first stage is t = 1; each stage failure halves
 the t-step, so the march along f_t is the fallback.
 On a grid with a coarser level the homotopy runs only on the coarsest level,
 and each finer level starts one Newton solve at t = 1 from the resampled
-solution.  The grid picks the linear solve: preconditioned GMRES where a
-coarser level exists, else a factorization (the angular-mode blocks at a v
-constant on every ring, SuperLU at any other), which one Newton solve keeps
-for chord steps while these contract fast enough.
+solution.  The grid picks the linear solve: GMRES where a coarser level
+exists, stopped by a forcing term tied to the residual and preconditioned by
+angular-mode blocks that one Newton solve builds once, else a factorization
+(the angular-mode blocks at a v constant on every ring, SuperLU at any
+other), which one Newton solve keeps for chord steps while these contract
+fast enough.
 """
 
 from __future__ import annotations
@@ -50,13 +52,16 @@ from .ma_system import (ProblemSpec, ResidualVector, jacobian,  # noqa: F401
 NESTED_MIN_NPHI = 20
 
 # GMRES controls of a Krylov Newton step.  GMRES stops once the 2-norm of
-# J delta + R is at most max(KRYLOV_RTOL * ||R||_2, KRYLOV_TOL_SHARE * tol),
-# tol being the Newton solve's effective tolerance: ||.||_inf <= ||.||_2, so
-# the linear part of the next residual is then at most a tenth of what the
-# solve must reach (an inexact Newton step; Eisenstat & Walker, SIAM J. Sci.
-# Comput. 17, 1996).  KRYLOV_MAX_ITERS is the budget of one unrestarted
-# cycle, after which the step fails with SingularSystemError.
-KRYLOV_RTOL = 1e-6
+# J delta + R is at most max(eta * ||R||_2, KRYLOV_TOL_SHARE * tol), with
+# the forcing term eta = min(KRYLOV_ETA_MAX, ||R||_inf) and tol the Newton
+# solve's effective tolerance.  eta = O(||R||) keeps Newton's quadratic
+# convergence (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982;
+# Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996): the linear part of the
+# next residual is then of the order of its quadratic part, ||R||^2.  Since
+# ||.||_inf <= ||.||_2, the absolute bound keeps that linear part below a
+# tenth of what the solve must reach.  KRYLOV_MAX_ITERS is the budget of one
+# unrestarted cycle, after which the step fails with SingularSystemError.
+KRYLOV_ETA_MAX = 0.1
 KRYLOV_TOL_SHARE = 0.1
 KRYLOV_MAX_ITERS = 40
 
@@ -283,21 +288,24 @@ def _serial_blas():
         set_(before)
 
 
-def _gmres_solve(rhs: np.ndarray, R, prob: ProblemSpec,
-                 atol: float) -> tuple[np.ndarray | None, int, float]:
-    """(x, iterations, bound) of GMRES on J x = rhs for the exact J at the v
-    of R, right-preconditioned by the ring-mean mode blocks.  GMRES stops once
-    the 2-norm of J x - rhs is at most bound = max(KRYLOV_RTOL * ||rhs||_2,
-    atol); x is None when it misses that bound.
+def _gmres_solve(rhs: np.ndarray, R, prob: ProblemSpec, rtol: float, atol: float,
+                 M=None) -> tuple[np.ndarray | None, int, float, object]:
+    """(x, iterations, bound, M) of GMRES on J x = rhs for the exact J at the
+    v of R, right-preconditioned by the ``ModeFactor`` M of ring-mean mode
+    blocks.  GMRES stops once the 2-norm of J x - rhs is at most bound =
+    max(rtol * ||rhs||_2, atol); x is None when it misses that bound.
 
-    J is never assembled: GMRES applies it as ``FrameOps.combination_product``
-    of the same ``jacobian_coefficients`` that build the preconditioner.  With
-    the preconditioner on the right, GMRES minimizes the residual of J x = rhs
-    itself, so its bound holds for the true linear residual.
+    M, when given, is the factor of an earlier iterate's coefficients; a miss
+    with it builds M once from R's coefficients and runs GMRES again, and
+    iterations counts both runs.  Without it M is built from R's.  J is never
+    assembled: GMRES applies it as ``FrameOps.combination_product`` of the
+    same ``jacobian_coefficients`` that build M.  With the preconditioner on
+    the right, GMRES minimizes the residual of J x = rhs itself, so its bound
+    holds for the true linear residual.
     """
     ops = prob.grid.ops
     coeffs = jacobian_coefficients(R, prob)
-    M, J = ops.mode_system(**coeffs), ops.combination_product(**coeffs)
+    J = ops.combination_product(**coeffs)
     iters = 0
 
     def count(_):
@@ -306,10 +314,15 @@ def _gmres_solve(rhs: np.ndarray, R, prob: ProblemSpec,
 
     JM = spla.LinearOperator((rhs.size, rhs.size), matvec=lambda y: J(M.solve(y)), dtype=float)
     with _serial_blas():
-        y, info = spla.gmres(JM, rhs, rtol=KRYLOV_RTOL, atol=atol, restart=KRYLOV_MAX_ITERS,
-                             maxiter=1, callback=count, callback_type="pr_norm")
-        bound = max(KRYLOV_RTOL * float(np.linalg.norm(rhs)), atol)  # a BLAS dot, kept serial
-    return (M.solve(y) if info == 0 else None), iters, bound
+        bound = max(rtol * float(np.linalg.norm(rhs)), atol)  # a BLAS dot, kept serial
+        for build in ((False, True) if M is not None else (True,)):
+            if build:
+                M = ops.mode_system(**coeffs)
+            y, info = spla.gmres(JM, rhs, rtol=rtol, atol=atol, restart=KRYLOV_MAX_ITERS,
+                                 maxiter=1, callback=count, callback_type="pr_norm")
+            if info == 0:
+                break
+    return (M.solve(y) if info == 0 else None), iters, bound, M
 
 
 def _trial(v: np.ndarray, delta: np.ndarray, prob: ProblemSpec,
@@ -337,28 +350,31 @@ class OrderedFactor:
 
 
 def _newton_direction(v: np.ndarray, R: ResidualVector, prob: ProblemSpec,
-                      stage: NewtonStage) -> tuple[np.ndarray, object]:
+                      stage: NewtonStage, precond=None) -> tuple[np.ndarray, object]:
     """(delta, factor): delta solves J delta = -R with the exact J at v.  On a
     grid with a coarser level GMRES solves it, applying J matrix-free, only
-    until ||J delta + R||_2 <= max(KRYLOV_RTOL * ||R||_2, KRYLOV_TOL_SHARE *
-    stage.tol), and a miss raises SingularSystemError naming that bound;
-    factor is then None.  Else factor is the factor that solved it, kept for
-    chord steps.  At a v constant on every ring (bit for bit: every homotopy
-    start h = l, every n = 1 grid, axisymmetric solves) J commutes with
-    rotations in phi, so it is the ``ModeFactor`` of ``mode_system``, the
-    banded LU of J's angular-mode blocks.  At any other v it is the
-    ``OrderedFactor`` of the assembled J (``jacobian``): SuperLU factors J
-    permuted into the grid shape's fill-reducing order, which is computed
-    once per layout, not per factorization."""
+    until ||J delta + R||_2 <= max(eta * ||R||_2, KRYLOV_TOL_SHARE *
+    stage.tol) with the forcing term eta = min(KRYLOV_ETA_MAX, ||R||_inf)
+    (``_gmres_solve``).  Its preconditioner is ``precond``, the mode-block
+    factor of an earlier step of the same Newton solve, when given, rebuilt
+    at v once if GMRES misses with it; factor is the preconditioner used, for
+    the next step.  A miss with a preconditioner built at v raises
+    SingularSystemError naming the bound.  Else factor is the factor that
+    solved it, kept for chord steps.  At a v constant on every ring (bit for
+    bit: every homotopy start h = l, every n = 1 grid, axisymmetric solves) J
+    commutes with rotations in phi, so it is the ``ModeFactor`` of
+    ``mode_system``, the banded LU of J's angular-mode blocks.  At any other
+    v it is the ``OrderedFactor`` of the assembled J (``jacobian``): SuperLU
+    factors J permuted into the grid shape's fill-reducing order, which is
+    computed once per layout, not per factorization."""
     rhs = -R.full.ravel()
-    lu = None
     if _coarse_shape(prob.grid) is not None:
-        atol = KRYLOV_TOL_SHARE * stage.tol
-        delta, iters, bound = _gmres_solve(rhs, R, prob, atol)
+        eta, atol = min(KRYLOV_ETA_MAX, R.max_norm()), KRYLOV_TOL_SHARE * stage.tol
+        delta, iters, bound, lu = _gmres_solve(rhs, R, prob, eta, atol, precond)
         if delta is None:
             raise SingularSystemError(
-                f"GMRES missed its bound {bound:.3e} on ||J delta + R||_2 (the larger of rtol "
-                f"{KRYLOV_RTOL:g} times ||R||_2 and atol {atol:.3e}) in {iters} iterations",
+                f"GMRES missed its bound {bound:.3e} on ||J delta + R||_2 (the larger of eta "
+                f"{eta:.3e} times ||R||_2 and atol {atol:.3e}) in {iters} iterations",
                 best_v=v, report=stage)
     else:
         ops = prob.grid.ops
@@ -393,10 +409,12 @@ def newton_solve(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
     residual max-norm.  A trial's merit is its residual max-norm, or +inf when
     B breaks the floor of convexity_floor_rel times its max eigenvalue, which
     every accepted iterate therefore keeps.  The grid picks how the exact J
-    is solved: by GMRES preconditioned by the ring-mean mode blocks on a grid
-    with a coarser level (``_coarse_shape``), where a miss of its stop rule
-    raises SingularSystemError, else by a factor (``_newton_direction``),
-    which becomes ``lu`` and dies with the call.  ``R0``, when given, is the
+    is solved (``_newton_direction``): on a grid with a coarser level
+    (``_coarse_shape``) by GMRES, preconditioned by the ring-mean mode blocks
+    of the first Krylov step, which become ``lu`` and serve every later step
+    (no chord steps there), and where a miss with a fresh preconditioner
+    raises SingularSystemError; else by a factor, which becomes ``lu``.
+    Either way ``lu`` dies with the call.  ``R0``, when given, is the
     residual at v0 against prob.f, which the solve then does not evaluate
     again.
     """
@@ -406,7 +424,8 @@ def newton_solve(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
         raise ValueError("initial guess must be finite")
     t0 = time.perf_counter()
     R = residual(v, prob) if R0 is None else R0
-    lu = None  # factor of an earlier iterate's J, for chord steps
+    krylov = _coarse_shape(grid) is not None
+    lu = None  # an earlier iterate's factor: of J for chord steps, else GMRES's preconditioner
     eig_lo = R.eig_range[0]
     if eig_lo <= 0.0:
         raise NonConvexError(
@@ -429,14 +448,14 @@ def newton_solve(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
                     report=stage,
                 )
             alpha, trial = 1.0, None
-            if lu is not None:
+            if lu is not None and not krylov:
                 trial = _trial(v, lu.solve(-R.full.ravel()).reshape(v.shape), prob, cfg)
                 if trial[2] <= CHORD_CONTRACTION * rnorm:
                     stage.krylov_iters.append(0)
                 else:  # one factor at a time: free it before the next is built
                     trial = lu = None
             if trial is None:
-                delta, lu = _newton_direction(v, R, prob, stage)
+                delta, lu = _newton_direction(v, R, prob, stage, lu)
                 while not (trial := _trial(v, alpha * delta, prob, cfg))[2] < rnorm:
                     alpha *= 0.5
                     if alpha < cfg.min_step:

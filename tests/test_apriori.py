@@ -215,6 +215,23 @@ class TestVerify:
         assert lam_computed == pytest.approx(lam * computed, rel=1e-12, abs=0.0)
         assert lam_bound == pytest.approx(lam * bound, rel=1e-12, abs=0.0)
 
+    def test_rim_identities_are_decided_at_any_scale(self, spec, pq31):
+        # a rim ring bent in phi breaks both rim identities; moved to max h in
+        # [2^1023, 2^1024), their values and bounds overflow to inf (on 16^2,
+        # 10 spacing^2 > 1), and the checks, decided on h 2^-k, still fail
+        grid = cm.PolarGrid(spec, 16, 16)
+        R, PHI = grid.mesh()
+        h = cm.l_field(grid) * (1.0 + 0.3 * (R / R.max()) ** 8 * np.cos(3 * PHI))
+        prob = ProblemSpec(grid=grid, pq=pq31, f=start_density(grid, pq31))
+        top = np.ldexp(h, 1024 - math.frexp(h.max())[1])
+        assert 2.0**1023 <= top.max() < math.inf
+        for field in (h, top):
+            report = cm.verify(cm.SupportField(h=field, grid=grid), prob)
+            for name in ("boundary_h_mixed", "boundary_u_identity"):
+                assert not report[name].passed, (field.max(), name)
+        assert all(report[name].value == report[name].bound == math.inf
+                   for name in ("boundary_h_mixed", "boundary_u_identity"))
+
     def test_gradient_of_a_huge_solution_is_finite(self, tmp_path, capsys):
         # theta 3.03 deg with p - q = 0.0212 solves to max h near 3.4e238,
         # whose squared frame gradient overflowed: verify warned and read inf

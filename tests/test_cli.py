@@ -96,6 +96,20 @@ class TestSolveVerify:
         out, err = capsys.readouterr()
         assert err == "" and "measure_consistency" in out and "overall: FAIL" in out
 
+    def test_overflowed_gradient_fails(self, tmp_path, capsys):
+        # one node at 1e308 overflows max |grad h| to inf, and the bound
+        # (1 + rel_tol) max h / sin(theta) with it; decided on h / max h, it fails
+        cli.main(["solve", "--config", str(write_config(tmp_path))])
+        sol = tmp_path / "run.solution.json"
+        doc = json.loads(sol.read_text())
+        doc["h"][3][4] = 1e308
+        sol.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main(["verify", "--solution", str(sol)]) == 1
+        row = next(line.split() for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("gradient "))
+        assert row[1] == "inf" and row[-1] == "FAIL"
+
     def test_round_trip_residual(self, tmp_path):
         cfg = write_config(tmp_path)
         cli.main(["solve", "--config", str(cfg)])

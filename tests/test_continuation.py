@@ -833,39 +833,141 @@ class TestNested:
         assert doc["tols"][-1] == continuation.effective_tolerance(cfg, prob64.grid, v0)
         assert doc["final_residual"] <= doc["tols"][-1]
 
-    @pytest.mark.parametrize("atol_over_rtol_bound", [0.5, 1000.0])
-    def test_gmres_stops_at_the_larger_bound(self, grid48, pq31, atol_over_rtol_bound):
-        # GMRES stops once ||J delta + R||_2 <= max(KRYLOV_RTOL ||R||_2, atol),
-        # checked against the assembled Jacobian; an atol above the relative
-        # bound stops it after fewer iterations.  v is not axisymmetric, so
-        # the ring-mean preconditioner is not exact
+    @staticmethod
+    def near_solution(prob, eps):
+        """(v, R): prob's nested solution moved by eps times a mode-2 field that
+        is not constant on its rings, and its residual."""
+        sf, _ = cm.continuation_solve(prob)
+        R_, PHI = prob.grid.mesh()
+        v = np.log(sf.h) + eps * (np.sin(R_) / prob.grid.spec.sin_theta) ** 2 * np.cos(2 * PHI)
+        return v, ma_system.residual(v, prob)
+
+    @pytest.mark.parametrize("atol_over_eta_bound", [0.5, 1000.0])
+    def test_gmres_stops_at_the_larger_bound(self, grid48, pq31, atol_over_eta_bound):
+        # GMRES stops once ||J delta + R||_2 <= max(eta ||R||_2, atol), with
+        # the forcing term eta = min(KRYLOV_ETA_MAX, ||R||_inf) tied to the
+        # residual, checked against the assembled Jacobian; an atol above the
+        # relative bound stops it after fewer iterations.  v is not
+        # axisymmetric, so the ring-mean preconditioner is not exact
         R_, PHI = grid48.mesh()
         shape = (np.sin(R_) / grid48.spec.sin_theta) ** 2 * np.cos(2 * PHI)
         prob = ProblemSpec(grid=grid48, pq=pq31, f=1.0 + 0.3 * shape)
-        R = ma_system.residual(np.log(cm.l_field(grid48)) - 0.05 * shape, prob)
+        _, R = self.near_solution(prob, 1e-3)
+        eta = min(continuation.KRYLOV_ETA_MAX, R.max_norm())
+        assert eta < continuation.KRYLOV_ETA_MAX  # the residual's branch of the forcing term
         J = grid48.ops.combination(**ma_system.jacobian_coefficients(R, prob))
         rhs = -R.full.ravel()
-        rtol_bound = continuation.KRYLOV_RTOL * np.linalg.norm(rhs)
-        atol = atol_over_rtol_bound * rtol_bound
-        delta, iters, bound = continuation._gmres_solve(rhs, R, prob, atol=atol)
-        assert bound == max(atol, rtol_bound)
+        eta_bound = eta * np.linalg.norm(rhs)
+        atol = atol_over_eta_bound * eta_bound
+        delta, iters, bound, _ = continuation._gmres_solve(rhs, R, prob, eta, atol)
+        assert bound == max(atol, eta_bound)
         assert np.linalg.norm(J @ delta - rhs) <= bound
-        _, iters_rtol, _ = continuation._gmres_solve(rhs, R, prob, atol=0.0)
-        assert (iters < iters_rtol) == (atol > rtol_bound)
+        _, iters_eta, _, _ = continuation._gmres_solve(rhs, R, prob, eta, 0.0)
+        assert (iters < iters_eta) == (atol > eta_bound)
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-3])
     def test_gmres_miss_names_the_bound_it_missed(self, prob64, monkeypatch, tol):
-        # tol 1e-12 leaves the relative bound in force, 1e-3 the absolute one
+        # near the solution the forcing term eta is ||R||_inf, and eta ||R||_2 is
+        # about 1e-7: tol 1e-12 leaves the relative bound in force, 1e-3 the
+        # absolute one
+        v, R = self.near_solution(prob64, 1e-4)
         monkeypatch.setattr(continuation.spla, "gmres", lambda A, b, **kwargs: (0.0 * b, 1))
-        v = np.log(cm.l_field(prob64.grid))
-        R = ma_system.residual(v, prob64)
         stage = continuation.NewtonStage(t=1.0, tol=tol)
         with pytest.raises(SingularSystemError) as exc:
             continuation._newton_direction(v, R, prob64, stage)
-        bound = max(continuation.KRYLOV_RTOL * np.linalg.norm(R.full),
-                    continuation.KRYLOV_TOL_SHARE * tol)
-        assert f"GMRES missed its bound {bound:.3e}" in str(exc.value)
+        eta = R.max_norm()
+        assert eta < continuation.KRYLOV_ETA_MAX
+        eta_bound, atol = eta * np.linalg.norm(R.full), continuation.KRYLOV_TOL_SHARE * tol
+        assert (atol > eta_bound) == (tol == 1e-3)
+        assert f"GMRES missed its bound {max(eta_bound, atol):.3e}" in str(exc.value)
+        assert f"eta {eta:.3e}" in str(exc.value)
         assert exc.value.best_v is v and exc.value.report is stage
+
+    @pytest.fixture(scope="class")
+    def harmonic64(self, spec, pq31):
+        grid = cm.PolarGrid(spec, 64, 64)
+        f_spec = {"type": "harmonic", "base": 1.0, "amplitude": 0.2, "m": 2}
+        return ProblemSpec(grid=grid, pq=pq31, f=cli.density_from_spec(f_spec, grid, pq31))
+
+    @staticmethod
+    def record_mode_systems(monkeypatch):
+        """The coefficients of every ``FrameOps.mode_system`` call from here on, by grid shape."""
+        real, calls = cm.cap_chart.FrameOps.mode_system, []
+
+        def mode_system(ops, **coeffs):
+            calls.append((ops.shape, coeffs))
+            return real(ops, **coeffs)
+
+        monkeypatch.setattr(cm.cap_chart.FrameOps, "mode_system", mode_system)
+        return calls
+
+    def test_one_preconditioner_per_newton_solve(self, harmonic64, monkeypatch):
+        # the 64^2 Newton solve builds its mode blocks for its first step and
+        # preconditions every later step with them
+        calls = self.record_mode_systems(monkeypatch)
+        _, rep = cm.continuation_solve(harmonic64)
+        fine = rep.stages[-1]
+        assert fine.grid == [64, 64] and fine.iterations >= 2 and rep.rejected == []
+        assert [shape for shape, _ in calls].count((64, 64)) == 1
+        assert len(fine.krylov_iters) == fine.iterations and min(fine.krylov_iters) > 0
+
+    def test_gmres_rtol_is_the_forcing_term(self, harmonic64, monkeypatch):
+        # each 64^2 step hands GMRES rtol = min(KRYLOV_ETA_MAX, ||R||_inf) of its iterate
+        real, rtols = continuation.spla.gmres, []
+
+        def gmres(A, b, **kwargs):
+            rtols.append(kwargs["rtol"])
+            return real(A, b, **kwargs)
+
+        monkeypatch.setattr(continuation.spla, "gmres", gmres)
+        _, rep = cm.continuation_solve(harmonic64)
+        fine = rep.stages[-1]
+        assert fine.grid == [64, 64] and fine.iterations >= 2
+        assert rtols == [min(continuation.KRYLOV_ETA_MAX, r) for r in fine.residuals[:-1]]
+        assert max(rtols) < continuation.KRYLOV_ETA_MAX
+
+    def test_carried_preconditioner_miss_rebuilds_it_once(self, harmonic64, monkeypatch):
+        # a forced miss of the second step, which runs on the first step's mode
+        # blocks, rebuilds them from the second iterate's coefficients and
+        # reruns GMRES; the solve goes on without a fallback
+        real_gmres, real_solve = continuation.spla.gmres, continuation._gmres_solve
+        calls, events = self.record_mode_systems(monkeypatch), []
+
+        def gmres(A, b, **kwargs):
+            events.append("gmres")
+            miss = events.count("gmres") == 2
+            return (0.0 * b, 1) if miss else real_gmres(A, b, **kwargs)
+
+        def gmres_solve(rhs, R, *args):
+            events.append(R)
+            return real_solve(rhs, R, *args)
+
+        monkeypatch.setattr(continuation.spla, "gmres", gmres)
+        monkeypatch.setattr(continuation, "_gmres_solve", gmres_solve)
+        _, rep = cm.continuation_solve(harmonic64)
+        assert rep.rejected == []
+        fine = rep.stages[-1]
+        assert fine.grid == [64, 64] and fine.converged
+        steps = [e for e in events if not isinstance(e, str)]
+        assert [e if isinstance(e, str) else "step" for e in events[:5]] == \
+            ["step", "gmres", "step", "gmres", "gmres"]
+        assert len(steps) == fine.iterations == len(fine.krylov_iters)
+        fine_calls = [coeffs for shape, coeffs in calls if shape == (64, 64)]
+        assert len(fine_calls) == 2
+        rebuilt = ma_system.jacobian_coefficients(steps[1], harmonic64)
+        assert rebuilt.keys() == fine_calls[1].keys()
+        assert all(np.array_equal(rebuilt[k], fine_calls[1][k]) for k in rebuilt)
+
+    def test_first_step_miss_raises_with_the_start(self, harmonic64, monkeypatch):
+        # a miss with a preconditioner built at the start rebuilds nothing
+        v0 = np.log(cm.l_field(harmonic64.grid))
+        monkeypatch.setattr(continuation.spla, "gmres", lambda A, b, **kwargs: (0.0 * b, 1))
+        calls = self.record_mode_systems(monkeypatch)
+        with pytest.raises(SingularSystemError) as exc:
+            continuation.newton_solve(v0, harmonic64, cm.SolverConfig())
+        assert "GMRES missed" in str(exc.value)
+        assert np.array_equal(exc.value.best_v, v0) and exc.value.report.iterations == 0
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("shape, chain", [
         ((38, 38), []),
