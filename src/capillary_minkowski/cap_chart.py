@@ -28,7 +28,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack, solve_banded
 
 
@@ -161,15 +160,6 @@ class FrameOps:
             t = self.stencils[name]
             values[slots[name]] += np.reshape(c, self.shape)[t.ring] * t.weight[:, None]
         return _with_data(pattern, values.ravel()[pattern.data])
-
-    def ordered(self, J: sp.csc_matrix) -> sp.csc_matrix:
-        """P^T J P for a J that ``combination`` assembled, P the fill-reducing
-        order of ``layout.ordering``: one gather of J.data into the permuted
-        pattern, which shares the layout's read-only indices and indptr."""
-        if J.indices is not self.layout.union[2].indices:
-            raise ValueError("J was not assembled on this grid's Jacobian pattern")
-        pattern = self.layout.ordering[2]
-        return _with_data(pattern, J.data[pattern.data])
 
     def combination_product(self, **coeffs: np.ndarray):
         """x -> combination(**coeffs) @ x, applied without assembly as the sum of
@@ -526,12 +516,7 @@ class TableLayout:
     - ``union``: for each ``stencils`` table its slots in the union of all
       their entries, the union's size, and the CSC matrix of
       ``FrameOps.combination`` with, as its data, the place (union entry,
-      angle) of each stored entry in the summed values;
-    - ``ordering``: the minimum-degree order ``perm`` of the ``union``
-      pattern on J^T + J (SuperLU's ``MMD_AT_PLUS_A``), its inverse, and
-      the CSC matrix of the permuted Jacobian P^T J P, whose entry
-      (perm[i], perm[j]) is J[i, j], with, as its data, the place of each
-      stored entry in J.data.
+      angle) of each stored entry in the summed values.
     """
 
     def __init__(self, shape: tuple, key: tuple, stencils: tuple, matrices: tuple):
@@ -591,31 +576,6 @@ class TableLayout:
         pattern = _expand(Stencil(*np.divmod(ring_src, Nr), shift, None), Nr, Nphi,
                           place.reshape(-1, Nphi)).tocsc()
         return slots, union.size, _frozen(pattern)
-
-    @cached_property
-    def ordering(self) -> tuple:
-        """Ordered from the pattern alone, by one SuperLU call that orders and
-        factors nothing: ``spilu`` that drops every entry, in the symmetric
-        mode of the Newton steps' factors, of a diagonally dominant matrix
-        with this pattern.  Its order is the one ``splu`` computes for a
-        Jacobian of the pattern, whatever the values."""
-        pattern = self.union[2]
-        N, nnz = pattern.shape[0], pattern.nnz
-        row, col = pattern.indices, np.repeat(np.arange(N), np.diff(pattern.indptr))
-        degree = np.bincount(row, minlength=N)
-        dominant = _with_data(pattern, np.where(row == col, 2.0 * degree[row], -1.0))
-        # relax and panel_size 1: no supernodes for a factor that is thrown
-        # away; a copy, as perm_c is a view that keeps the whole factor alive
-        perm = spla.spilu(dominant, drop_tol=1e300, permc_spec="MMD_AT_PLUS_A", relax=1,
-                          panel_size=1, options=dict(SymmetricMode=True)).perm_c.copy()
-        place = np.argsort(perm[col] * np.int64(N) + perm[row])  # CSC order of P^T J P
-        indptr = np.zeros(N + 1, dtype=pattern.indptr.dtype)
-        np.cumsum(np.bincount(perm[col], minlength=N), out=indptr[1:])
-        permuted = sp.csc_matrix((place.astype(_entry_dtype(nnz)),
-                                  perm[row][place].astype(pattern.indices.dtype), indptr),
-                                 shape=(N, N))
-        permuted.has_sorted_indices = True
-        return *_read_only(perm, np.argsort(perm).astype(perm.dtype)), _frozen(permuted)
 
 
 class ShapeLayout:

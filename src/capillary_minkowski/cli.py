@@ -155,6 +155,9 @@ def parse_config(doc: dict) -> RunConfig:
         out = doc.get("output", {})
         if not (isinstance(out, dict) and all(isinstance(v, str) for v in out.values())):
             raise ValueError("'output' must map 'solution'/'report' to file paths")
+        for name in ("solver", "schedule"):
+            if not isinstance(doc.get(name, {}), dict):
+                raise ValueError(f"{name!r} must be an object of {name} settings")
         return RunConfig(spec=spec, pq=ExponentPair(p=p, q=q), Nr=Nr, Nphi=Nphi,
                          f_spec=f_spec, solver=SolverConfig(**doc.get("solver", {})),
                          schedule=HomotopySchedule(**doc.get("schedule", {})), raw=doc)

@@ -11,9 +11,9 @@ and each finer level starts one Newton solve at t = 1 from the resampled
 solution.  The grid picks the linear solve: GMRES where a coarser level
 exists, stopped by a forcing term tied to the residual and preconditioned by
 angular-mode blocks that one Newton solve builds once, else a factorization
-(the angular-mode blocks at a v constant on every ring, SuperLU at any
-other), which one Newton solve keeps for chord steps while these contract
-fast enough.
+(the angular-mode blocks at a v constant on every ring, SuperLU in its own
+fill-reducing order at any other), which one Newton solve keeps for chord
+steps while these contract fast enough.
 """
 
 from __future__ import annotations
@@ -144,6 +144,8 @@ class HomotopySchedule:
         if not 0.0 < self.min_step <= 1.0:
             raise ValueError("min_step must lie in (0, 1]")
         if self.t_values is not None:
+            if not isinstance(self.t_values, (list, tuple)):
+                raise ValueError(f"t_values must be a list of numbers, got {self.t_values!r}")
             ts = tuple(as_real(t, "t_values entry") for t in self.t_values)
             if len(ts) < 2 or ts[0] != 0.0 or ts[-1] != 1.0 \
                     or any(b <= a for a, b in zip(ts, ts[1:])):
@@ -335,20 +337,6 @@ def _trial(v: np.ndarray, delta: np.ndarray, prob: ProblemSpec,
     return v_new, R_new, R_new.max_norm() if lo >= cfg.convexity_floor_rel * hi else np.inf
 
 
-@dataclass(frozen=True)
-class OrderedFactor:
-    """The SuperLU factor ``lu`` of P^T J P, P the grid's fill-reducing order
-    (``TableLayout.ordering``: entry (perm[i], perm[j]) is J[i, j]); ``solve``
-    solves J x = b with it."""
-
-    lu: object
-    perm: np.ndarray
-    inverse: np.ndarray
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return self.lu.solve(b[self.inverse])[self.perm]
-
-
 def _newton_direction(v: np.ndarray, R: ResidualVector, prob: ProblemSpec,
                       stage: NewtonStage, precond=None) -> tuple[np.ndarray, object]:
     """(delta, factor): delta solves J delta = -R with the exact J at v.  On a
@@ -364,9 +352,8 @@ def _newton_direction(v: np.ndarray, R: ResidualVector, prob: ProblemSpec,
     bit: every homotopy start h = l, every n = 1 grid, axisymmetric solves) J
     commutes with rotations in phi, so it is the ``ModeFactor`` of
     ``mode_system``, the banded LU of J's angular-mode blocks.  At any other
-    v it is the ``OrderedFactor`` of the assembled J (``jacobian``): SuperLU
-    factors J permuted into the grid shape's fill-reducing order, which is
-    computed once per layout, not per factorization."""
+    v it is SuperLU's factor of the assembled J (``jacobian``), in the
+    minimum-degree order on J^T + J that SuperLU computes for each factor."""
     rhs = -R.full.ravel()
     if _coarse_shape(prob.grid) is not None:
         eta, atol = min(KRYLOV_ETA_MAX, R.max_norm()), KRYLOV_TOL_SHARE * stage.tol
@@ -377,17 +364,15 @@ def _newton_direction(v: np.ndarray, R: ResidualVector, prob: ProblemSpec,
                 f"{eta:.3e} times ||R||_2 and atol {atol:.3e}) in {iters} iterations",
                 best_v=v, report=stage)
     else:
-        ops = prob.grid.ops
         if np.all(v == v[:, :1]):
-            lu = ops.mode_system(**jacobian_coefficients(R, prob))
+            lu = prob.grid.ops.mode_system(**jacobian_coefficients(R, prob))
         else:
-            J = ops.ordered(jacobian(R, prob))
             try:
-                lu = spla.splu(J, permc_spec="NATURAL", diag_pivot_thresh=DIAG_PIVOT_THRESH,
+                lu = spla.splu(jacobian(R, prob), permc_spec="MMD_AT_PLUS_A",
+                               diag_pivot_thresh=DIAG_PIVOT_THRESH,
                                options=dict(SymmetricMode=True))
             except RuntimeError as exc:  # SuperLU signals exact singularity this way
                 raise SingularSystemError(str(exc), best_v=v, report=stage) from exc
-            lu = OrderedFactor(lu, *ops.layout.ordering[:2])
         stage.factorizations += 1
         delta, iters = lu.solve(rhs), 0
     stage.krylov_iters.append(iters)
@@ -413,7 +398,8 @@ def newton_solve(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
     (``_coarse_shape``) by GMRES, preconditioned by the ring-mean mode blocks
     of the first Krylov step, which become ``lu`` and serve every later step
     (no chord steps there), and where a miss with a fresh preconditioner
-    raises SingularSystemError; else by a factor, which becomes ``lu``.
+    raises SingularSystemError; else by a factor (the mode blocks' banded LU
+    or SuperLU's ``SuperLU`` object), which becomes ``lu``.
     Either way ``lu`` dies with the call.  ``R0``, when given, is the
     residual at v0 against prob.f, which the solve then does not evaluate
     again.

@@ -224,6 +224,8 @@ class TestValidation:
         {"f": {"type": "homotopy-start", "scale": 1e-300}},  # scale^(q-p) overflows
         {"p": 1e308, "f": {"type": "homotopy-start"}},  # the f-spec itself overflows
         {"theta": 1e-320, "theta_unit": "rad"},  # sin r is denormal, so cot r overflows
+        {"solver": [1]},
+        {"schedule": [1]},
     ])
     def test_malformed_config_one_line(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path, **overrides)
@@ -233,6 +235,9 @@ class TestValidation:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert [str(w.message) for w in caught] == []
+        # a section that is not an object is refused by its name
+        assert all(repr(key) in err for key, value in overrides.items()
+                   if key in ("grid", "output", "solver", "schedule") and not isinstance(value, dict))
 
     @pytest.mark.parametrize("path, value", [
         (("n",), 1.5), (("n",), True), (("grid", "Nr"), 16.7), (("grid", "Nphi"), 16.5),
@@ -260,6 +265,7 @@ class TestValidation:
         ("schedule", "t_values", "01"), ("schedule", "min_step", True),
         ("schedule", "t_values", [0, float("nan"), 1]), ("solver", "tol", float("inf")),
         ("solver", "min_step", float("nan")), ("schedule", "min_step", float("-inf")),
+        ("schedule", "t_values", 5),
     ])
     def test_non_numeric_solver_settings_refused(self, tmp_path, capsys, no_solve,
                                                  section, key, value):

@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -485,8 +484,8 @@ def harmonic_problem(theta_deg, N, amplitude):
 
 class TestSymmetricPivoting:
     """SuperLU factors J in symmetric mode: diagonal pivots unless one falls
-    below DIAG_PIVOT_THRESH of its column's largest entry.  It factors J in
-    the fill-reducing order of the grid shape's layout."""
+    below DIAG_PIVOT_THRESH of its column's largest entry.  It orders each J
+    itself, by minimum degree on J^T + J."""
 
     @pytest.mark.parametrize("N", [16, 24, 32])
     @pytest.mark.parametrize("theta_deg", [5.0, 45.0, 85.0])
@@ -502,13 +501,13 @@ class TestSymmetricPivoting:
             J = ma_system.jacobian(R, prob)
             ref = continuation.spla.splu(J, permc_spec="MMD_AT_PLUS_A").solve(-R.full.ravel())
             assert np.abs(delta.ravel() - ref).max() <= 1e-12 * np.abs(ref).max()
-            assert np.array_equal(lu.lu.perm_r, lu.lu.perm_c)  # every pivot diagonal
-            # the layout's order is the one SuperLU computes for J: same fill and,
-            # to roundoff, the same direction as ordering J on every call
+            assert np.array_equal(lu.perm_r, lu.perm_c)  # every pivot diagonal
+            # the step's factor is SuperLU's symmetric-mode factor of J in its
+            # own order: same fill and, to roundoff, the same direction
             own = continuation.spla.splu(J, permc_spec="MMD_AT_PLUS_A",
                                          diag_pivot_thresh=continuation.DIAG_PIVOT_THRESH,
                                          options=dict(SymmetricMode=True))
-            assert lu.lu.nnz == own.nnz
+            assert lu.nnz == own.nnz and np.array_equal(lu.perm_c, own.perm_c)
             own_delta = own.solve(-R.full.ravel())
             assert np.abs(delta.ravel() - own_delta).max() <= 1e-12 * np.abs(own_delta).max()
 
@@ -532,14 +531,14 @@ class TestSymmetricPivoting:
         R = ma_system.ResidualVector(full=rhs, bad_nodes=np.array([], dtype=int))
         delta, lu = continuation._newton_direction(v_off_ring, R, prob_harmonic,
                                                    continuation.NewtonStage(t=1.0))
-        assert not np.array_equal(lu.lu.perm_r, lu.lu.perm_c)
+        assert not np.array_equal(lu.perm_r, lu.perm_c)
         assert np.abs(J @ delta.ravel() + rhs.ravel()).max() <= 1e-12 * np.abs(rhs).max()
 
     def test_solve_does_not_depend_on_what_the_process_solved_before(self):
-        # the factor's order comes from the layout's pattern alone, so a 32^2
-        # solve writes the same h with no layout kept, after solves at other
-        # theta on its shape, and after LAYOUT_SHAPES other shapes evicted its
-        # layout; each solve builds its own grid
+        # the layout's merges are shared by every grid of its shape, whatever
+        # built them, so a 32^2 solve writes the same h with no layout kept,
+        # after solves at other theta on its shape, and after LAYOUT_SHAPES
+        # other shapes evicted its layout; each solve builds its own grid
         cm.cap_chart.shape_layout.cache_clear()
         fresh = cm.continuation_solve(harmonic_problem(60.0, 32, 0.3))[0].h
         for theta_deg in (30.0, 75.0):
@@ -551,17 +550,6 @@ class TestSymmetricPivoting:
         assert cm.cap_chart.shape_layout(32, 32) is not kept
         evicted = cm.continuation_solve(harmonic_problem(60.0, 32, 0.3))[0].h
         assert fresh.tobytes() == after_thetas.tobytes() == evicted.tobytes()
-
-    def test_jacobian_off_the_layout_pattern_is_refused(self, grid32, prob_harmonic, v_off_ring,
-                                                        monkeypatch):
-        # the factor gathers J.data through the layout's places, which only
-        # mean something for a J assembled on the layout's own pattern
-        J = sp.identity(grid32.size, format="csc")
-        monkeypatch.setattr(continuation, "jacobian", lambda R, prob: J)
-        R = ma_system.residual(v_off_ring, prob_harmonic)
-        with pytest.raises(ValueError, match="Jacobian pattern"):
-            continuation._newton_direction(v_off_ring, R, prob_harmonic,
-                                           continuation.NewtonStage(t=1.0))
 
 
 class TestModeSteps:
@@ -614,18 +602,26 @@ class TestModeSteps:
         # factor of either kind is freed before the next one is built
         real, refs, kinds, held = continuation._newton_direction, [], [], []
 
+        class Held:  # SuperLU's factor takes no weak reference, so the solve holds this
+            def __init__(self, factor):
+                self.factor = factor
+
+            def solve(self, rhs):
+                return self.factor.solve(rhs)
+
         def direction(*args):
             held.append(sum(ref() is not None for ref in refs))
             delta, factor = real(*args)
             kinds.append(type(factor))
-            refs.append(weakref.ref(factor))  # a ModeFactor is unhashable, so no WeakSet
+            factor = Held(factor)
+            refs.append(weakref.ref(factor))
             return delta, factor
 
         monkeypatch.setattr(continuation, "_newton_direction", direction)
         _, rep = cm.continuation_solve(prob_harmonic)
         assert rep.t_steps == [1.0] and len(refs) == sum(s.factorizations for s in rep.stages)
         assert len(kinds) >= 2 and kinds[0] is cm.cap_chart.ModeFactor
-        assert set(kinds[1:]) == {continuation.OrderedFactor}
+        assert set(kinds[1:]) == {continuation.spla.SuperLU}
         assert held == [0] * len(held)
         assert all(ref() is None for ref in refs)  # the last factor dies with the solve
 
