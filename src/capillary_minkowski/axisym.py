@@ -31,6 +31,13 @@ from .errors import (
 )
 from .ma_system import ProblemSpec
 
+# The oracle solves the radial problem to the relative residual RADIAL_TOL
+# (``_rows``) on ORACLE_RESOLUTION times the 2D grid's radial nodes, at least
+# 64: both keep the 1D errors far below the O(dr^2) error of the 2D solve,
+# which the mismatch then measures.
+RADIAL_TOL = 1e-10
+ORACLE_RESOLUTION = 4
+
 
 @dataclass
 class RadialProblem:
@@ -162,14 +169,14 @@ def _radial_jacobian(h: np.ndarray, prob: RadialProblem, f: np.ndarray) -> np.nd
     return ab
 
 
-def _radial_newton(h0, prob, f, tol, max_iter=40, min_step=1e-8):
+def _radial_newton(h0, prob, f, max_iter=40, min_step=1e-8):
     """Newton on ``radial_residual`` with a backtracking line search on the
-    relative max-norm of ``_rows``, until that is at most tol, or at its
+    relative max-norm of ``_rows``, until that is at most RADIAL_TOL, or at its
     roundoff floor where the line search stalls."""
     h = h0.copy()
     res, rel, floor = _rows(h, prob, f)
     for _ in range(max_iter):
-        if rel <= tol:
+        if rel <= RADIAL_TOL:
             return h
         try:
             delta = solve_banded((2, 2), _radial_jacobian(h, prob, f), -res,
@@ -191,27 +198,27 @@ def _radial_newton(h0, prob, f, tol, max_iter=40, min_step=1e-8):
                     f"1D line search stalled (relative residual {rel:.3e})", best_v=h
                 )
         h, res, rel, floor = h_new, res_new, rel_new, floor_new
-    if rel <= max(tol, floor):
+    if rel <= max(RADIAL_TOL, floor):
         return h
     raise MaxIterationsError(f"1D Newton did not converge (relative residual {rel:.3e})",
                              best_v=h)
 
 
-def radial_solve(prob: RadialProblem, tol: float = 1e-10) -> np.ndarray:
-    """Solve the radial problem by Newton along the density homotopy from h = s l,
-    which solves s^(q-p) f0 exactly; s matches that to f in geometric mean."""
+def radial_solve(prob: RadialProblem) -> np.ndarray:
+    """Solve the radial problem to RADIAL_TOL by Newton along the density homotopy
+    from h = s l, which solves s^(q-p) f0 exactly; s matches that to f in geometric mean."""
     f0 = radial_start_density(prob)
     s = np.exp(np.mean(np.log(f0 / prob.f)) / (prob.pq.p - prob.pq.q))
     h = s * (1.0 - prob.cap.cos_theta * np.cos(prob.r))
     f0 = s ** (prob.pq.q - prob.pq.p) * f0
     t, dt = 0.0, 0.25
     while t < 1.0:
-        if _rows(h, prob, prob.f)[1] <= tol:
+        if _rows(h, prob, prob.f)[1] <= RADIAL_TOL:
             return h
         t_try = min(1.0, t + dt)
         f_t = (1.0 - t_try) * f0 + t_try * prob.f
         try:
-            h = _radial_newton(h, prob, f_t, tol)
+            h = _radial_newton(h, prob, f_t)
         except (LineSearchStallError, MaxIterationsError, SingularSystemError):
             dt *= 0.5
             if dt < 2.0**-10:
@@ -239,13 +246,7 @@ class OracleCompareReport:
     fine_nodes: int
 
 
-def oracle_compare(
-    prob: ProblemSpec,
-    h2d: SupportField,
-    f_radial=None,
-    resolution_factor: int = 4,
-    tol: float = 1e-10,
-) -> OracleCompareReport:
+def oracle_compare(prob: ProblemSpec, h2d: SupportField, f_radial=None) -> OracleCompareReport:
     """Interpolate the 1D solution onto the 2D radii and report the mismatch.
 
     ``f_radial``, when given, supplies the exact radial density profile;
@@ -256,12 +257,12 @@ def oracle_compare(
     f = prob.f
     require_axisymmetric(f)
 
-    num = max(int(np.ceil(resolution_factor * grid.spec.theta / grid.dr)) + 1, 64)
+    num = max(int(np.ceil(ORACLE_RESOLUTION * grid.spec.theta / grid.dr)) + 1, 64)
     if f_radial is None:
         def f_radial(r):
             return not_a_knot(grid.r, f.mean(axis=1), r)
     rp = RadialProblem.from_callable(grid.spec, prob.pq, f_radial, num)
-    h1d = radial_solve(rp, tol=tol)
+    h1d = radial_solve(rp)
     h_on_rings = not_a_knot(rp.r, h1d, grid.r)
 
     diff = h2d.h - h_on_rings[:, None]

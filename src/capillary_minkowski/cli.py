@@ -69,6 +69,17 @@ class RunConfig:
     raw: dict
 
 
+def _known_keys(doc, known: set, where: str) -> dict:
+    """doc, refused unless it is an object of keys in known: read as absent, a
+    misspelt or a retired key would run the defaults instead."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be an object with keys among {sorted(known)}")
+    for key in doc:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r} in {where}")
+    return doc
+
+
 def _angle_from(doc: dict) -> float:
     theta = as_real(doc["theta"], "theta")
     unit = doc.get("theta_unit", "rad")
@@ -79,20 +90,24 @@ def _angle_from(doc: dict) -> float:
 
 @np.errstate(all="ignore")  # an overflow shows as a value refused later, not a warning
 def density_from_spec(f_spec: dict, grid: PolarGrid, pq: ExponentPair) -> np.ndarray:
-    """Evaluate a density family on the grid; reject malformed specs and non-positive results."""
+    """Evaluate a density family on the grid; reject malformed specs (unknown keys included)
+    and non-positive results."""
     kind = f_spec.get("type")
     r = grid.r[:, None]
     phi = grid.phi[None, :]
     try:
         if kind == "constant":
+            _known_keys(f_spec, {"type", "value"}, "'f'")
             f = np.full(grid.shape, as_real(f_spec["value"], "value"))
         elif kind == "radial":
+            _known_keys(f_spec, {"type", "coeffs", "times_start_density"}, "'f'")
             coeffs = [as_real(c, "coeffs entry") for c in f_spec["coeffs"]]
             poly = sum(c * np.cos(r) ** k for k, c in enumerate(coeffs))
             f = np.broadcast_to(poly, grid.shape).copy()
             if f_spec.get("times_start_density", False):
                 f = f * start_density(grid, pq)
         elif kind == "harmonic":
+            _known_keys(f_spec, {"type", "base", "amplitude", "m", "radial_mode"}, "'f'")
             base = as_real(f_spec["base"], "base")
             amp = as_real(f_spec["amplitude"], "amplitude")
             m = as_count(f_spec["m"], "m")
@@ -103,6 +118,7 @@ def density_from_spec(f_spec: dict, grid: PolarGrid, pq: ExponentPair) -> np.nda
             f = base * (1.0 + amp * shape_fn)
             f = np.broadcast_to(f, grid.shape).copy()
         elif kind == "homotopy-start":
+            _known_keys(f_spec, {"type", "scale"}, "'f'")
             scale = as_real(f_spec.get("scale", 1.0), "scale")
             if scale <= 0.0:
                 raise ValueError("scale must be positive")
@@ -136,31 +152,28 @@ def load_config(path: str) -> RunConfig:
 
 
 def parse_config(doc: dict) -> RunConfig:
-    """Validate a config document; every malformed entry raises ConfigError."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
+    """Validate a config document; every malformed entry or unknown key raises ConfigError."""
     try:
+        _known_keys(doc, {"theta", "theta_unit", "n", "p", "q", "grid", "f", "output", "solver",
+                          "schedule"}, "the config")
         spec = CapSpec(theta=_angle_from(doc), n=as_count(doc.get("n", 2), "n"))
         p, q = as_real(doc["p"], "p"), as_real(doc["q"], "q")
         if not p > q:
             raise ValueError(f"exponents must satisfy p > q, got p={p}, q={q}")
-        gdoc = doc.get("grid", {})
-        if not isinstance(gdoc, dict):
-            raise ValueError("'grid' must be an object with keys 'Nr' and 'Nphi'")
+        gdoc = _known_keys(doc.get("grid", {}), {"Nr", "Nphi"}, "'grid'")
         Nr = as_count(gdoc.get("Nr", 64), "Nr")
         Nphi = as_count(gdoc.get("Nphi", Nr), "Nphi")
         f_spec = doc.get("f")
         if not isinstance(f_spec, dict):
             raise ValueError("missing or malformed 'f' spec")
-        out = doc.get("output", {})
-        if not (isinstance(out, dict) and all(isinstance(v, str) for v in out.values())):
+        out = _known_keys(doc.get("output", {}), {"solution", "report"}, "'output'")
+        if not all(isinstance(v, str) for v in out.values()):
             raise ValueError("'output' must map 'solution'/'report' to file paths")
-        for name in ("solver", "schedule"):
-            if not isinstance(doc.get(name, {}), dict):
-                raise ValueError(f"{name!r} must be an object of {name} settings")
+        solver = _known_keys(doc.get("solver", {}), {"tol", "max_iter"}, "'solver'")
+        schedule = _known_keys(doc.get("schedule", {}), {"min_step"}, "'schedule'")
         return RunConfig(spec=spec, pq=ExponentPair(p=p, q=q), Nr=Nr, Nphi=Nphi,
-                         f_spec=f_spec, solver=SolverConfig(**doc.get("solver", {})),
-                         schedule=HomotopySchedule(**doc.get("schedule", {})), raw=doc)
+                         f_spec=f_spec, solver=SolverConfig(**solver),
+                         schedule=HomotopySchedule(**schedule), raw=doc)
     except _INPUT_ERRORS as exc:
         raise _input_error(exc) from None
 

@@ -4,8 +4,8 @@ h = l of the density homotopy f_t, with nested iteration across grids.
 The homotopy f_t = (1-t) f0 + t f interpolates from the start density f0
 (for which h = l solves the problem exactly) to the target f.  Each t-stage
 is solved by Newton with a backtracking line search on the max-norm of the
-residual.  By default the first stage is t = 1; each stage failure halves
-the t-step, so the march along f_t is the fallback.
+residual.  The first stage is t = 1; each stage failure halves the t-step,
+so the march along f_t is the fallback.
 On a grid with a coarser level the homotopy runs only on the coarsest level,
 and each finer level starts one Newton solve at t = 1 from the resampled
 solution.  The grid picks the linear solve: GMRES where a coarser level
@@ -48,7 +48,7 @@ from .ma_system import (ProblemSpec, ResidualVector, jacobian,  # noqa: F401
 # 20^2-23^2 level, which cut the sweep-small benchmark's solve_s from 0.83
 # to 0.62 s (medians of 10 runs each).  16 would also nest every 32^2-38^2
 # grid, but 32^2 grids are the homotopy fixtures of the chord, nested and
-# schedule tests, which would then test nested solves instead.
+# march tests, which would then test nested solves instead.
 NESTED_MIN_NPHI = 20
 
 # GMRES controls of a Krylov Newton step.  GMRES stops once the 2-norm of
@@ -89,6 +89,16 @@ CHORD_CONTRACTION = 0.1
 # and their fill went back to that of partial pivoting.
 DIAG_PIVOT_THRESH = 0.01
 
+# The line search gives up below this step length, after 20 halvings: a
+# direction that cuts the residual max-norm at no length down to a millionth
+# of the Newton step is no descent direction in float arithmetic.
+LINE_SEARCH_MIN_STEP = 1e-6
+
+# Every accepted iterate keeps lambda_min(B) >= this * lambda_max(B): a margin
+# 1e8 times the rounding of a computed eigenvalue, so lambda_min, and with it
+# log det B in the residual, is known to about 2e-8 relative.
+CONVEXITY_FLOOR_REL = 1e-8
+
 
 def as_count(value, name: str) -> int:
     """A setting that counts something: a number with an integral value (16 or
@@ -110,47 +120,30 @@ def as_real(value, name: str) -> float:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Newton controls: tolerance on the residual max-norm, damping, safeguards."""
+    """Newton controls: tolerance on the residual max-norm and the iteration cap."""
 
     tol: float = 1e-9
     max_iter: int = 30
-    min_step: float = 1e-6
-    convexity_floor_rel: float = 1e-8  # floor = rel * max eigenvalue of B
 
     def __post_init__(self):
-        for name in ("tol", "min_step", "convexity_floor_rel"):
-            object.__setattr__(self, name, as_real(getattr(self, name), name))
+        object.__setattr__(self, "tol", as_real(self.tol, "tol"))
         object.__setattr__(self, "max_iter", as_count(self.max_iter, "max_iter"))
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
-        if not 0.0 < self.min_step <= 1.0:
-            raise ValueError("min_step must lie in (0, 1]")
         if self.max_iter < 1:
             raise ValueError("max_iter must be an integer >= 1")
-        if not 0.0 <= self.convexity_floor_rel < 1.0:
-            raise ValueError("convexity_floor_rel must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
 class HomotopySchedule:
-    """Plan for the march in t: the explicit list t_values when given, else
-    steps from 1 halved on failure down to min_step."""
+    """The march in t: steps from 1, halved on failure down to min_step."""
 
     min_step: float = 2.0**-10
-    t_values: tuple | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "min_step", as_real(self.min_step, "min_step"))
         if not 0.0 < self.min_step <= 1.0:
             raise ValueError("min_step must lie in (0, 1]")
-        if self.t_values is not None:
-            if not isinstance(self.t_values, (list, tuple)):
-                raise ValueError(f"t_values must be a list of numbers, got {self.t_values!r}")
-            ts = tuple(as_real(t, "t_values entry") for t in self.t_values)
-            if len(ts) < 2 or ts[0] != 0.0 or ts[-1] != 1.0 \
-                    or any(b <= a for a, b in zip(ts, ts[1:])):
-                raise ValueError("explicit t_values must increase strictly from 0 to 1")
-            object.__setattr__(self, "t_values", ts)
 
 
 @dataclass
@@ -327,14 +320,14 @@ def _gmres_solve(rhs: np.ndarray, R, prob: ProblemSpec, rtol: float, atol: float
     return (M.solve(y) if info == 0 else None), iters, bound, M
 
 
-def _trial(v: np.ndarray, delta: np.ndarray, prob: ProblemSpec,
-           cfg: SolverConfig) -> tuple[np.ndarray, ResidualVector, float]:
+def _trial(v: np.ndarray, delta: np.ndarray,
+           prob: ProblemSpec) -> tuple[np.ndarray, ResidualVector, float]:
     """(v + delta, its residual, its merit): the residual max-norm, or +inf
-    when B(v + delta) breaks the convexity floor."""
+    when B(v + delta) breaks the floor CONVEXITY_FLOOR_REL."""
     v_new = v + delta
     R_new = residual(v_new, prob)
     lo, hi = R_new.eig_range
-    return v_new, R_new, R_new.max_norm() if lo >= cfg.convexity_floor_rel * hi else np.inf
+    return v_new, R_new, R_new.max_norm() if lo >= CONVEXITY_FLOOR_REL * hi else np.inf
 
 
 def _newton_direction(v: np.ndarray, R: ResidualVector, prob: ProblemSpec,
@@ -392,7 +385,7 @@ def newton_solve(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
     the factor before any other is built.  Otherwise the exact direction at v
     is line-searched by step halving until the merit falls strictly below the
     residual max-norm.  A trial's merit is its residual max-norm, or +inf when
-    B breaks the floor of convexity_floor_rel times its max eigenvalue, which
+    B breaks the floor of CONVEXITY_FLOOR_REL times its max eigenvalue, which
     every accepted iterate therefore keeps.  The grid picks how the exact J
     is solved (``_newton_direction``): on a grid with a coarser level
     (``_coarse_shape``) by GMRES, preconditioned by the ring-mean mode blocks
@@ -435,21 +428,19 @@ def newton_solve(v0: np.ndarray, prob: ProblemSpec, cfg: SolverConfig,
                 )
             alpha, trial = 1.0, None
             if lu is not None and not krylov:
-                trial = _trial(v, lu.solve(-R.full.ravel()).reshape(v.shape), prob, cfg)
+                trial = _trial(v, lu.solve(-R.full.ravel()).reshape(v.shape), prob)
                 if trial[2] <= CHORD_CONTRACTION * rnorm:
                     stage.krylov_iters.append(0)
                 else:  # one factor at a time: free it before the next is built
                     trial = lu = None
             if trial is None:
                 delta, lu = _newton_direction(v, R, prob, stage, lu)
-                while not (trial := _trial(v, alpha * delta, prob, cfg))[2] < rnorm:
+                while not (trial := _trial(v, alpha * delta, prob))[2] < rnorm:
                     alpha *= 0.5
-                    if alpha < cfg.min_step:
+                    if alpha < LINE_SEARCH_MIN_STEP:
                         raise LineSearchStallError(
                             f"line search stalled at step {alpha:.3e} (residual {rnorm:.3e})",
-                            best_v=v,
-                            report=stage,
-                        )
+                            best_v=v, report=stage)
             v, R, rnorm = trial
             stage.iterations += 1
             stage.residuals.append(rnorm)
@@ -466,25 +457,22 @@ def _homotopy(prob: ProblemSpec, cfg: SolverConfig, sched: HomotopySchedule,
               report: SolveReport, R0: ResidualVector | None = None) -> np.ndarray:
     """March the homotopy on prob's grid from h = l at t = 0 to t = 1.
 
-    The default schedule's first stage is t = 1.  ``R`` is the residual of
-    the current v against prob.f: within tolerance, the march jumps to the
-    end (a constant homotopy therefore costs a single Newton stage); shifted
-    to a stage's density, it is that stage's start residual.  It is ``R0``
-    at h = l when given, and is evaluated once after each accepted stage
-    below t = 1.  An explicit schedule visits its t values in order and
-    stalls on the first failed stage; an adaptive one starts with the t-step
-    1, halves it after each failed attempt down to the schedule minimum and
-    keeps it once a stage is accepted.  Accepted stages go to
-    ``report.stages``, failed attempts to ``report.rejected``.
+    The first stage is t = 1.  ``R`` is the residual of the current v
+    against prob.f: within tolerance, the march jumps to the end (a constant
+    homotopy therefore costs a single Newton stage); shifted to a stage's
+    density, it is that stage's start residual.  It is ``R0`` at h = l when
+    given, and is evaluated once after each accepted stage below t = 1.  The
+    t-step starts at 1, is halved after each failed attempt down to
+    sched.min_step and is kept once a stage is accepted.  Accepted stages go
+    to ``report.stages``, failed attempts to ``report.rejected``.
     """
     grid = prob.grid
     v = np.log(l_field(grid))
     tol = effective_tolerance(cfg, grid, v)
-    adaptive = sched.t_values is None
     t, dt = 0.0, 1.0
     R = residual(v, prob) if R0 is None else R0
     while t < 1.0 and R.max_norm() > tol:
-        t_try = min(1.0, t + dt) if adaptive else next(s for s in sched.t_values if s > t)
+        t_try = min(1.0, t + dt)
         stage_prob = replace(prob, f=homotopy_density(t_try, prob))
         try:
             v_new, stage = newton_solve(v, stage_prob, cfg,
@@ -492,13 +480,10 @@ def _homotopy(prob: ProblemSpec, cfg: SolverConfig, sched: HomotopySchedule,
         except SolverError as exc:
             report.reject(t_try, grid, exc)
             dt *= 0.5
-            if not adaptive or dt < sched.min_step:
+            if dt < sched.min_step:
                 raise ContinuationStallError(
                     f"homotopy stalled at t = {t:.6f}: stage t = {t_try:.6f} failed: {exc}",
-                    t=t,
-                    best_v=v,
-                    report=report,
-                ) from exc
+                    t=t, best_v=v, report=report) from exc
             continue
         stage.t = t_try
         report.stages.append(stage)
@@ -573,11 +558,10 @@ def continuation_solve(
 
     Grids with a coarser level (``_solve_level``) run the homotopy only on the
     coarsest one and finish each finer one with one Newton solve at t = 1;
-    the others run it directly (``_homotopy``).  An explicit schedule runs on
-    the coarsest level.  A stall of the homotopy on prob's own grid raises
-    ``ContinuationStallError``; a start density that is not finite and
-    positive on it (p far above q, say) ``InvalidExponentsError``; a solution
-    whose h = exp(v) leaves the float range ``SolverError`` with best_v = v.
+    the others run it directly (``_homotopy``).  A stall of the homotopy on
+    prob's own grid raises ``ContinuationStallError``; a start density not
+    finite and positive on it (p far above q, say) ``InvalidExponentsError``;
+    a solution whose h = exp(v) leaves the float range ``SolverError`` with best_v = v.
     """
     cfg = cfg or SolverConfig()
     sched = sched or HomotopySchedule()

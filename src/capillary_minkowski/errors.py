@@ -43,7 +43,7 @@ class MaxIterationsError(SolverError):
 
 
 class LineSearchStallError(SolverError):
-    """Backtracking line search shrank the step below the configured minimum."""
+    """Backtracking line search shrank the step below its floor (LINE_SEARCH_MIN_STEP)."""
 
 
 class SingularSystemError(SolverError):
@@ -52,8 +52,8 @@ class SingularSystemError(SolverError):
 
 
 class ContinuationStallError(SolverError):
-    """Homotopy march failed (step underflow, or a failed stage of an explicit
-    schedule); carries the last successful (t, v)."""
+    """Homotopy march failed: its t-step was halved below the schedule's
+    min_step; carries the last successful (t, v)."""
 
     def __init__(self, message, t=None, best_v=None, report=None):
         super().__init__(message, best_v=best_v, report=report)

@@ -27,6 +27,12 @@ BASE = {
 }
 
 
+# A valid density spec of each family besides BASE's harmonic one.
+DENSITIES = {"constant": {"type": "constant", "value": 1.3},
+             "radial": {"type": "radial", "coeffs": [1.0, -0.2]},
+             "homotopy-start": {"type": "homotopy-start", "scale": 0.5}}
+
+
 @pytest.fixture
 def no_solve(monkeypatch):
     """Fail the test if the CLI reaches the solver."""
@@ -259,13 +265,10 @@ class TestValidation:
         assert f"{path[-1]} must be an integer, got {value!r}" in err
 
     @pytest.mark.parametrize("section, key, value", [
-        ("solver", "tol", True), ("solver", "max_iter", True), ("solver", "min_step", True),
-        ("solver", "convexity_floor_rel", False), ("solver", "tol", "1e-9"),
-        ("schedule", "t_values", [False, True]), ("schedule", "t_values", ["0", "1"]),
-        ("schedule", "t_values", "01"), ("schedule", "min_step", True),
-        ("schedule", "t_values", [0, float("nan"), 1]), ("solver", "tol", float("inf")),
-        ("solver", "min_step", float("nan")), ("schedule", "min_step", float("-inf")),
-        ("schedule", "t_values", 5),
+        ("solver", "tol", True), ("solver", "max_iter", True), ("solver", "tol", "1e-9"),
+        ("schedule", "min_step", True), ("solver", "tol", float("inf")),
+        ("solver", "tol", float("nan")), ("schedule", "min_step", float("-inf")),
+        ("schedule", "min_step", float("nan")),
     ])
     def test_non_numeric_solver_settings_refused(self, tmp_path, capsys, no_solve,
                                                  section, key, value):
@@ -274,6 +277,35 @@ class TestValidation:
         assert cli.main(["solve", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and f"{key} " in err and "must be" in err
+
+    @pytest.mark.parametrize("section, key, value", [
+        # retired settings, refused whatever their value: there is one march
+        # (t_values), and the line-search and convexity floors are constants
+        ("schedule", "t_values", [0, 0.5, 1]), ("schedule", "t_values", [False, True]),
+        ("schedule", "t_values", ["0", "1"]), ("schedule", "t_values", "01"),
+        ("schedule", "t_values", [0, float("nan"), 1]), ("schedule", "t_values", 5),
+        ("solver", "min_step", 1e-3), ("solver", "min_step", True),
+        ("solver", "min_step", float("nan")), ("solver", "convexity_floor_rel", 0.1),
+        ("solver", "convexity_floor_rel", False),
+        # a misspelt key in each section and in each density family
+        (None, "shedule", {"min_step": 0.5}), ("grid", "x", 1), ("output", "bogus", "b"),
+        ("solver", "tolerance", 1e-9), ("schedule", "minstep", 0.5),
+        ("f", "amplitud", 0.9), ("constant", "m", 2), ("radial", "scale", 2.0),
+        ("homotopy-start", "value", 1.0),
+    ])
+    def test_unknown_keys_refused(self, tmp_path, capsys, no_solve,
+                                  section, key, value):
+        # read as absent, such a key would run the defaults instead of the config's setting
+        doc = json.loads(json.dumps(BASE))
+        if section in DENSITIES:
+            doc["f"], section = dict(DENSITIES[section]), "f"
+        (doc if section is None else doc.setdefault(section, {}))[key] = value
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["solve", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and f"unknown key {key!r}" in err
+        assert sorted(os.listdir(tmp_path)) == ["run.json"]
 
     @pytest.mark.parametrize("key", ["initial_step", "max_step"])
     def test_retired_schedule_keys_refused(self, tmp_path, capsys, no_solve, key):
@@ -425,7 +457,7 @@ class TestJsonFormat:
     @pytest.mark.parametrize("overrides", [
         {},
         {"n": 1, "grid": {"Nr": 16, "Nphi": 1}, "f": {"type": "constant", "value": 1.0}},
-        {"h": None, "note": 'text holding "h": null'},
+        {"output": {"report": 'text holding "h": null'}},  # a config holds no key "h"
     ], ids=["n2", "n1-rows-of-one", "config-holding-h-null"])
     def test_solution_document(self, tmp_path, overrides):
         config, sf, report = _solve(**overrides)
@@ -449,6 +481,7 @@ class TestJsonFormat:
         {"rows": [[], [1, -0.0, 5e-324, 1e300, float("nan"), float("-inf")], [2]]},
         {"nested": [[1, [2]], [3]], "mixed": [[1], 2], "empty": [], "obj": {}, "s": "a\nb"},
         {"strs": [["x", "y"]], "bools": [[True, None]], "tuple": [(1.5, 2.5)]},
+        {"config": {"h": None, "note": 'text holding "h": null'}, "h": [[1.5, 2.5]]},
     ])
     def test_shapes(self, tmp_path, doc):
         self.write(tmp_path, doc)
@@ -551,7 +584,7 @@ class TestDensityFamilies:
 
 # Every leaf of a full config document, as a key path.
 FULL = dict(BASE, solver={"tol": 1e-9, "max_iter": 30},
-            schedule={"min_step": 0.25, "t_values": [0.0, 0.5, 1.0]},
+            schedule={"min_step": 0.25},
             output={"solution": "s.json"})
 PATHS = [(k,) for k in FULL] + [(k, sub) for k, v in FULL.items()
                                 if isinstance(v, dict) for sub in v]

@@ -46,6 +46,20 @@ def v_off_ring(grid32):
     return v0
 
 
+def fail_first_attempts(monkeypatch, failures):
+    """Make the first ``failures`` Newton solves raise MaxIterationsError: the
+    homotopy march then halves its t-step that many times."""
+    real, attempts = continuation.newton_solve, []
+
+    def fail_first(v0, prob, cfg, **kwargs):
+        attempts.append(prob)
+        if len(attempts) <= failures:
+            raise MaxIterationsError("injected", best_v=v0)
+        return real(v0, prob, cfg, **kwargs)
+
+    monkeypatch.setattr(continuation, "newton_solve", fail_first)
+
+
 class _NanFactor:
     """A stand-in SuperLU factor whose solves are all NaN."""
 
@@ -102,12 +116,14 @@ class TestNewton:
         assert exc.value.best_v is not None
         assert exc.value.report.iterations == 1
 
-    def test_line_search_stall_via_floor(self, grid32, prob_start):
+    def test_line_search_stall_via_floor(self, grid32, prob_start, monkeypatch):
         # an unreachable convexity floor rejects every candidate step
-        cfg = cm.SolverConfig(convexity_floor_rel=0.95, min_step=1e-3)
+        monkeypatch.setattr(continuation, "CONVEXITY_FLOOR_REL", 0.95)
+        monkeypatch.setattr(continuation, "LINE_SEARCH_MIN_STEP", 1e-3)
         prob = ProblemSpec(grid=grid32, pq=prob_start.pq, f=2.0 * prob_start.f)
-        with pytest.raises(LineSearchStallError):
-            cm.newton_solve(np.log(cm.l_field(grid32)), prob, cfg)
+        with pytest.raises(LineSearchStallError, match="stalled at step 9.766e-04") as exc:
+            cm.newton_solve(np.log(cm.l_field(grid32)), prob, cm.SolverConfig())
+        assert exc.value.report.iterations == 0
 
     def test_one_evaluation_per_trial(self, grid32, prob_harmonic, monkeypatch):
         # residual takes grad v and hess v from one operator pass and forms
@@ -252,15 +268,7 @@ class TestContinuation:
     ])
     def test_halving_only_march(self, prob_harmonic, monkeypatch, failures, t_steps):
         # each failed attempt halves the t-step; an accepted stage never lengthens it
-        real, attempts = continuation.newton_solve, []
-
-        def fail_first(v0, prob, cfg, **kwargs):
-            attempts.append(prob)
-            if len(attempts) <= failures:
-                raise MaxIterationsError("injected", best_v=v0)
-            return real(v0, prob, cfg, **kwargs)
-
-        monkeypatch.setattr(continuation, "newton_solve", fail_first)
+        fail_first_attempts(monkeypatch, failures)
         _, rep = cm.continuation_solve(prob_harmonic)
         assert rep.t_steps == t_steps
         assert [r["t"] for r in rep.rejected] == [2.0**-k for k in range(failures)]
@@ -280,38 +288,27 @@ class TestContinuation:
         assert report.t_steps == [1.0] and report.rejected == []
         assert report.final_residual <= report.stages[-1].tol
 
-    def test_explicit_schedule(self, grid32, prob_harmonic):
-        sched = cm.HomotopySchedule(t_values=(0.0, 0.5, 1.0))
-        sf, rep = cm.continuation_solve(prob_harmonic, sched=sched)
-        assert rep.t_steps == [0.5, 1.0]
-        assert rep.final_residual <= 1e-9
-
-    def test_explicit_schedule_stall_raises_with_state(self, grid32, prob_harmonic):
-        sched = cm.HomotopySchedule(t_values=(0.0, 1.0))
-        cfg = cm.SolverConfig(tol=1e-12, max_iter=1)
-        with pytest.raises(ContinuationStallError) as exc:
-            cm.continuation_solve(prob_harmonic, cfg, sched)
-        assert exc.value.t == 0.0
-        assert exc.value.best_v is not None
-        assert exc.value.report.stages == []
-
-    def test_explicit_schedule_stops_when_target_met(self, grid32, prob_start):
-        # the t = 0.5 stage already solves the constant homotopy's target
-        sched = cm.HomotopySchedule(t_values=(0.0, 0.5, 1.0))
-        _, rep = cm.continuation_solve(prob_start, sched=sched)
+    def test_march_stops_when_target_met(self, prob_start, monkeypatch):
+        # t = 1 fails once; the t = 0.5 stage then already solves the constant
+        # homotopy's target, so the march ends there
+        fail_first_attempts(monkeypatch, 1)
+        _, rep = cm.continuation_solve(prob_start)
         assert rep.t_steps == [0.5]
+        assert [r["t"] for r in rep.rejected] == [1.0]
+        assert rep.final_residual <= rep.stages[-1].tol
 
     def test_schedule_validation(self):
-        with pytest.raises(ValueError):
-            cm.HomotopySchedule(t_values=(0.0, 0.6, 0.4, 1.0))
-        with pytest.raises(ValueError):
-            cm.HomotopySchedule(t_values=())
         for min_step in (0.0, 1.5, -1.0):
             with pytest.raises(ValueError, match="min_step"):
                 cm.HomotopySchedule(min_step=min_step)
-        for retired in ("initial_step", "max_step"):  # the adaptive step starts at 1 and never grows
+        # the t-step starts at 1, is only halved, and there is one march
+        for retired in ("initial_step", "max_step", "t_values"):
             with pytest.raises(TypeError, match=retired):
                 cm.HomotopySchedule(**{retired: 0.5})
+        # the line-search floor and the convexity floor are module constants
+        for retired in ("min_step", "convexity_floor_rel"):
+            with pytest.raises(TypeError, match=retired):
+                cm.SolverConfig(**{retired: 1e-3})
 
 
 class TestChord:
@@ -357,13 +354,15 @@ class TestChord:
 
     def test_refused_chord_steps_give_exact_newton(self, prob_harmonic, monkeypatch):
         # with contraction 0 every chord step is refused and redone exactly at
-        # the same v, so each stage of the march is the exact-Newton one bit for bit
-        sched = cm.HomotopySchedule(t_values=(0.0, 0.5, 1.0))
+        # the same v, so each stage of the march is the exact-Newton one bit
+        # for bit; a failed t = 1 attempt makes the march two stages
         with monkeypatch.context() as m:
             self.exact_newton(m)
-            sf_exact, rep_exact = cm.continuation_solve(prob_harmonic, sched=sched)
+            fail_first_attempts(m, 1)
+            sf_exact, rep_exact = cm.continuation_solve(prob_harmonic)
         monkeypatch.setattr(continuation, "CHORD_CONTRACTION", 0.0)
-        sf, rep = cm.continuation_solve(prob_harmonic, sched=sched)
+        fail_first_attempts(monkeypatch, 1)
+        sf, rep = cm.continuation_solve(prob_harmonic)
         assert np.array_equal(sf.h, sf_exact.h)
         assert rep.t_steps == rep_exact.t_steps == [0.5, 1.0]
         assert rep.newton_iters == rep_exact.newton_iters
@@ -441,10 +440,10 @@ class TestChord:
 
         monkeypatch.setattr(continuation, "residual", counted_residual)
         monkeypatch.setattr(continuation, "newton_solve", newton)
-        sched = cm.HomotopySchedule(t_values=(0, 0.25, 0.5, 1))
-        _, rep = cm.continuation_solve(prob_harmonic, sched=sched)
-        assert rep.t_steps == [0.25, 0.5, 1.0]
-        assert outside == [True] * 3  # h = l, then the stages at 0.25 and 0.5
+        fail_first_attempts(monkeypatch, 2)  # t = 1 and t = 1/2 fail: step 1/4
+        _, rep = cm.continuation_solve(prob_harmonic)
+        assert rep.t_steps == [0.25, 0.5, 0.75, 1.0]
+        assert outside == [True] * 4  # h = l, then the stages at 0.25, 0.5 and 0.75
 
     def test_shifted_residual_matches_evaluation(self, grid32, prob_harmonic):
         v = np.log(1.1 * cm.l_field(grid32))
