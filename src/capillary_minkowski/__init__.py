@@ -38,7 +38,7 @@ from .continuation import (
     start_density,
     uniqueness_probe,
 )
-from .apriori import BoundSet, VerificationReport, c0_bounds, gradient_bound, verify
+from .apriori import BoundSet, VerificationReport, c0_bounds, verify
 from .axisym import RadialProblem, oracle_compare, radial_residual, radial_solve
 from . import errors
 
@@ -83,7 +83,6 @@ __all__ = [
     "BoundSet",
     "VerificationReport",
     "c0_bounds",
-    "gradient_bound",
     "verify",
     "RadialProblem",
     "radial_residual",

@@ -14,13 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .capillary_body import (
-    SupportField,
-    boundary_identity_check,
-    capillary_support,
-    measure_density,
-)
-from .cap_chart import grad, l_field, normal_derivative
+from .capillary_body import (SupportField, _measure_density, boundary_identity_check,
+                             capillary_support)
+from .cap_chart import grad, grad_hessian, l_field
 from .errors import InvalidExponentsError
 from .ma_system import ProblemSpec
 
@@ -94,27 +90,6 @@ def c0_bounds(prob: ProblemSpec) -> BoundSet:
     )
 
 
-def _unit_gradient(sf: SupportField) -> tuple[float, float]:
-    """(max frame |grad(h / max h)|, max h).
-
-    The norm squares the gradient, which overflows for h beyond about 1e154
-    (with 1/(p - q) near 100, h can reach 1e238); the gradient of h / max h
-    stays below 1 / spacing.
-    """
-    scale = float(sf.h.max())
-    return float(grad(sf.h / scale, sf.grid).norm().max()), scale
-
-
-def gradient_bound(sf: SupportField) -> tuple[float, float]:
-    """(computed, bound): max frame |grad h| against (1/sin theta) * max h.
-
-    Both are homogeneous of degree 1 in h, so the gradient is taken of h / max h
-    (``_unit_gradient``) and scaled back by max h.
-    """
-    unit, scale = _unit_gradient(sf)
-    return unit * scale, scale / sf.spec.sin_theta
-
-
 @dataclass
 class CheckResult:
     name: str
@@ -169,20 +144,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _measure_ratio(sf: SupportField, prob: ProblemSpec) -> np.ndarray:
-    """measure_density / (l f), evaluated within the float range.
-
-    The density is homogeneous of degree q - p in h, so it is evaluated on
-    h / max h and its scale max h^(q - p) joins 1/(l f) in logs: with
-    1/(p - q) near 100, h can reach 1e136, where the density's powers of h
-    underflow.
-    """
-    pq, scale = prob.pq, float(sf.h.max())
-    density = measure_density(SupportField(h=sf.h / scale, grid=sf.grid), pq)
-    return density * np.exp((pq.q - pq.p) * math.log(scale)
-                            - np.log(l_field(sf.grid)) - np.log(prob.f))
-
-
 @np.errstate(all="ignore")  # a value out of the float range fails its check, not a warning
 def verify(sf: SupportField, prob: ProblemSpec, newton_tol: float = 1e-9) -> VerificationReport:
     """Run every closed-form check on a computed solution.
@@ -190,12 +151,13 @@ def verify(sf: SupportField, prob: ProblemSpec, newton_tol: float = 1e-9) -> Ver
     The bounds hold exactly for continuous solutions; a discrete solution gets
     a relative slack of 1e-6 + 10 * spacing^2 on the bound checks, and the
     identity/consistency checks use the 10 * spacing^2 threshold directly
-    (both tied to the second-order discretization).  The max of |grad log h|
-    is reported without a bound: its theoretical constant is non-constructive.
+    (``PolarGrid.discretization_tol``).  The max of |grad log h| is reported
+    without a bound: its theoretical constant is non-constructive.  Each field
+    (h / max h, h 2^-k, u = h 2^-k / l, log h) is differentiated once.
     """
     grid = sf.grid
-    d2 = grid.max_spacing**2
-    rel_tol = 1e-6 + 10.0 * d2
+    tol = grid.discretization_tol
+    rel_tol = 1e-6 + tol
     report = VerificationReport(rel_tol=rel_tol)
 
     bounds = c0_bounds(prob)
@@ -212,9 +174,14 @@ def verify(sf: SupportField, prob: ProblemSpec, newton_tol: float = 1e-9) -> Ver
         bounds.h_upper - h_max,
     ))
 
-    # decided on h / max h: the bound (1 + rel_tol) max h / sin(theta) overflows first
-    g_unit, scale = _unit_gradient(sf)
-    g_computed, g_bound = g_unit * scale, scale / grid.spec.sin_theta
+    # The gradient (degree 1 in h) and the density (degree q - p) come from one
+    # pass over h / max h: h's squared gradient overflows beyond max h near 1e154,
+    # the density's powers underflow near 1e136, and with 1/(p - q) near 100 h
+    # reaches 1e238.  The gradient check reads the unit value: its bound overflows first.
+    normed = SupportField(h=sf.h / h_max, grid=grid)
+    g, hess = grad_hessian(normed.h, grid)
+    g_unit = float(g.norm().max())
+    g_computed, g_bound = g_unit * h_max, h_max / grid.spec.sin_theta
     report.checks.append(CheckResult(
         "gradient", g_computed, g_bound,
         g_unit <= (1.0 + rel_tol) / grid.spec.sin_theta,
@@ -230,24 +197,29 @@ def verify(sf: SupportField, prob: ProblemSpec, newton_tol: float = 1e-9) -> Ver
     u_max = float(np.abs(capillary_support(unit)).max())
     for name, value, size in (("boundary_h_mixed", ident.h_mixed_max, float(unit.h.max())),
                               ("boundary_u_identity", ident.u_identity_max, u_max)):
-        bound = 10.0 * d2 * size
+        bound = tol * size
         report.checks.append(CheckResult(
             name, float(np.ldexp(value, k)), float(np.ldexp(bound, k)),
             value <= bound, float(np.ldexp(bound - value, k)),
         ))
 
-    robin_v = float(np.max(np.abs(normal_derivative(np.log(sf.h), grid) - grid.spec.cot_theta)))
+    # Robin on log h, which has no scale: the rim row of d_r is the normal derivative
+    log_g = grad(np.log(sf.h), grid)
+    robin_v = float(np.max(np.abs(log_g.comps[0][grid.boundary_ring] - grid.spec.cot_theta)))
     robin_tol = max(10.0 * newton_tol, 1e-12)
     report.checks.append(CheckResult(
         "robin", robin_v, robin_tol, robin_v <= robin_tol, robin_tol - robin_v,
     ))
 
-    rel_err = float(np.max(np.abs(_measure_ratio(sf, prob) - 1.0)))
-    meas_tol = 10.0 * d2
+    pq = prob.pq
+    density = _measure_density(normed, pq, g, hess)
+    ratio = density * np.exp((pq.q - pq.p) * math.log(h_max)
+                             - np.log(l_field(grid)) - np.log(prob.f))
+    rel_err = float(np.max(np.abs(ratio - 1.0)))
     report.checks.append(CheckResult(
-        "measure_consistency", rel_err, meas_tol, rel_err <= meas_tol, meas_tol - rel_err,
+        "measure_consistency", rel_err, tol, rel_err <= tol, tol - rel_err,
     ))
 
-    log_grad_max = float(grad(np.log(sf.h), grid).norm().max())
+    log_grad_max = float(log_g.norm().max())
     report.checks.append(CheckResult("log_gradient_max", log_grad_max, None, True, None))
     return report

@@ -37,6 +37,9 @@ from .ma_system import ProblemSpec
 # which the mismatch then measures.
 RADIAL_TOL = 1e-10
 ORACLE_RESOLUTION = 4
+RADIAL_MAX_ITER = 40  # Newton steps per stage; a stage that needs more halves its t-step
+RADIAL_MIN_STEP = 1e-8  # a Newton direction still no descent at this step has stalled
+RADIAL_MIN_DT = 2.0**-10  # a stage that fails at this t-step fails for more than its length
 
 
 @dataclass
@@ -169,13 +172,13 @@ def _radial_jacobian(h: np.ndarray, prob: RadialProblem, f: np.ndarray) -> np.nd
     return ab
 
 
-def _radial_newton(h0, prob, f, max_iter=40, min_step=1e-8):
+def _radial_newton(h0, prob, f):
     """Newton on ``radial_residual`` with a backtracking line search on the
     relative max-norm of ``_rows``, until that is at most RADIAL_TOL, or at its
     roundoff floor where the line search stalls."""
     h = h0.copy()
     res, rel, floor = _rows(h, prob, f)
-    for _ in range(max_iter):
+    for _ in range(RADIAL_MAX_ITER):
         if rel <= RADIAL_TOL:
             return h
         try:
@@ -191,7 +194,7 @@ def _radial_newton(h0, prob, f, max_iter=40, min_step=1e-8):
                 if np.isfinite(rel_new) and rel_new < rel:
                     break
             alpha *= 0.5
-            if alpha < min_step:
+            if alpha < RADIAL_MIN_STEP:
                 if rel <= floor:
                     return h  # stalled at the roundoff floor, accept
                 raise LineSearchStallError(
@@ -221,7 +224,7 @@ def radial_solve(prob: RadialProblem) -> np.ndarray:
             h = _radial_newton(h, prob, f_t)
         except (LineSearchStallError, MaxIterationsError, SingularSystemError):
             dt *= 0.5
-            if dt < 2.0**-10:
+            if dt < RADIAL_MIN_DT:
                 raise
             continue
         t = t_try

@@ -389,6 +389,12 @@ class PolarGrid:
             return max(self.dr, self.spec.sin_theta * self.dphi)
         return self.dr
 
+    @property
+    def discretization_tol(self) -> float:
+        """10 * max_spacing^2: the threshold of the checks that exact solutions
+        meet only to the second-order truncation of the discretization."""
+        return 10.0 * self.max_spacing**2
+
     def mesh(self):
         """Broadcast (r, phi) node coordinates as (Nr, Nphi) arrays."""
         return np.broadcast_to(self.r[:, None], self.shape).copy(), \

@@ -1,5 +1,5 @@
 """Operations on a candidate support function: convexity data, curvature,
-measure density, embedding of the hypersurface, and boundary diagnostics.
+measure density, embedding of the hypersurface, and the rim identities.
 
 A positive field h on the cap determines a convex capillary hypersurface via
 the inverse of the translated Gauss map; the second fundamental form pulled
@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cap_chart
-from .cap_chart import CapSpec, FrameSymMatrix, PolarGrid, grad, hessian, l_field
+from .cap_chart import (CapSpec, FrameSymMatrix, FrameVector, PolarGrid, grad, grad_hessian,
+                        hessian, l_field)
 from .errors import DegenerateBoundaryError, InvalidExponentsError, NonConvexError
 
 
@@ -84,12 +84,17 @@ def measure_density(sf: SupportField, pq: ExponentPair) -> np.ndarray:
     For a solution of the prescribed-measure equation this equals f * l
     nodewise.
     """
+    return _measure_density(sf, pq, *grad_hessian(sf.h, sf.grid))
+
+
+def _measure_density(sf: SupportField, pq: ExponentPair, g: FrameVector,
+                     hess: FrameSymMatrix) -> np.ndarray:
+    """``measure_density`` from the frame gradient g and Hessian hess of sf.h."""
     n = sf.grid.spec.n
     h = sf.h
-    gsq = grad(h, sf.grid).norm_sq()
-    detA = second_fundamental_form(sf).det()
+    detA = hess.shifted(h).det()
     l = l_field(sf.grid)
-    return l * h ** (1.0 - pq.p) * (h * h + gsq) ** (0.5 * (pq.q - n - 1)) * detA
+    return l * h ** (1.0 - pq.p) * (h * h + g.norm_sq()) ** (0.5 * (pq.q - n - 1)) * detA
 
 
 # -- embedding ----------------------------------------------------------------
@@ -180,7 +185,7 @@ def embed(sf: SupportField) -> BodyMesh:
     fan = np.stack([np.zeros(Nphi, dtype=int), vid[0, :-1], vid[0, 1:]], axis=1)
     a, b, c, d = vid[:-1, :-1], vid[1:, :-1], vid[1:, 1:], vid[:-1, 1:]  # quad (i, k)
     quads = np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)  # triangles abc, acd
-    eps = 10.0 * grid.max_spacing**2 * float(np.max(np.abs(sf.h)))
+    eps = grid.discretization_tol * float(np.max(np.abs(sf.h)))
     return BodyMesh(vertices=vertices, faces=np.concatenate([fan, quads]),
                     boundary_loop=vid[-1, :-1], eps=eps)
 
@@ -218,15 +223,12 @@ class BoundaryIdentityReport:
     ``h_mixed_max``: max |mixed Hessian (tangent, normal) of h| on the rim,
     which vanishes for exact solutions.
     ``u_identity_max``: max |u_kn + cot(theta) u_k| on the rim for u = h/l.
-    ``robin_residual_max``: max |d_r h - cot(theta) h| on the rim; the two
-    identities above are only meaningful when this is small, so it is
-    reported and flagged alongside them.
+    Both identities follow from the Robin condition d_r h = cot(theta) h, which
+    ``apriori.verify`` checks on log h.
     """
 
     h_mixed_max: float
     u_identity_max: float
-    robin_residual_max: float
-    robin_ok: bool
     h_mixed: np.ndarray
     u_identity: np.ndarray
 
@@ -235,47 +237,32 @@ def boundary_identity_check(sf: SupportField) -> BoundaryIdentityReport:
     """Evaluate the rim identities h_kn = 0 and u_kn = -cot(theta) u_k.
 
     Mixed entries use the same frame-Hessian stencils as the rest of the
-    stack (one-sided in r on the rim); no special boundary calculus.  The
-    Robin flag uses the discretization threshold 10 * spacing^2, since even
-    exact solutions satisfy the discrete Robin stencil only to truncation.
+    stack (one-sided in r on the rim); no special boundary calculus.
 
-    All three deviations are linear in h, so they are evaluated on h 2^-k,
-    whose max lies in [1/2, 1), and multiplied back by 2^k.  Powers of two
-    scale exactly, so the values are those of h itself wherever h's own
-    scale does not overflow; the frame Hessian of u = h/l overflows first,
-    at max h near 1e303 on small caps.
+    Both deviations are linear in h, so they are evaluated on h 2^-k, whose
+    max lies in [1/2, 1), and multiplied back by 2^k.  Powers of two scale
+    exactly, so the values are those of h itself wherever h's own scale does
+    not overflow; the frame Hessian of u = h/l overflows first, at max h near
+    1e303 on small caps.
     """
     grid = sf.grid
     b = grid.boundary_ring
     spec = grid.spec
-    h_scale = float(np.max(np.abs(sf.h)))
-    robin_tol = 10.0 * grid.max_spacing**2
-    k = math.frexp(h_scale)[1]
+    k = math.frexp(float(np.max(np.abs(sf.h))))[1]
     unit = SupportField(h=np.ldexp(sf.h, -k), grid=grid)
-
-    robin = cap_chart.normal_derivative(unit.h, grid) - spec.cot_theta * unit.h[b]
-    robin_max = float(np.ldexp(np.max(np.abs(robin)), k))
 
     if spec.n == 1:
         # No tangential directions on a 0-dimensional rim; identities are void.
         zeros = np.zeros(grid.Nphi)
-        return BoundaryIdentityReport(
-            h_mixed_max=0.0, u_identity_max=0.0,
-            robin_residual_max=robin_max,
-            robin_ok=robin_max <= robin_tol * h_scale,
-            h_mixed=zeros, u_identity=zeros.copy(),
-        )
+        return BoundaryIdentityReport(h_mixed_max=0.0, u_identity_max=0.0,
+                                      h_mixed=zeros, u_identity=zeros.copy())
 
     h_mixed = np.ldexp(hessian(unit.h, grid).comps[0, 1][b], k)
-    u = capillary_support(unit)
-    u_mixed = hessian(u, grid).comps[0, 1][b]
-    u_k = grad(u, grid).comps[1][b]
-    u_dev = np.ldexp(u_mixed + spec.cot_theta * u_k, k)
+    u_grad, u_hess = grad_hessian(capillary_support(unit), grid)
+    u_dev = np.ldexp(u_hess.comps[0, 1][b] + spec.cot_theta * u_grad.comps[1][b], k)
     return BoundaryIdentityReport(
         h_mixed_max=float(np.max(np.abs(h_mixed))),
         u_identity_max=float(np.max(np.abs(u_dev))),
-        robin_residual_max=robin_max,
-        robin_ok=robin_max <= robin_tol * h_scale,
         h_mixed=h_mixed,
         u_identity=u_dev,
     )

@@ -350,7 +350,7 @@ def cmd_oracle(args) -> int:
     require_axisymmetric(prob.f)
     sf, _ = continuation_solve(prob, config.solver, config.schedule)
     rep = oracle_compare(prob, sf)
-    threshold = 10.0 * prob.grid.max_spacing**2 * float(np.max(np.abs(sf.h)))
+    threshold = prob.grid.discretization_tol * float(np.max(np.abs(sf.h)))
     print(f"1D/2D max discrepancy {rep.max_abs:.6e} (threshold {threshold:.3e}), "
           f"L2 {rep.l2:.6e}, angular variation {rep.angular_variation:.3e}")
     return EXIT_OK if rep.max_abs <= threshold else EXIT_CHECK_FAILED

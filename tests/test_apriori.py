@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capillary_minkowski as cm
-from capillary_minkowski import cli
+from capillary_minkowski import cap_chart, cli
 from capillary_minkowski.continuation import start_density
 from capillary_minkowski.errors import InvalidExponentsError
 from capillary_minkowski.ma_system import ProblemSpec
@@ -145,20 +145,25 @@ class TestC0Bounds:
                 assert np.isfinite(bs.h_lower) and np.isfinite(bs.h_upper)
 
 
+def start_problem(grid, pq):
+    return ProblemSpec(grid=grid, pq=pq, f=start_density(grid, pq))
+
+
 class TestGradientBound:
-    def test_unit_cap_frozen(self, spec, grid32):
+    def test_unit_cap_frozen(self, spec, grid32, pq31):
         # computed max cos(theta) sin(r) = cos(pi/3) sin(pi/3), bound sin(pi/3)
         sf = cm.SupportField(h=cm.l_field(grid32), grid=grid32)
-        computed, bound = cm.gradient_bound(sf)
-        assert computed == pytest.approx(math.sqrt(3.0) / 4.0, abs=5.0 * grid32.dr**2)
-        assert bound == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-12)
-        assert computed <= bound
+        row = cm.verify(sf, start_problem(grid32, pq31))["gradient"]
+        assert row.value == pytest.approx(math.sqrt(3.0) / 4.0, abs=5.0 * grid32.dr**2)
+        assert row.bound == pytest.approx(math.sqrt(3.0) / 2.0, rel=1e-12)
+        assert row.passed and row.value <= row.bound
 
-    def test_constant_field(self, grid32):
+    def test_constant_field(self, grid32, pq31):
         sf = cm.SupportField(h=np.full(grid32.shape, 2.0), grid=grid32)
-        computed, bound = cm.gradient_bound(sf)
-        assert computed < 1e-12
-        assert bound == pytest.approx(2.0 / grid32.spec.sin_theta, rel=1e-12)
+        row = cm.verify(sf, start_problem(grid32, pq31))["gradient"]
+        assert row.value < 1e-12
+        assert row.bound == pytest.approx(2.0 / grid32.spec.sin_theta, rel=1e-12)
+        assert row.passed
 
 
 class TestVerify:
@@ -203,17 +208,19 @@ class TestVerify:
         assert abs(lam_value - check.value) <= 1e-12
 
     @pytest.mark.parametrize("lam", [1e-200, 1e100, 1e200])
-    def test_gradient_bound_is_scale_invariant(self, grid32, lam):
+    def test_gradient_bound_is_scale_invariant(self, grid32, pq31, lam):
         # max |grad h| and (1/sin theta) max h are both homogeneous of degree 1
         # in h; the squared gradient of lam h overflows for lam = 1e200 and
         # underflows for lam = 1e-200 unless h is rescaled first
         R, PHI = grid32.mesh()
         h = cm.l_field(grid32) * (1.0 + 0.1 * (np.sin(R) / grid32.spec.sin_theta) ** 2
                                   * np.cos(2 * PHI))
-        computed, bound = cm.gradient_bound(cm.SupportField(h=h, grid=grid32))
-        lam_computed, lam_bound = cm.gradient_bound(cm.SupportField(h=lam * h, grid=grid32))
-        assert lam_computed == pytest.approx(lam * computed, rel=1e-12, abs=0.0)
-        assert lam_bound == pytest.approx(lam * bound, rel=1e-12, abs=0.0)
+        prob = start_problem(grid32, pq31)
+        row = cm.verify(cm.SupportField(h=h, grid=grid32), prob)["gradient"]
+        lam_row = cm.verify(cm.SupportField(h=lam * h, grid=grid32), prob)["gradient"]
+        assert lam_row.value == pytest.approx(lam * row.value, rel=1e-12, abs=0.0)
+        assert lam_row.bound == pytest.approx(lam * row.bound, rel=1e-12, abs=0.0)
+        assert lam_row.passed == row.passed
 
     def test_rim_identities_are_decided_at_any_scale(self, spec, pq31):
         # a rim ring bent in phi breaks both rim identities; moved to max h in
@@ -248,6 +255,41 @@ class TestVerify:
         row = next(line.split() for line in capsys.readouterr().out.splitlines()
                    if line.startswith("gradient "))
         assert float(row[1]) > 1e238 and math.isfinite(float(row[1])) and row[-1] == "pass"
+
+    def test_one_derivative_pass_per_field(self, grid32, pq31, monkeypatch):
+        # h / max h, h 2^-k, u = h 2^-k / l and log h: one frame-operator pass each
+        calls = {"FrameOps": 0, "PolarGrid": 0}
+
+        def counted(cls, name):
+            inner = cls.apply
+
+            def apply(*args):
+                calls[name] += 1
+                return inner(*args)
+            monkeypatch.setattr(cls, "apply", apply)
+
+        counted(cap_chart.FrameOps, "FrameOps")
+        counted(cap_chart.PolarGrid, "PolarGrid")
+        sf = cm.SupportField(h=cm.l_field(grid32), grid=grid32)
+        cm.verify(sf, start_problem(grid32, pq31))
+        assert calls == {"FrameOps": 4, "PolarGrid": 0}
+
+    def test_shared_pass_matches_standalone_calls(self, grid32, pq31):
+        # the gradient and measure rows share one pass over h / max h; each must
+        # read as the public grad and measure_density of that field, bit for bit
+        R, PHI = grid32.mesh()
+        f = 1.0 + 0.3 * (np.sin(R) / grid32.spec.sin_theta) ** 2 * np.cos(3 * PHI)
+        prob = ProblemSpec(grid=grid32, pq=pq31, f=f)
+        sf, _ = cm.continuation_solve(prob)
+        report = cm.verify(sf, prob)
+        h_max = float(sf.h.max())
+        unit = cm.SupportField(h=sf.h / h_max, grid=grid32)
+        assert report["gradient"].value == float(cm.grad(unit.h, grid32).norm().max()) * h_max
+        density = cm.measure_density(unit, pq31)
+        ratio = density * np.exp((pq31.q - pq31.p) * math.log(h_max)
+                                 - np.log(cm.l_field(grid32)) - np.log(f))
+        assert report["measure_consistency"].value == float(np.max(np.abs(ratio - 1.0)))
+        assert report.all_passed
 
     def test_table_rendering(self, grid32, pq31):
         prob = ProblemSpec(grid=grid32, pq=pq31, f=start_density(grid32, pq31))

@@ -212,12 +212,13 @@ class TestBoundaryIdentities:
         rep = boundary_identity_check(sfl)
         assert rep.h_mixed_max < 1e-12
         assert rep.u_identity_max < 1e-12
-        assert rep.robin_ok
 
-    def test_robin_violation_flagged(self, grid32):
-        rep = boundary_identity_check(cm.SupportField(h=np.ones(grid32.shape), grid=grid32))
-        assert not rep.robin_ok
-        assert rep.robin_residual_max == pytest.approx(grid32.spec.cot_theta, rel=1e-10)
+    def test_robin_violation_flagged(self, grid32, pq31):
+        # d_r log h = 0 on the rim of h = 1, against cot(theta) for a solution
+        prob = cm.ProblemSpec(grid=grid32, pq=pq31, f=np.ones(grid32.shape))
+        row = cm.verify(cm.SupportField(h=np.ones(grid32.shape), grid=grid32), prob)["robin"]
+        assert not row.passed
+        assert row.value == pytest.approx(grid32.spec.cot_theta, rel=1e-10)
 
     @pytest.mark.parametrize("theta", [math.radians(4.17), math.pi / 3])
     def test_scaling_by_a_power_of_two_is_exact(self, theta):
@@ -233,8 +234,6 @@ class TestBoundaryIdentities:
         np.testing.assert_array_equal(big.u_identity, np.ldexp(rep.u_identity, 600))
         assert big.h_mixed_max == math.ldexp(rep.h_mixed_max, 600)
         assert big.u_identity_max == math.ldexp(rep.u_identity_max, 600)
-        assert big.robin_residual_max == math.ldexp(rep.robin_residual_max, 600)
-        assert big.robin_ok == rep.robin_ok
 
 
 class TestObjExport:

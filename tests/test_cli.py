@@ -219,9 +219,7 @@ class TestValidation:
         {"p": [3]},
         {"theta": [1]},
         {"schedule": {"adaptive": False}},
-        {"schedule": {"adaptive": False, "t_values": []}},
         {"solver": {"max_iter": 30.5}},
-        {"solver": {"convexity_floor_rel": "x"}},
         {"output": 5},
         {"solver": {"backtrack_factor": 0.5}},
         {"p": 1e308},  # finite, but the start density l^(1-p) overflows
@@ -292,6 +290,10 @@ class TestValidation:
         ("solver", "tolerance", 1e-9), ("schedule", "minstep", 0.5),
         ("f", "amplitud", 0.9), ("constant", "m", 2), ("radial", "scale", 2.0),
         ("homotopy-start", "value", 1.0),
+        # retired keys are refused before their values are read; the t-step
+        # starts at 1 and is only ever halved, so it has no bounds to set
+        ("schedule", "t_values", []), ("solver", "convexity_floor_rel", "x"),
+        ("schedule", "initial_step", 0.5), ("schedule", "max_step", 0.5),
     ])
     def test_unknown_keys_refused(self, tmp_path, capsys, no_solve,
                                   section, key, value):
@@ -305,15 +307,6 @@ class TestValidation:
         assert cli.main(["solve", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and f"unknown key {key!r}" in err
-        assert sorted(os.listdir(tmp_path)) == ["run.json"]
-
-    @pytest.mark.parametrize("key", ["initial_step", "max_step"])
-    def test_retired_schedule_keys_refused(self, tmp_path, capsys, no_solve, key):
-        # the adaptive t-step starts at 1 and is only ever halved
-        cfg = write_config(tmp_path, schedule={key: 0.5})
-        assert cli.main(["solve", "--config", str(cfg)]) == 2
-        err = capsys.readouterr().err
-        assert len(err.strip().splitlines()) == 1 and repr(key) in err
         assert sorted(os.listdir(tmp_path)) == ["run.json"]
 
     @pytest.mark.parametrize("overrides, key", [
