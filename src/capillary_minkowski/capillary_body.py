@@ -59,7 +59,12 @@ def second_fundamental_form(sf: SupportField) -> FrameSymMatrix:
 
 def convexity_margin(sf: SupportField) -> float:
     """Minimum over nodes of the smallest eigenvalue of A; > 0 certifies convexity."""
-    return float(second_fundamental_form(sf).smallest_eigenvalue().min())
+    return _convexity_margin(sf, hessian(sf.h, sf.grid))
+
+
+def _convexity_margin(sf: SupportField, hess: FrameSymMatrix) -> float:
+    """``convexity_margin`` from the frame Hessian hess of sf.h."""
+    return float(hess.shifted(sf.h).smallest_eigenvalue().min())
 
 
 def capillary_support(sf: SupportField) -> np.ndarray:
@@ -146,11 +151,15 @@ def _frame_vectors(grid: PolarGrid):
 
 def embedding_points(sf: SupportField) -> np.ndarray:
     """Map each grid node to X = grad(h) + h * z in R^3 (shape (Nr, Nphi, 3))."""
+    return _embedding_points(sf, grad(sf.h, sf.grid))
+
+
+def _embedding_points(sf: SupportField, g: FrameVector) -> np.ndarray:
+    """``embedding_points`` from the frame gradient g of sf.h."""
     grid = sf.grid
     if grid.spec.n != 2:
         raise ValueError("embedding requires n = 2")
     z, e_r, e_phi = _frame_vectors(grid)
-    g = grad(sf.h, grid)
     return (g.comps[0][..., None] * e_r
             + g.comps[1][..., None] * e_phi
             + sf.h[..., None] * z)
@@ -170,13 +179,15 @@ def embed(sf: SupportField) -> BodyMesh:
     Vertex 0 is a synthetic pole vertex (mean of the innermost ring, accurate
     to O(spacing^2)); node (i, k) maps to vertex 1 + i*Nphi + k.  Quads are
     split along the fixed (i,k)-(i+1,k+1) diagonal and the innermost ring is
-    fanned to the pole vertex, so the topology is deterministic.
+    fanned to the pole vertex, so the topology is deterministic.  One
+    ``grad_hessian`` pass feeds both the convexity test and the vertices.
     """
     grid = sf.grid
-    margin = convexity_margin(sf)
+    g, hess = grad_hessian(sf.h, grid)
+    margin = _convexity_margin(sf, hess)
     if margin <= 0.0:
         raise NonConvexError(f"cannot embed a non-convex field (margin {margin:.3e})", margin=margin)
-    X = embedding_points(sf)
+    X = _embedding_points(sf, g)
     Nr, Nphi = grid.shape
     pole = X[0].mean(axis=0)
     vertices = np.concatenate([pole[None, :], X.reshape(-1, 3)], axis=0)
@@ -272,10 +283,17 @@ def boundary_identity_check(sf: SupportField) -> BoundaryIdentityReport:
 
 
 def export_obj(mesh: BodyMesh, path) -> None:
-    """Write the mesh as ASCII OBJ: v records (coordinates in %.17g), f records
-    and an l record for the rim loop; each section is one ``%`` over a flat tuple."""
+    """Write the mesh as ASCII OBJ: v records, f records and an l record for the
+    rim loop; each section is one ``%`` over a flat tuple.
+
+    Coordinates are written in %.9g.  That is exact for every float32 value
+    (how mesh tools store OBJ vertices) and rounds a double by at most 5e-9 of
+    itself, far below the O(spacing^2) discretization error of the vertices.
+    Nine digits also keep CPython's float formatting on its fast path, where
+    %.17g takes the exact big-integer one at twice the cost.
+    """
     v, f = mesh.vertices, mesh.faces + 1
     loop = " ".join(map(str, (mesh.boundary_loop + 1).tolist()))
     with open(path, "w", newline="\n") as fh:
-        fh.write(("v %.17g %.17g %.17g\n" * len(v)) % tuple(v.ravel().tolist())
+        fh.write(("v %.9g %.9g %.9g\n" * len(v)) % tuple(v.ravel().tolist())
                  + ("f %d %d %d\n" * len(f)) % tuple(f.ravel().tolist()) + f"l {loop}\n")

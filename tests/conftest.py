@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from capillary_minkowski import CapSpec, ExponentPair, PolarGrid
+from capillary_minkowski import CapSpec, ExponentPair, PolarGrid, cap_chart
 
 
 THETA = np.pi / 3.0
@@ -25,6 +25,19 @@ def grid48(spec):
 @pytest.fixture(scope="session")
 def pq31():
     return ExponentPair(p=3.0, q=1.0)
+
+
+@pytest.fixture
+def apply_calls(monkeypatch):
+    """Counts of the frame-operator passes (FrameOps.apply) and single-operator
+    products (PolarGrid.apply) made after the fixture is set up."""
+    calls = {"FrameOps": 0, "PolarGrid": 0}
+    for cls in (cap_chart.FrameOps, cap_chart.PolarGrid):
+        def apply(*args, _inner=cls.apply, _name=cls.__name__):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(cls, "apply", apply)
+    return calls
 
 
 def smooth_field(grid, rng, modes=4, radial_powers=3, normalize=True):

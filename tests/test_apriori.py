@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capillary_minkowski as cm
-from capillary_minkowski import cap_chart, cli
+from capillary_minkowski import cli
 from capillary_minkowski.continuation import start_density
 from capillary_minkowski.errors import InvalidExponentsError
 from capillary_minkowski.ma_system import ProblemSpec
@@ -256,23 +256,11 @@ class TestVerify:
                    if line.startswith("gradient "))
         assert float(row[1]) > 1e238 and math.isfinite(float(row[1])) and row[-1] == "pass"
 
-    def test_one_derivative_pass_per_field(self, grid32, pq31, monkeypatch):
+    def test_one_derivative_pass_per_field(self, grid32, pq31, apply_calls):
         # h / max h, h 2^-k, u = h 2^-k / l and log h: one frame-operator pass each
-        calls = {"FrameOps": 0, "PolarGrid": 0}
-
-        def counted(cls, name):
-            inner = cls.apply
-
-            def apply(*args):
-                calls[name] += 1
-                return inner(*args)
-            monkeypatch.setattr(cls, "apply", apply)
-
-        counted(cap_chart.FrameOps, "FrameOps")
-        counted(cap_chart.PolarGrid, "PolarGrid")
         sf = cm.SupportField(h=cm.l_field(grid32), grid=grid32)
         cm.verify(sf, start_problem(grid32, pq31))
-        assert calls == {"FrameOps": 4, "PolarGrid": 0}
+        assert apply_calls == {"FrameOps": 4, "PolarGrid": 0}
 
     def test_shared_pass_matches_standalone_calls(self, grid32, pq31):
         # the gradient and measure rows share one pass over h / max h; each must

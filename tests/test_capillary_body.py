@@ -188,6 +188,17 @@ class TestEmbed:
         centers[:, 2] += grid32.spec.cos_theta  # recenter on the unit sphere
         assert np.all(np.sum(fn * centers, axis=1) > 0.0)
 
+    def test_one_derivative_pass(self, grid32, apply_calls):
+        # the convexity test and the vertices share one grad_hessian pass over h;
+        # the vertices must read as the public embedding_points
+        R, PHI = grid32.mesh()
+        h = cm.l_field(grid32) * (1.0 + 0.02 * (np.sin(R) / grid32.spec.sin_theta) ** 2
+                                  * np.cos(3 * PHI))
+        sf = cm.SupportField(h=h, grid=grid32)
+        mesh = cm.embed(sf)
+        assert apply_calls == {"FrameOps": 1, "PolarGrid": 0}
+        assert np.array_equal(mesh.vertices[1:], embedding_points(sf).reshape(-1, 3))
+
 
 class TestContactAngle:
     def test_unit_cap(self, spec, grid32, sfl):
@@ -250,8 +261,11 @@ class TestObjExport:
         assert len(v_lines) == mesh.vertices.shape[0]
         assert len(f_lines) == mesh.faces.shape[0]
         assert len(l_lines) == 1
-        verts = np.array([[float(x) for x in ln.split()[1:]] for ln in v_lines])
-        np.testing.assert_allclose(verts, mesh.vertices, rtol=1e-15)
+        tokens = [ln.split()[1:] for ln in v_lines]
+        assert tokens == [["%.9g" % x for x in row] for row in mesh.vertices.tolist()]
+        # %.9g rounds each coordinate by at most half a unit in its ninth digit
+        verts = np.array(tokens, dtype=float)
+        assert np.all(np.abs(verts - mesh.vertices) <= 5e-9 * np.abs(mesh.vertices))
         idx = np.array([[int(x) for x in ln.split()[1:]] for ln in f_lines])
         assert idx.min() >= 1 and idx.max() <= len(v_lines)
         loop = [int(x) for x in l_lines[0].split()[1:]]
@@ -276,7 +290,7 @@ class TestObjExport:
         assert np.array_equal(mesh.faces, np.array(faces))
         assert np.array_equal(mesh.boundary_loop, [vid(Nr - 1, k) for k in range(Nphi)])
 
-        lines = [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in mesh.vertices]
+        lines = [f"v {x:.9g} {y:.9g} {z:.9g}" for x, y, z in mesh.vertices]
         lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.faces]
         lines.append("l " + " ".join(str(int(i) + 1) for i in mesh.boundary_loop))
         path = tmp_path / "cap.obj"
@@ -288,9 +302,23 @@ class TestObjExport:
                           [3.0, -2.0, 1e300], [0.1, -1.5, -0.0], [2.0 / 3.0, -7.0, 1e16]])
         mesh = BodyMesh(vertices=verts, faces=np.array([[0, 1, 2], [0, 2, 3], [3, 4, 0]]),
                         boundary_loop=np.array([0, 3]))
-        lines = [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in mesh.vertices]
+        lines = [f"v {x:.9g} {y:.9g} {z:.9g}" for x, y, z in mesh.vertices]
         lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.faces]
         lines.append("l 1 4")
         path = tmp_path / "extreme.obj"
         cm.export_obj(mesh, path)
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_float32_coordinates_roundtrip(self, tmp_path):
+        # nine significant digits name every float32 value exactly, including
+        # the largest finite one, the smallest subnormal and -0
+        f32 = np.array([[3.4028235e38, 1e-45, 0.0], [-0.0, 0.1, 0.1],
+                        [-3.4028235e38, -1e-45, 3.4028235e38], [1.0 / 3.0, -7.0, 1e-38]],
+                       dtype=np.float32)
+        mesh = BodyMesh(vertices=f32.astype(float), faces=np.array([[0, 1, 2], [0, 2, 3]]),
+                        boundary_loop=np.array([0]))
+        path = tmp_path / "f32.obj"
+        cm.export_obj(mesh, path)
+        tokens = [ln.split()[1:] for ln in path.read_text().splitlines() if ln.startswith("v ")]
+        back = np.array(tokens, dtype=float).astype(np.float32)
+        np.testing.assert_array_equal(back.view(np.uint32), f32.view(np.uint32))
