@@ -10,8 +10,9 @@ which supplies ghost values for radial stencils on the innermost rings.
 
 Frame components refer to the orthonormal frame {d_r, (1/sin r) d_phi}; the
 chart formulas of the mixed frame operators D2, H12 and H22 are written once,
-in ``_mixed``, which ``PolarGrid.ops`` evaluates on per-ring ``Stencil`` tables
-and ``FrameOps.apply`` on fields.
+in ``_mixed``, over per-ring ``Stencil`` tables that are each one radial times
+one angular stencil; ``FrameOps.apply`` evaluates them on fields, and the
+Jacobian's coefficients expand through them onto the tables.
 Angular stencils are fourth order everywhere and the radial first derivative
 is fourth order on the inner half of the cap: the Christoffel factors cot(r)
 and 1/sin(r)^2 amplify truncation errors by 1/r near the pole, and the extra
@@ -64,108 +65,132 @@ class CapSpec:
         raise ValueError("area formula implemented for n in (1, 2) only")
 
 
-def _mixed(want, inv_sin, inv_sin_sq, cot, D1, Dphi, Dphiphi, D1_Dphi) -> dict:
-    """The mixed frame operators named in ``want``, by the chart formulas
+def _mixed(inv_sin: np.ndarray, cot: np.ndarray) -> dict:
+    """The chart formulas of the mixed frame operators,
       D2  = Dphi / sin r
-      H12 = (D1 Dphi - cot r Dphi) / sin r
-      H22 = Dphiphi / sin^2 r + cot r D1
-    on fields (with 1/sin r, 1/sin^2 r and cot r at every node) or on tables
-    (``_LaidTable``, with them on every ring).  Only the terms of the operators
-    in ``want`` are read; on fields, the terms D1_Dphi, Dphiphi and Dphi are
-    updated in place.
+      H12 = (D1Dphi - cot r Dphi) / sin r
+      H22 = Dphiphi / sin^2 r + cot r D1,
+    from 1/sin r and cot r at every node, as {name: (outer, ((factor, term), ...))}:
+    the operator is outer times the sum, in order, of factor times the table
+    ``term``, where outer and each factor are fields at every node or None for 1.
+    ``FrameOps.apply`` evaluates them on fields and ``FrameOps._components``
+    expands coefficients through them.
     """
-    out = {}
-    if "H12" in want:
-        D1_Dphi -= Dphi * cot
-        D1_Dphi *= inv_sin
-        out["H12"] = D1_Dphi
-    if "H22" in want:
-        Dphiphi *= inv_sin_sq
-        Dphiphi += D1 * cot
-        out["H22"] = Dphiphi
-    if "D2" in want:  # last: on fields it overwrites Dphi, which H12 reads
-        Dphi *= inv_sin
-        out["D2"] = Dphi
-    return out
+    return {"D2": (inv_sin, ((None, "Dphi"),)),
+            "H12": (inv_sin, ((None, "D1Dphi"), (-cot, "Dphi"))),
+            "H22": (None, ((inv_sin**2, "Dphiphi"), (cot, "D1")))}
 
 
 @dataclass(frozen=True)
 class FrameOps:
     """The frame calculus on the flattened (Nr*Nphi) grid.
 
-    ``stencils`` holds one per-ring table per operator: D1 = d_r, H11 = d_rr,
-    the mixed D2, H12 and H22 of ``_mixed``, and the identity, the zeroth-order
-    term of a linearization.  Only D1, H11 and the angular Dphi (d_phi) and
-    Dphiphi (d_phiphi), the same on every ring, are sparse matrices; ``apply``
-    evaluates ``_mixed`` on fields from them, with D1's ghost rows acting on
-    d_phi u (the half-turn shift commutes with d_phi).  The 2D-only ones are
-    None for n = 1.  Rows are grid nodes in C order on a grid of ``shape``
-    (Nr, Nphi); ring Nr - 1 is the rim.  ``combination`` and its siblings take
-    sum_k diag(c_k) op_k over every row, so the coefficient fields alone
-    (``ma_system.jacobian_coefficients``) say what a row is.  ``layout`` is
-    the tables' integer structure, shared by every grid of the shape with the
-    same tables (``shape_layout``); only the weights are this grid's.
+    ``stencils`` holds one per-ring table per product of a radial and an
+    angular stencil: the identity, D1 = d_r, H11 = d_rr, the angular Dphi
+    (d_phi) and Dphiphi (d_phiphi), and D1Dphi = d_r d_phi.  ``mixed`` holds
+    the chart formulas of D2, H12 and H22 in those tables (``_mixed``).  D1,
+    H11, Dphi and Dphiphi are also sparse matrices; ``apply`` evaluates the
+    formulas on fields from them, with D1's ghost rows acting on d_phi u for
+    D1Dphi (the half-turn shift commutes with d_phi).  The 2D-only ones are
+    None, and ``mixed`` empty, for n = 1.  Rows are grid nodes in C order on a
+    grid of ``shape`` (Nr, Nphi); ring Nr - 1 is the rim.  ``combination``
+    and its siblings take sum_k diag(c_k) op_k over every row, so the
+    coefficient fields alone (``ma_system.jacobian_coefficients``) say what a
+    row is.  ``layout`` is the tables' integer structure, shared by every
+    grid of the shape (``shape_layout``); only the weights are this grid's.
     """
 
     D1: sp.csr_matrix
     H11: sp.csr_matrix
     shape: tuple
     stencils: dict
-    layout: TableLayout
+    layout: ShapeLayout
+    mixed: dict
     Dphi: sp.csr_matrix | None = None
     Dphiphi: sp.csr_matrix | None = None
-    inv_sin: np.ndarray | None = None  # 1/sin r, 1/sin^2 r and cot r at every node, flattened
-    inv_sin_sq: np.ndarray | None = None
-    cot: np.ndarray | None = None
+
+    def _formula(self, name: str) -> tuple:
+        """(outer, ((factor, term), ...)) of the operator ``name``: its ``mixed``
+        formula, or the table ``name`` itself."""
+        return self.mixed.get(name, (None, ((None, name),)))
 
     def apply(self, x: np.ndarray, *names: str) -> list[np.ndarray]:
         """[op x for op in ``names``] as (Nr, Nphi) fields, for a field x flattened or not.
 
-        The terms asked for share one D1 x and one Dphi x.  Dphi and Dphiphi act
-        on x minus its value at phi = 0 on each ring: they annihilate ring
-        constants, so this changes nothing exactly, but near the pole, where a
-        ring is almost constant, it keeps the rounding of x itself from the
-        1/sin r and 1/sin^2 r factors (docs/math_map.md, "Rounding at the pole").
+        Each table is applied once for all the operators asked for, and each
+        mixed operator sums the terms of its formula in order.  Dphi and
+        Dphiphi act on x minus its value at phi = 0 on each ring: they
+        annihilate ring constants, so this changes nothing exactly, but near
+        the pole, where a ring is almost constant, it keeps the rounding of x
+        itself from the 1/sin r and 1/sin^2 r factors (docs/math_map.md,
+        "Rounding at the pole").
         """
         x = np.ravel(x)
+        formulas = {name: self._formula(name) for name in names}
+        terms = {term for _, parts in formulas.values() for _, term in parts}
         out = {"identity": x}
-        if "D1" in names or "H22" in names:
+        if "D1" in terms:
             out["D1"] = self.D1 @ x
-        if "H11" in names:
+        if "H11" in terms:
             out["H11"] = self.H11 @ x
-        if not {"D2", "H12", "H22"}.isdisjoint(names):
+        if not {"Dphi", "Dphiphi", "D1Dphi"}.isdisjoint(terms):
             u = x.reshape(self.shape)
             centred = (u - u[:, :1]).ravel()
-            dphi = self.Dphi @ centred if "D2" in names or "H12" in names else None
-            out.update(_mixed(names, self.inv_sin, self.inv_sin_sq, self.cot, out.get("D1"), dphi,
-                              self.Dphiphi @ centred if "H22" in names else None,
-                              self.D1 @ dphi if "H12" in names else None))
+            if "Dphi" in terms or "D1Dphi" in terms:
+                out["Dphi"] = self.Dphi @ centred
+            if "Dphiphi" in terms:
+                out["Dphiphi"] = self.Dphiphi @ centred
+            if "D1Dphi" in terms:
+                out["D1Dphi"] = self.D1 @ out["Dphi"]
+        for name, (outer, parts) in formulas.items():
+            total = None
+            for factor, term in parts:
+                value = out[term] if factor is None else factor * out[term]
+                total = value if total is None else total + value
+            out[name] = total if outer is None else total * outer
         return [out[name].reshape(self.shape) for name in names]
+
+    def _components(self, coeffs: dict) -> dict:
+        """``coeffs``, mapping operator names to per-node fields c_k, as
+        flattened fields c_t on the ``stencils`` tables, so that
+        sum_k diag(c_k) op_k = sum_t diag(c_t) table_t: each c_k times its
+        formula's outer factor and a term's factor (``_formula``) adds to that
+        term's c_t, in the order of ``coeffs``."""
+        out = {}
+        for name, c in coeffs.items():
+            outer, parts = self._formula(name)
+            c = np.ravel(c) if outer is None else np.ravel(c) * outer
+            for factor, term in parts:
+                part = c if factor is None else c * factor
+                out[term] = out[term] + part if term in out else part
+        return out
 
     def combination(self, **coeffs: np.ndarray) -> sp.csc_matrix:
         """sum_k diag(c_k) op_k, for ``coeffs`` mapping operator names to per-node fields c_k.
 
-        Each table of ``stencils`` named in ``coeffs`` adds c_k times its
-        weights into its slots of the union of all the tables' entries, in the
-        order of ``coeffs``; the union expanded over phi is the pattern, so it
-        does not depend on the coefficients (entries that cancel are stored
-        zeros).  The pattern and the CSC order of its values come from
+        Each table of ``stencils`` adds its coefficient field (``_components``)
+        times its weights into its slots of the union of all the tables'
+        entries; the union expanded over phi is the pattern, so it does not
+        depend on the coefficients (entries that cancel are stored zeros).
+        The pattern and the CSC order of its values come from
         ``layout.union``, so a call sums and gathers, nothing else.  Only the
         SuperLU steps of a grid without a coarser level need it; GMRES applies
         the operator through ``combination_product`` instead.
         """
         slots, size, pattern = self.layout.union
         values = np.zeros((size, self.shape[1]))
-        for name, c in coeffs.items():
+        for name, c in self._components(coeffs).items():
             t = self.stencils[name]
             values[slots[name]] += np.reshape(c, self.shape)[t.ring] * t.weight[:, None]
         return _with_data(pattern, values.ravel()[pattern.data])
 
     def combination_product(self, **coeffs: np.ndarray):
         """x -> combination(**coeffs) @ x, applied without assembly as the sum of
-        c_k (op_k x) in the order of ``coeffs``, the op_k x from one ``apply``.
-        Equal to the assembled product up to the order of the sums."""
-        names, fields = list(coeffs), [np.ravel(c) for c in coeffs.values()]
+        c_t (table_t x) over the coefficient fields of ``_components``, the
+        table_t x from one ``apply``.  Equal to the assembled product up to
+        the order of the sums."""
+        terms = self._components(coeffs)
+        names, fields = list(terms), list(terms.values())
 
         def product(x: np.ndarray) -> np.ndarray:
             out = np.zeros(np.size(x))
@@ -197,9 +222,10 @@ class FrameOps:
         return band, bounds, terms
 
     def mode_system(self, **coeffs: np.ndarray) -> ModeFactor:
-        """LU factors of ``combination(**coeffs)`` with every c_k replaced by its
-        mean over each ring: of ``combination(**coeffs)`` itself exactly when
-        every c_k is constant on its ring.
+        """LU factors of ``combination(**coeffs)`` with every table's coefficient
+        field (``_components``) replaced by its mean over each ring: of
+        ``combination(**coeffs)`` itself, to rounding, when every c_k is
+        constant on its ring.
 
         That operator commutes with rotations in phi, so an FFT in phi splits
         it into Nphi/2 + 1 banded radial blocks, one per angular mode.  They
@@ -214,7 +240,7 @@ class FrameOps:
         (brow, bcol), (kl, ku), terms = self._modes
         Nr, Nphi = self.shape
         data = np.zeros((Nphi // 2 + 1, brow.size), dtype=complex)
-        for name, c in coeffs.items():
+        for name, c in self._components(coeffs).items():
             slots, ring, sym = terms[name]
             data[:, slots] += np.reshape(c, self.shape).mean(axis=1)[ring] * sym
         # the band storage of mode k's columns, column-major as LAPACK reads it
@@ -247,8 +273,7 @@ class ModeFactor:
 
 class Stencil(NamedTuple):
     """Per-ring table of a frame operator: entry (i, j, s, w) gives every node
-    (i, k) the weight w at node (j, k + s mod Nphi), 0 <= s < Nphi.  A table
-    times x scales ring i's rows by x[i]; ``ShapeLayout.sum`` adds two."""
+    (i, k) the weight w at node (j, k + s mod Nphi), 0 <= s < Nphi."""
 
     ring: np.ndarray
     src: np.ndarray
@@ -271,27 +296,6 @@ class Stencil(NamedTuple):
         weight = np.bincount(inv, weights=weight)
         keep = weight != 0.0
         return Stencil(*(a[keep] for a in keys), weight[keep])
-
-    def __mul__(self, x: np.ndarray) -> Stencil:
-        return self._replace(weight=self.weight * x[self.ring])
-
-
-class _LaidTable(NamedTuple):
-    """A table with the arithmetic of ``_mixed``: t * x as a ``Stencil``, and
-    t + u and t - u by ``layout.sum``, which keeps the merge order of each
-    sum for every grid of the shape."""
-
-    table: Stencil
-    layout: ShapeLayout
-
-    def __mul__(self, x: np.ndarray) -> _LaidTable:
-        return self._replace(table=self.table * x)
-
-    def __add__(self, other: _LaidTable) -> _LaidTable:
-        return self._replace(table=self.layout.sum(self.table, other.table))
-
-    def __sub__(self, other: _LaidTable) -> _LaidTable:
-        return self + other._replace(table=other.table._replace(weight=-other.table.weight))
 
 
 class PolarGrid:
@@ -364,8 +368,8 @@ class PolarGrid:
         A source ring j < 0 is the ghost across the pole: ring -1 - j at ``pole_map``.
         Which entries merge comes from ``shape_layout``; only the sums are this grid's."""
         w = np.broadcast_to(w_r, (self.Nr, len(offsets)))[:, :, None] * np.asarray(w_phi)
-        order = shape_layout(self.Nr, self.Nphi).merge_order(tuple(offsets), tuple(shifts),
-                                                             int(self.pole_map[0]))
+        order = shape_layout(self.Nr, self.Nphi, int(self.pole_map[0])).merge_order(
+            tuple(offsets), tuple(shifts))
         return Stencil.summed(order, w.ravel())
 
     # -- conveniences ----------------------------------------------------------
@@ -410,7 +414,7 @@ class PolarGrid:
         and building them lazily keeps grid construction cheap.
 
         Only the weights are computed here.  The integer structure of the
-        tables and matrices is the ``TableLayout`` that ``shape_layout`` keeps
+        tables and matrices is the ``ShapeLayout`` that ``shape_layout`` keeps
         for every grid of this shape: each matrix gathers its ``data`` from its
         table's weights through the layout's entry map and shares the layout's
         read-only ``indices`` and ``indptr``."""
@@ -424,37 +428,40 @@ class PolarGrid:
         d_rr = [-3, -2, -1, 0, 1], \
             np.array([[0.0, 0.0, 1.0, -2.0, 1.0], [-1.0, 4.0, -5.0, 2.0, 0.0]])[kind // 2] / dr**2
         expanded = {"D1": self._stencil(*d_r), "H11": self._stencil(*d_rr)}
-        stencils, scalings = {"identity": self._stencil([0], [1.0]), **expanded}, {}
+        stencils, mixed = {"identity": self._stencil([0], [1.0]), **expanded}, {}
         if self.spec.n == 2:
             d_phi = [-2, -1, 1, 2], np.array([1.0, -8.0, 8.0, -1.0]) / (12 * self.dphi)
             d_phiphi = [-2, -1, 0, 1, 2], \
                 np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12 * self.dphi**2)
-            Dphi, Dphiphi = self._stencil([0], [1.0], *d_phi), self._stencil([0], [1.0], *d_phiphi)
-            inv_sin, cot = 1.0 / self.sin_r, self.cot_r
-            tables = (_LaidTable(t, shape_layout(Nr, Nphi))
-                      for t in (stencils["D1"], Dphi, Dphiphi, self._stencil(*d_r, *d_phi)))
-            mixed = _mixed({"D2", "H12", "H22"}, inv_sin, inv_sin**2, cot, *tables)
-            stencils.update((name, t.table) for name, t in mixed.items())
-            expanded.update(Dphi=Dphi, Dphiphi=Dphiphi)
-            scalings = dict(inv_sin=np.repeat(inv_sin, Nphi),
-                            inv_sin_sq=np.repeat(inv_sin**2, Nphi), cot=np.repeat(cot, Nphi))
-        layout = shape_layout(Nr, Nphi).table_layout(stencils, expanded)
+            expanded.update(Dphi=self._stencil([0], [1.0], *d_phi),
+                            Dphiphi=self._stencil([0], [1.0], *d_phiphi))
+            stencils.update(expanded, D1Dphi=self._stencil(*d_r, *d_phi))
+            mixed = _mixed(np.repeat(1.0 / self.sin_r, Nphi), np.repeat(self.cot_r, Nphi))
+        layout = shape_layout(Nr, Nphi, int(self.pole_map[0])).adopt(stencils, tuple(expanded))
         weights = np.concatenate([expanded[name].weight for name in layout.csr])
         matrices = {name: _with_data(pattern, weights[pattern.data])
                     for name, pattern in layout.csr.items()}
-        return FrameOps(**matrices, **scalings, shape=self.shape, stencils=stencils, layout=layout)
+        return FrameOps(**matrices, shape=self.shape, stencils=stencils, layout=layout, mixed=mixed)
 
     @cached_property
     def stencil_amplification(self) -> float:
-        """Worst row 1-norm of the frame-Hessian operators.
+        """Worst row 1-norm of the frame-Hessian operators, bounded term by term.
 
         Bounds how much the Hessian stencils amplify float noise in a field:
         the residual of a nonlinear system built on them cannot be evaluated
         below roughly eps * amplification * |field|, which matters near the
-        pole where 1/sin(r)^2 is large.
+        pole where 1/sin(r)^2 is large.  Each operator's bound is |outer| times
+        the sum of |factor| times its terms' row 1-norms (``FrameOps._formula``).
         """
-        hess = [t for name, t in self.ops.stencils.items() if name in ("H11", "H12", "H22")]
-        return float(max(np.bincount(t.ring, weights=np.abs(t.weight)).max() for t in hess))
+        ops, worst = self.ops, 0.0
+        norms = {name: np.bincount(t.ring, weights=np.abs(t.weight)).repeat(self.Nphi)
+                 for name, t in ops.stencils.items()}  # every table has entries on every ring
+        for name in _HESS[self.spec.n]:
+            outer, parts = ops._formula(name)
+            bound = sum(norms[term] * (1.0 if factor is None else np.abs(factor))
+                        for factor, term in parts)
+            worst = max(worst, float((bound * (1.0 if outer is None else np.abs(outer))).max()))
+        return worst
 
 
 def _expand(t: Stencil, Nr: int, Nphi: int, values: np.ndarray, blocks: int = 1) -> sp.csr_matrix:
@@ -506,44 +513,73 @@ def _entry_dtype(count: int) -> np.dtype:
     return np.min_scalar_type(max(count - 1, 0))
 
 
-class TableLayout:
-    """The integer structure of one set of tables on one grid shape: all of a
-    grid's frame operators that its weights do not change.  ``key`` holds the
-    tables' (ring, src, shift) arrays as bytes.  Each part is built on first
-    use, and every array in it is read-only:
+class ShapeLayout:
+    """The integer structure of the frame operators of every grid of one shape
+    (Nr, Nphi) whose ghosts read ``ghost_shift`` angles away, whatever its
+    theta (n is 1 exactly when Nphi is 1).  Each table is one radial stencil
+    times one angular one, and whether its merged weights sum to exactly 0.0
+    does not depend on theta (docs/math_map.md, "Per shape and per grid"), so
+    the first grid's tables give the structure of all: ``adopt`` keeps it, and
+    a later grid whose tables differ in size raises.  Each part is built on
+    first use, and every array in it is read-only:
 
+    - ``merge_order``: which entries of a product ``PolarGrid._stencil`` merges;
+    - ``tables``: each table's (ring, src, shift) arrays, from the first grid;
     - ``csr``: for each table expanded to a ``FrameOps`` matrix, that matrix
       with, as its data, the place of each stored entry's weight among the
       tables' weights concatenated in ``csr`` order (its CSR ``indices`` and
       ``indptr`` are shared by the grids' matrices);
     - ``modes``: the band layout of ``FrameOps.mode_system``, (kl, ku), and
-      for each ``stencils`` table its entries' band slots, their rings, and
-      their places in the rows that ``FrameOps._modes`` transforms;
-    - ``union``: for each ``stencils`` table its slots in the union of all
-      their entries, the union's size, and the CSC matrix of
-      ``FrameOps.combination`` with, as its data, the place (union entry,
-      angle) of each stored entry in the summed values.
+      for each table its entries' band slots, their rings, and their places
+      in the rows that ``FrameOps._modes`` transforms;
+    - ``union``: for each table its slots in the union of all their entries,
+      the union's size, and the CSC matrix of ``FrameOps.combination`` with,
+      as its data, the place (union entry, angle) of each stored entry in the
+      summed values.
     """
 
-    def __init__(self, shape: tuple, key: tuple, stencils: tuple, matrices: tuple):
-        self.shape, self.key, self._stencils, self._matrices = shape, key, stencils, matrices
+    def __init__(self, Nr: int, Nphi: int, ghost_shift: int):
+        self.shape, self.ghost_shift = (Nr, Nphi), ghost_shift
+        self._merges = {}
+        self.tables, self._matrices = None, ()
 
-    def _tables(self, names: tuple) -> dict:
-        """The tables ``names`` without weights, read from ``key``."""
-        return {name: Stencil(*np.frombuffer(b, dtype=np.intp).reshape(3, -1), None)
-                for name, b in self.key if name in names}
+    def merge_order(self, offsets: tuple, shifts: tuple) -> tuple:
+        """``Stencil.merge_order`` of the entries of the radial ``offsets`` times
+        the angular ``shifts`` on every ring."""
+        key = offsets, shifts
+        if key not in self._merges:
+            Nr, Nphi = self.shape
+            ring = np.arange(Nr)
+            src = np.repeat(ring[:, None] + offsets, len(shifts))
+            shift = (np.resize(shifts, src.size) + (src < 0) * self.ghost_shift) % Nphi
+            rows = Stencil(np.repeat(ring, src.size // Nr), np.where(src < 0, -1 - src, src), shift,
+                           None)
+            self._merges[key] = _read_only(*rows.merge_order())
+        return self._merges[key]
+
+    def adopt(self, stencils: dict, matrices: tuple) -> ShapeLayout:
+        """This layout, for a grid with the tables ``stencils``, of which
+        ``FrameOps`` holds ``matrices`` expanded: the first grid's tables
+        become ``tables``; a later grid's must hold as many entries in each."""
+        if self.tables is None:
+            self.tables = {name: Stencil(*_read_only(*t[:3]), None) for name, t in stencils.items()}
+            self._matrices = matrices
+        elif {name: t.weight.size for name, t in stencils.items()} \
+                != {name: t.ring.size for name, t in self.tables.items()}:
+            raise RuntimeError(f"the tables of a {self.shape} grid differ from its shape's layout")
+        return self
 
     @cached_property
     def csr(self) -> dict:
         Nr, Nphi = self.shape
-        tables = self._tables(self._matrices)
+        tables = [self.tables[name] for name in self._matrices]
         stacked = Stencil(*map(np.concatenate, zip(*((t.ring + b * Nr, t.src, t.shift)
-                                                     for b, t in enumerate(tables.values())))), None)
+                                                     for b, t in enumerate(tables)))), None)
         size, N = stacked.ring.size, Nr * Nphi
         mat = _expand(stacked, Nr, Nphi, np.arange(size, dtype=_entry_dtype(size))[:, None],
                       blocks=len(tables))
         out = {}
-        for b, name in enumerate(tables):
+        for b, name in enumerate(self._matrices):
             lo, hi = mat.indptr[b * N], mat.indptr[(b + 1) * N]
             out[name] = sp.csr_matrix((mat.data[lo:hi], mat.indices[lo:hi],
                                        mat.indptr[b * N:(b + 1) * N + 1] - lo), shape=(N, N))
@@ -555,7 +591,7 @@ class TableLayout:
     def modes(self) -> tuple:
         Nr, Nphi = self.shape
         parts = {}
-        for name, t in self._tables(self._stencils).items():
+        for name, t in self.tables.items():
             pairs = t.ring * Nr + t.src  # a table is sorted by (ring, src, shift)
             new = np.empty(pairs.size, dtype=bool)
             new[0] = True
@@ -572,8 +608,7 @@ class TableLayout:
     @cached_property
     def union(self) -> tuple:
         Nr, Nphi = self.shape
-        key = {name: (t.ring * Nr + t.src) * Nphi + t.shift
-               for name, t in self._tables(self._stencils).items()}
+        key = {name: (t.ring * Nr + t.src) * Nphi + t.shift for name, t in self.tables.items()}
         union = np.unique(np.concatenate(list(key.values())))
         slots = {name: np.searchsorted(union, k) for name, k in key.items()}
         _read_only(*slots.values())
@@ -582,56 +617,6 @@ class TableLayout:
         pattern = _expand(Stencil(*np.divmod(ring_src, Nr), shift, None), Nr, Nphi,
                           place.reshape(-1, Nphi)).tocsc()
         return slots, union.size, _frozen(pattern)
-
-
-class ShapeLayout:
-    """What the frame operators of all grids of one shape (Nr, Nphi) share,
-    whatever their theta (n is 1 exactly when Nphi is 1): the ``merge_order``
-    of each product that ``PolarGrid._stencil`` merges and of each ``sum``
-    of tables that ``_mixed`` forms, and the ``TableLayout`` of the tables
-    asked for last.  A merged table leaves out the entries whose weights sum
-    to exactly 0.0, which depends on the weights, so tables that differ from
-    the kept ones replace them; a grid's ``FrameOps`` keeps the layout it was
-    built on."""
-
-    def __init__(self, Nr: int, Nphi: int):
-        self.shape = (Nr, Nphi)
-        self._merges = {}
-        self._last = None
-
-    def merge_order(self, offsets: tuple, shifts: tuple, ghost_shift: int) -> tuple:
-        """``Stencil.merge_order`` of the entries of the radial ``offsets`` times
-        the angular ``shifts`` on every ring, ghosts read ``ghost_shift`` away."""
-        key = offsets, shifts, ghost_shift
-        if key not in self._merges:
-            Nr, Nphi = self.shape
-            ring = np.arange(Nr)
-            src = np.repeat(ring[:, None] + offsets, len(shifts))
-            shift = (np.resize(shifts, src.size) + (src < 0) * ghost_shift) % Nphi
-            rows = Stencil(np.repeat(ring, src.size // Nr), np.where(src < 0, -1 - src, src), shift,
-                           None)
-            self._merges[key] = _read_only(*rows.merge_order())
-        return self._merges[key]
-
-    def sum(self, a: Stencil, b: Stencil) -> Stencil:
-        """The table of a's and b's entries merged as by ``Stencil.merge_order``:
-        sorted by key, the weights of one key summed a's first, and sums of
-        exactly 0.0 left out, as in sparse sums.  The merge order is kept for
-        the (ring, src, shift) arrays of a and b."""
-        key = tuple(x.tobytes() for x in (*a[:3], *b[:3]))
-        if key not in self._merges:
-            both = Stencil(*map(np.concatenate, zip(a[:3], b[:3])), None)
-            self._merges[key] = _read_only(*both.merge_order())
-        return Stencil.summed(self._merges[key], np.concatenate((a.weight, b.weight)))
-
-    def table_layout(self, stencils: dict, matrices: dict) -> TableLayout:
-        """The ``TableLayout`` of the ``stencils`` tables and of the ``matrices``
-        tables that ``FrameOps`` holds expanded."""
-        key = tuple((name, np.concatenate(t[:3]).tobytes())
-                    for name, t in {**stencils, **matrices}.items())
-        if self._last is None or self._last.key != key:
-            self._last = TableLayout(self.shape, key, tuple(stencils), tuple(matrices))
-        return self._last
 
 
 # Grid shapes whose ShapeLayout is kept.  A benchmark process meets at most
@@ -643,10 +628,10 @@ LAYOUT_SHAPES = 5
 
 
 @lru_cache(maxsize=LAYOUT_SHAPES)
-def shape_layout(Nr: int, Nphi: int) -> ShapeLayout:
-    """The ``ShapeLayout`` of grids of shape (Nr, Nphi), one per shape for the
-    LAYOUT_SHAPES shapes used last."""
-    return ShapeLayout(Nr, Nphi)
+def shape_layout(Nr: int, Nphi: int, ghost_shift: int) -> ShapeLayout:
+    """The ``ShapeLayout`` of grids of shape (Nr, Nphi) whose ghosts read
+    ``ghost_shift`` angles away, one per key for the LAYOUT_SHAPES used last."""
+    return ShapeLayout(Nr, Nphi, ghost_shift)
 
 
 @dataclass

@@ -29,6 +29,7 @@ from conftest import smooth_field
 
 
 THETA = np.pi / 3.0
+MIXED = ("D2", "H12", "H22")  # the operators that are formulas in the tables
 CONFIG = {"theta": 60.0, "theta_unit": "deg", "p": 3.0, "q": 1.0, "grid": {"Nr": 16, "Nphi": 16},
           "f": {"type": "harmonic", "base": 1.0, "amplitude": 0.2, "m": 2}}
 
@@ -142,8 +143,8 @@ def product_form_ops(grid):
     """Reference frame operators, assembled without the stencil tables: per-ring
     COO rows for d_r, d_rr, d_phi and d_phiphi, then the chart formulas as sparse
     products of diagonal scalings with them, sums and the product d_r d_phi.
-    Also returns the identity, and the two angular stencils as "Dphi" and
-    "Dphiphi"."""
+    Also returns the identity, the two angular stencils as "Dphi" and
+    "Dphiphi", and d_r d_phi as "D1Dphi"."""
     Nr, Nphi, dr, N = grid.Nr, grid.Nphi, grid.dr, grid.size
     k = np.arange(Nphi)
 
@@ -186,18 +187,18 @@ def product_form_ops(grid):
         Dphi = angular_csr([-2, -1, 1, 2], np.array([1.0, -8.0, 8.0, -1.0]) / (12 * grid.dphi))
         Dphiphi = angular_csr([-2, -1, 0, 1, 2],
                               np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12 * grid.dphi**2))
-        inv_sin, cot = 1.0 / grid.sin_r, grid.cot_r
-        ops.update(Dphi=Dphi, Dphiphi=Dphiphi, D2=diag(inv_sin) @ Dphi,
-                   H12=diag(inv_sin) @ ((Dr @ Dphi).tocsr() - diag(cot) @ Dphi),
+        inv_sin, cot, D1Dphi = 1.0 / grid.sin_r, grid.cot_r, (Dr @ Dphi).tocsr()
+        ops.update(Dphi=Dphi, Dphiphi=Dphiphi, D1Dphi=D1Dphi, D2=diag(inv_sin) @ Dphi,
+                   H12=diag(inv_sin) @ (D1Dphi - diag(cot) @ Dphi),
                    H22=diag(inv_sin**2) @ Dphiphi + diag(cot) @ Dr)
-        for name in ("D2", "H12", "H22"):
+        for name in ("D1Dphi", "D2", "H12", "H22"):
             # products leave column indices unsorted; sort them (no duplicates)
             ops[name].sum_duplicates()
     return ops
 
 
 def product_form_symbols(ref, grid):
-    """Mode symbols of each term read off row (i, 0) of the reference operators,
+    """Mode symbols of each table read off row (i, 0) of the reference operators,
     on every ring: {name: (row ring * Nr + column ring, symbols (modes, entries))}."""
     Nr, Nphi = grid.shape
     jk = np.outer(np.arange(Nphi), np.arange(Nphi // 2 + 1)) % Nphi
@@ -210,7 +211,7 @@ def product_form_symbols(ref, grid):
         return pos, (stencil @ phases).T
 
     rings = np.arange(Nr)
-    return {name: symbols(op, rings) for name, op in ref.items() if not name.startswith("Dphi")}
+    return {name: symbols(op, rings) for name, op in ref.items() if name not in MIXED}
 
 
 def mode_symbols(grid):
@@ -220,25 +221,11 @@ def mode_symbols(grid):
     return {name: (key[slots], sym) for name, (slots, _, sym) in terms.items()}
 
 
-def triangle_amplification(grid):
-    """Noise floor as the chart formulas bound it term by term (triangle inequality),
-    from the partial-derivative stencils of the product form: max over nodes of the
-    row 1-norm bounds |d_rr|, |d_phiphi|/sin^2 r + |cot r| |d_r| and
-    (|d_rphi| + |cot r| |d_phi|)/sin r."""
-
-    def row_sums(mat):
-        return np.asarray(np.abs(mat).sum(axis=1)).ravel().reshape(grid.shape)
-
+def exact_amplification(grid):
+    """The largest row 1-norm of the product form's H11, H12 and H22."""
     ref = product_form_ops(grid)
-    amp = row_sums(ref["H11"]).max()
-    if grid.spec.n == 2:
-        Dr, Dphi = ref["D1"], ref["Dphi"]
-        sin_r = grid.sin_r[:, None]
-        cot_r = np.abs(grid.cot_r)[:, None]
-        h22 = row_sums(ref["Dphiphi"]) / sin_r**2 + cot_r * row_sums(Dr)
-        h12 = (row_sums(Dr @ Dphi) + cot_r * row_sums(Dphi)) / sin_r
-        amp = max(amp, h22.max(), h12.max())
-    return float(amp)
+    return float(max(abs(ref[name]).sum(axis=1).max() for name in ("H11", "H12", "H22")
+                     if name in ref))
 
 
 def product_form_jacobian(v, prob):
@@ -275,25 +262,30 @@ class TestFrameOps:
     @pytest.mark.parametrize("n, N, theta", [(2, 16, 0.3), (2, 16, 1.4), (2, 40, 0.3),
                                              (2, 40, 1.4), (1, 16, 0.3), (1, 40, 1.4)])
     def test_noise_floor_matches_triangle_bound(self, n, N, theta):
-        # the largest row 1-norm of H11/H12/H22 is attained where the terms of
-        # the chart formulas do not cancel, so it equals their term-wise bound
+        # stencil_amplification bounds the formulas' terms one by one (triangle
+        # inequality), so it is not below the largest row 1-norm of the product
+        # form's H11/H12/H22, up to the rounding of the two sums (a few ulp);
+        # that norm is attained where the terms do not overlap, so the bound
+        # is also tight
         grid = PolarGrid(CapSpec(theta=theta, n=n), N)
-        assert grid.stencil_amplification == pytest.approx(triangle_amplification(grid),
-                                                           rel=1e-12)
+        exact = exact_amplification(grid)
+        eps = np.finfo(float).eps
+        assert exact * (1 - 4 * eps) <= grid.stencil_amplification <= exact * (1 + 1e-12)
 
     @pytest.mark.parametrize("theta", [0.3, 1.047, 1.4])
     @pytest.mark.parametrize("n, N", [(2, 6), (2, 8), (2, 16), (2, 48), (2, 128),
                                       (1, 16), (1, 40)])
     def test_tables_match_product_form(self, n, N, theta):
         # the tables sum entries in the order the sparse products do and drop
-        # the same exact zeros, so every table expanded over phi, and every
-        # matrix FrameOps holds, is equal to the product form bit for bit.  The
-        # D2, H12 and H22 that apply gives sum the same terms in another order,
-        # and the FFT gives the mode symbols to roundoff
+        # the same exact zeros, so every table expanded over phi (D1Dphi too,
+        # against the sorted d_r d_phi product), and every matrix FrameOps
+        # holds, is equal to the product form bit for bit.  The D2, H12 and
+        # H22 that apply gives sum the same terms in another order, and the
+        # FFT gives the mode symbols to roundoff
         grid = PolarGrid(CapSpec(theta=theta, n=n), N)
         ref = product_form_ops(grid)
         ops = grid.ops
-        assert set(ops.stencils) == set(ref) - {"Dphi", "Dphiphi"}
+        assert set(ops.stencils) == set(ref) - set(MIXED)
         for name, t in ops.stencils.items():
             op = _expand(t, grid.Nr, grid.Nphi, t.weight[:, None])
             for attr in ("indptr", "indices", "data"):
@@ -305,7 +297,7 @@ class TestFrameOps:
                 assert np.array_equal(getattr(op, attr), getattr(ref[name], attr)), (name, attr)
         if n == 2:
             for x in np.random.default_rng(N).standard_normal((3, grid.size)):
-                for name, got in zip(("D2", "H12", "H22"), ops.apply(x, "D2", "H12", "H22")):
+                for name, got in zip(MIXED, ops.apply(x, *MIXED)):
                     want = ref[name] @ x
                     assert np.abs(got.ravel() - want).max() <= 1e-14 * np.abs(want).max(), name
         got, want = mode_symbols(grid), product_form_symbols(ref, grid)
@@ -330,10 +322,13 @@ class TestFrameOps:
                 assert np.abs(got.ravel()[rows] - want).max() <= 1e-14 * np.abs(want).max(), name
 
     def test_ghost_columns_cancel_exactly_at_six_angles(self):
-        # at Nphi = 6 the ghosts half a turn away meet the regular columns of ring
-        # 1's d_r d_phi entries, and two such pairs per node sum to exactly 0.0:
-        # the H12 table drops them, so 12 of the 504 entries over phi are not there
-        assert PolarGrid(CapSpec(theta=THETA), 6).ops.stencils["H12"].weight.size * 6 == 492
+        # at Nphi = 6 the ghosts half a turn away meet the regular columns of
+        # d_r d_phi on rings 0 and 1.  On ring 1 the ghosts of ring 0 meet the
+        # regular ring 0 at all four shifts, and two of those pairs sum to
+        # exactly 0.0: the D1Dphi table drops them, so ring 1 holds 10 entries
+        t = PolarGrid(CapSpec(theta=THETA), 6).ops.stencils["D1Dphi"]
+        assert list(np.bincount(t.ring)[:3]) == [12, 10, 16]
+        assert sorted(t.shift[(t.ring == 1) & (t.src == 0)]) == [1, 5]
 
     def test_frame_ops_hold_no_mixed_matrix(self):
         # D2, H12 and H22 are compositions: after a residual, a Jacobian product
@@ -364,8 +359,8 @@ class TestFrameOps:
         # v = log l is axisymmetric (B12 = g2 = 0), so there some entries are
         # zero; the pattern must not follow them.  It is every operator's and
         # the identity's entries on every row, read off the product form as a
-        # sum of absolute values, so that nothing cancels (at Nphi = 6 H12's
-        # ghost columns do cancel within H12 itself).  The rim rows hold D1's
+        # sum of absolute values, so that nothing cancels (at Nphi = 6 the ghost
+        # columns of d_r d_phi do cancel within D1Dphi itself).  The rim rows hold D1's
         # values; the other terms' rim entries are stored zeros
         for n, N in ((2, 6), (2, 16), (2, 48), (1, 16)):
             grid = PolarGrid(CapSpec(theta=THETA, n=n), N)
@@ -447,11 +442,12 @@ class TestFrameOps:
         no_pole_factor.pole_map = np.arange(N)  # ghosts at (r, phi) instead of (r, phi + pi)
         err = np.linalg.norm(no_pole_factor.ops.mode_system(**coeffs).solve(Jx) - x)
         assert err > 1e-4 * np.linalg.norm(x)
+        assert no_pole_factor.ops.layout is not grid.ops.layout
 
     def test_one_dimensional_has_no_angular_terms(self):
         ops = PolarGrid(CapSpec(theta=THETA, n=1), 16).ops
         assert set(ops.stencils) == {"identity", "D1", "H11"}
-        assert ops.Dphi is None and ops.Dphiphi is None and ops.inv_sin is None
+        assert ops.Dphi is None and ops.Dphiphi is None and ops.mixed == {}
 
     @pytest.mark.parametrize("n, Nr, Nphi, theta_deg", [(2, 6, 6, 30.0), (2, 16, 6, 85.0),
                                                         (2, 16, 10, 5.0), (2, 24, 24, 60.0),
@@ -493,25 +489,36 @@ def operator_outputs(grid):
 
 
 class TestShapeLayout:
-    """The tables' integer structure is shared by every grid of one shape
-    (``cap_chart.shape_layout``); only the weights are a grid's own."""
+    """The tables' integer structure is shared by every grid of one shape and
+    ghost shift (``cap_chart.shape_layout``); only the weights are a grid's own."""
 
-    @pytest.mark.parametrize("n, Nr, Nphi", [(2, 16, 10), (2, 27, 26), (2, 48, 48),
-                                             (1, 16, 1), (1, 27, 1), (1, 48, 1)])
+    @pytest.mark.parametrize("n, Nr, Nphi", [(2, 6, 6), (2, 8, 8), (2, 16, 10), (2, 25, 24),
+                                             (2, 27, 26), (2, 48, 48), (1, 16, 1), (1, 27, 1),
+                                             (1, 48, 1)])
     def test_grids_of_one_shape_share_it_and_equal_a_cold_build(self, n, Nr, Nphi):
         # grids of neighbouring shapes come first, so a layout keyed by less
-        # than the shape would hand one of theirs to the grids under test
+        # than the shape would hand one of theirs to the grids under test.  The
+        # first grid of the shape gives the layout its tables, and every grid
+        # at 21 theta from 1 to 89 degrees has those tables exactly (at 6^2
+        # and 8^2 the ghost columns of D1Dphi merge with regular ones)
         chart.shape_layout.cache_clear()
-        for other in ((Nr, 1), (Nr, Nphi + 2 if n == 2 else 6), (Nr + 2, Nphi), (Nr - 2, Nphi)):
+        for other in ((Nr, 1), (Nr, Nphi + 2 if n == 2 else 6), (Nr + 2, Nphi),
+                      (Nr - 2 if Nr > 6 else Nr + 4, Nphi)):
             PolarGrid(CapSpec(theta=1.047, n=1 if other[1] == 1 else 2), *other).ops._modes
-        warm = [PolarGrid(CapSpec(theta=theta, n=n), Nr, Nphi) for theta in (0.3, 1.4)]
+        warm = [PolarGrid(CapSpec(theta=theta, n=n), Nr, Nphi)
+                for theta in np.radians(np.linspace(1.0, 89.0, 21))]
         got = [operator_outputs(grid) for grid in warm]
-        a, b = (grid.ops for grid in warm)
-        assert a.layout is b.layout
-        for name in ("D1", "H11", "Dphi", "Dphiphi"):
-            if getattr(a, name) is not None:
-                assert getattr(a, name).indices is getattr(b, name).indices, name
-                assert getattr(a, name).indptr is getattr(b, name).indptr, name
+        first = warm[0].ops
+        for grid in warm:
+            assert grid.ops.layout is first.layout
+            assert grid.ops.stencils.keys() == first.layout.tables.keys()
+            for name, t in grid.ops.stencils.items():
+                for got_a, want in zip(t[:3], first.layout.tables[name][:3]):
+                    assert np.array_equal(got_a, want), (grid.spec.theta, name)
+            for name in ("D1", "H11", "Dphi", "Dphiphi"):
+                if getattr(first, name) is not None:
+                    assert getattr(grid.ops, name).indices is getattr(first, name).indices, name
+                    assert getattr(grid.ops, name).indptr is getattr(first, name).indptr, name
         for grid, warm_out in zip(warm, got):
             chart.shape_layout.cache_clear()
             cold = operator_outputs(PolarGrid(grid.spec, Nr, Nphi))
@@ -519,6 +526,17 @@ class TestShapeLayout:
             for key, value in cold.items():
                 assert value.dtype == warm_out[key].dtype, key
                 assert value.tobytes() == warm_out[key].tobytes(), (grid.spec.theta, key)
+
+    def test_a_grid_unlike_its_layout_raises(self, monkeypatch):
+        # the layout takes its tables from the first grid of the shape; a later
+        # grid whose tables hold other entry counts is refused, not laid out
+        chart.shape_layout.cache_clear()
+        PolarGrid(CapSpec(theta=0.3), 16).ops
+        real = PolarGrid._stencil
+        monkeypatch.setattr(PolarGrid, "_stencil",
+                            lambda grid, *a: chart.Stencil(*(x[1:] for x in real(grid, *a))))
+        with pytest.raises(RuntimeError, match="layout"):
+            PolarGrid(CapSpec(theta=1.4), 16).ops
 
     @pytest.mark.parametrize("n, Nr, Nphi", [(2, N, N) for N in (12, 16, 20, 24, 32, 40)]
                              + [(2, 25, 24), (2, 16, 40), (2, 40, 16), (1, 16, 1), (1, 64, 1)])
@@ -550,7 +568,8 @@ class TestShapeLayout:
                   pattern.data, pattern.indices, pattern.indptr]
         for matrix in layout.csr.values():
             shared += [matrix.data, matrix.indices, matrix.indptr]
-        shared += [a for order in chart.shape_layout(16, 10)._merges.values() for a in order]
+        shared += [a for order in layout._merges.values() for a in order]
+        shared += [a for t in layout.tables.values() for a in t[:3]]
         for name in ("D1", "H11", "Dphi", "Dphiphi"):
             shared += [getattr(grid.ops, name).indices, getattr(grid.ops, name).indptr]
         for a in shared:

@@ -534,8 +534,8 @@ class TestSymmetricPivoting:
         assert np.abs(J @ delta.ravel() + rhs.ravel()).max() <= 1e-12 * np.abs(rhs).max()
 
     def test_solve_does_not_depend_on_what_the_process_solved_before(self):
-        # the layout's merges are shared by every grid of its shape, whatever
-        # built them, so a 32^2 solve writes the same h with no layout kept,
+        # the layout is shared by every grid of its shape, whatever built it,
+        # so a 32^2 solve writes the same h with no layout kept,
         # after solves at other theta on its shape, and after LAYOUT_SHAPES
         # other shapes evicted its layout; each solve builds its own grid
         cm.cap_chart.shape_layout.cache_clear()
@@ -543,10 +543,10 @@ class TestSymmetricPivoting:
         for theta_deg in (30.0, 75.0):
             cm.continuation_solve(harmonic_problem(theta_deg, 32, 0.3))
         after_thetas = cm.continuation_solve(harmonic_problem(60.0, 32, 0.3))[0].h
-        kept = cm.cap_chart.shape_layout(32, 32)
+        kept = cm.cap_chart.shape_layout(32, 32, 16)
         for N in range(12, 12 + 2 * cm.cap_chart.LAYOUT_SHAPES, 2):
             cm.continuation_solve(harmonic_problem(45.0, N, 0.3))
-        assert cm.cap_chart.shape_layout(32, 32) is not kept
+        assert cm.cap_chart.shape_layout(32, 32, 16) is not kept
         evicted = cm.continuation_solve(harmonic_problem(60.0, 32, 0.3))[0].h
         assert fresh.tobytes() == after_thetas.tobytes() == evicted.tobytes()
 
